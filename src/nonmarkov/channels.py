@@ -6,10 +6,21 @@ applied at dimensionless time nu.  Undriven amplitude damping uses the closed
 form with survival probability
 P_t = exp(-lambda t) [cos(d t/2) + (lambda/d) sin(d t/2)]^2,
 d = sqrt(2 gamma0 lambda - lambda^2).  The driven case has no closed form and
-is integrated as a qubit coupled to a damped pseudomode oscillator,
+is solved as a qubit coupled to a damped pseudomode oscillator,
 d rho/dt = -i[H, rho] + lambda (2 b rho b+ - b+b rho - rho b+b),
 H = Omega (s+ + s-) + sqrt(lambda gamma0 / 2) (s+ b + b+ s-),
-with fixed-step 4th-order Runge-Kutta in a frame rotating with the drive.
+in a frame rotating with the drive.  The generator is time independent, so
+the propagator exp(L t) is exact by eigendecomposition of L (a real matrix in
+an orthonormal Hermitian operator basis), evaluated at any set of times with
+no time step.  Where L is defective or nearly so (the exceptional points
+omega = 0, lambda = 2 gamma0 N, and their neighbourhood), each cluster of
+coalescing eigenvalues enters as an invariant-subspace block instead, with
+the Taylor series of its nilpotent part.  Every driven result passes four
+guards: the spectral form must reproduce the initial operators at t = 0
+(RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
+(fock_ladder retries a larger n_fock) and the trace within TRACE_DRIFT_TOL
+of 1, both checked at least every GUARD_STEP up to the last time asked for;
+and the reduced states must be valid density matrices.
 
 Parameter regimes where mu or d would be imaginary are evaluated with the
 hyperbolic rewrites so every output is manifestly real; the degenerate points
@@ -19,19 +30,25 @@ hyperbolic rewrites so every output is manifestly real; the degenerate points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qmath
 from .errors import ConfigError, NumericError, TruncationLeakError
 
-DEFAULT_RK4_STEP = 1e-3  # in units of 1/gamma0; two orders below max(lam, Omega, g)
 DEFAULT_N_FOCK = 8
 LEAK_TOL = 1e-6
 TRACE_DRIFT_TOL = 1e-8
+RECONSTRUCTION_TOL = 1e-10  # spectral trajectory vs initial operators at t = 0
+GUARD_STEP = 1e-3  # largest spacing of the leak and drift checks (units 1/gamma0)
 _DEGENERATE_TOL = 1e-6  # switch to series limit when |mu| or |d| falls below
-_STRIDE = 16  # time streams advanced together so stepping runs as one GEMM
+_CHUNK = 256  # times per block of a TimeGrid: the exp(w t) table is 256 x D^2
+_CLUSTER_TOL = 1e-2  # eigenvalues this close may share a nearly defective block
+_DEPENDENT_TOL = 1e-3  # ... when their unit eigenvectors' least singular value is below
+_BLOCK_TOL = 1e-12  # invariant-subspace residual, relative to the largest generator entry
+_BLOCK_ITERATIONS = 60
+_MAX_TERMS = 60  # Taylor terms of exp(N t) for one block
 
 
 @dataclass(frozen=True)
@@ -219,112 +236,200 @@ def _lowering(n: int) -> np.ndarray:
     return b
 
 
-class _PseudomodePropagator:
-    """Precomputed RK4 step for the qubit + pseudomode master equation.
+def vacuum(n: int) -> np.ndarray:
+    """Fock-vacuum projector |0><0| of an n-level pseudomode."""
+    vac = np.zeros((n, n), dtype=complex)
+    vac[0, 0] = 1.0
+    return vac
 
-    The generator L is time independent, so one RK4 step is the fixed linear
-    map I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 acting on row-major
-    vectorized operators; stepping then runs as matrix products, with
-    _STRIDE interleaved time streams per physical column to keep the GEMMs
-    wide on a single core.
-    """
 
-    def __init__(self, channel: DrivenAmplitudeDamping, h: float):
-        n = channel.n_fock
-        self.n_fock = n
-        self.dim = 2 * n
-        lam, g0, om = channel.lam, channel.gamma0, channel.omega
-        sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |e><g|
-        b = _lowering(n)
-        eye_n = np.eye(n, dtype=complex)
-        g = math.sqrt(lam * g0 / 2.0)
-        ham = om * np.kron(qmath.SIGMA_X, eye_n)
-        ham = ham + g * (np.kron(sp, b) + np.kron(sp, b).conj().T)
-        b_full = np.kron(qmath.IDENTITY_2, b)
-        num = b_full.conj().T @ b_full
-        drift = -1j * ham - lam * num  # RHS(X) = drift X + X drift+ + 2 lam B X B+
-        d = self.dim
-        eye_d = np.eye(d, dtype=complex)
-        lsuper = (
-            np.kron(drift, eye_d)
-            + np.kron(eye_d, drift.conj())
-            + 2.0 * lam * np.kron(b_full, b_full.conj())
-        )
-        hl = h * lsuper
-        eye_s = np.eye(d * d, dtype=complex)
-        phi = eye_s + 0.25 * hl
-        phi = eye_s + (hl @ phi) / 3.0
-        phi = eye_s + 0.5 * (hl @ phi)
-        self.phi = eye_s + hl @ phi
-        psi = self.phi
-        for _ in range(4):  # phi^_STRIDE by repeated squaring
-            psi = psi @ psi
-        self.psi = psi
-        rows = np.arange(d)
-        self.diag_idx = rows * d + rows
-        top_rows = np.array([n - 1, 2 * n - 1])
-        self.top_idx = top_rows * d + top_rows
+def _liouvillian(channel: DrivenAmplitudeDamping) -> np.ndarray:
+    """Generator of the master equation on row-major vectorized operators of
+    qubit (x) pseudomode (index a * n_fock + i for qubit a, Fock level i)."""
+    n = channel.n_fock
+    lam, g0, om = channel.lam, channel.gamma0, channel.omega
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |e><g|
+    b = _lowering(n)
+    g = math.sqrt(lam * g0 / 2.0)
+    ham = om * np.kron(qmath.SIGMA_X, np.eye(n, dtype=complex))
+    ham = ham + g * (np.kron(sp, b) + np.kron(sp, b).conj().T)
+    b_full = np.kron(qmath.IDENTITY_2, b)
+    num = b_full.conj().T @ b_full
+    drift = -1j * ham - lam * num  # RHS(X) = drift X + X drift+ + 2 lam B X B+
+    eye_d = np.eye(2 * n, dtype=complex)
+    lsuper = np.kron(drift, eye_d)  # in place: these are the largest arrays built
+    lsuper += np.kron(eye_d, drift.conj())
+    lsuper += np.kron(2.0 * lam * b_full, b_full.conj())
+    return lsuper
 
-    def run(self, cols0: np.ndarray, n_steps: int, keep_stride: int = 1):
-        """Advance k vectorized operators n_steps RK4 steps.
 
-        Returns (reduced, tops, traces): qubit-reduced 2x2 operators at every
-        keep_stride-th step including step 0, and the top-Fock-level diagonal
-        sum and full trace of every step for the caller's physical checks.
-        """
-        d = self.dim
-        d2, k = cols0.shape
-        if d2 != d * d:
-            raise ConfigError("column dimension mismatch")
-        n_keep = n_steps // keep_stride
-        n = self.n_fock
-        reduced = np.empty((n_keep + 1, k, 2, 2), dtype=complex)
-        tops = np.empty((n_steps + 1, k), dtype=complex)
-        traces = np.empty((n_steps + 1, k), dtype=complex)
+def _hermitian_basis(d: int):
+    """Orthonormal Hermitian basis of d x d operators: E_pp, then
+    (E_pq + E_qp)/sqrt(2) and i(E_pq - E_qp)/sqrt(2) for p < q.  Element k is
+    stored as its two row-major positions and values (pos_a, val_a, pos_b,
+    val_b); a diagonal element has val_b = 0."""
+    p, q = np.triu_indices(d, 1)
+    diag = np.arange(d) * (d + 1)
+    upper, lower = p * d + q, q * d + p
+    r = np.full(len(p), 1.0 / math.sqrt(2.0))
+    pos_a = np.concatenate([diag, upper, upper])
+    pos_b = np.concatenate([diag, lower, lower])
+    val_a = np.concatenate([np.ones(d), r, 1j * r])
+    val_b = np.concatenate([np.zeros(d), r, -1j * r])
+    return pos_a, val_a, pos_b, val_b
 
-        def reduce_cols(w):
-            # w: (d2, m) -> (m, 2, 2) qubit operators, pseudomode traced out
-            view = w.reshape(2, n, 2, n, -1)
-            return np.einsum("aibim->mab", view)
 
-        reduced[0] = reduce_cols(cols0)
-        tops[0] = cols0[self.top_idx].sum(axis=0)
-        traces[0] = cols0[self.diag_idx].sum(axis=0)
-        if n_steps == 0:
-            return reduced, tops, traces
-
-        stride = min(_STRIDE, n_steps)
-        # seed the interleaved streams: block j holds the state at step j+1
-        w = np.empty((d2, stride * k), dtype=complex)
-        cur = cols0
-        for j in range(stride):
-            cur = self.phi @ cur
-            w[:, j * k : (j + 1) * k] = cur
-        psi = self.psi if stride == _STRIDE else np.linalg.matrix_power(
-            self.phi, stride
-        )
-
-        kept = (1 + np.arange(n_keep)) * keep_stride  # steps >= 1 that are kept
-        kept_pos = 1
-        base = 0  # block holds steps base+1 .. base+stride
-        while True:
-            m = min(stride, n_steps - base)
-            view = w.reshape(d2, stride, k)
-            tops[base + 1 : base + 1 + m] = view[self.top_idx].sum(axis=0)[:m]
-            traces[base + 1 : base + 1 + m] = view[self.diag_idx].sum(axis=0)[:m]
-            red = reduce_cols(w.reshape(d2, stride * k)).reshape(stride, k, 2, 2)
-            while kept_pos <= n_keep and kept[kept_pos - 1] <= base + m:
-                reduced[kept_pos] = red[kept[kept_pos - 1] - base - 1]
-                kept_pos += 1
-            base += stride
-            if base >= n_steps:
+def _invariant_blocks(gen: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> list:
+    """Invariant subspaces (q, mu, nil) of gen, together spanning the
+    operator space, with gen q = q (diag(mu) + nil).  The first holds every
+    eigenvector (nil = None).  Eigenvalues within _CLUSTER_TOL of each other
+    (chained) whose unit eigenvectors are nearly dependent, the numerical
+    image of a defective eigenvalue as at an exceptional point, share one
+    subspace instead, with mu their mean and nil nearly nilpotent.  Their
+    eigenvectors only start the search: subspace iteration with
+    (gen - sigma)^-1, sigma a tenth of the gap to the nearest other
+    eigenvalue away from mu, gains about a factor 10 per step and does not
+    collapse the cluster onto its one true eigenvector."""
+    near = np.abs(w[:, None] - w[None, :]) < _CLUSTER_TOL
+    label = np.arange(len(w))  # each index ends on the least label it reaches
+    while not np.array_equal(label, new := np.where(near, label, len(w)).min(axis=1)):
+        label = new
+    labels, counts = np.unique(label, return_counts=True)
+    regular, blocks = np.ones(len(w), dtype=bool), []
+    for idx in (np.flatnonzero(label == lab) for lab in labels[counts > 1]):
+        if np.linalg.svd(vecs[:, idx], compute_uv=False)[-1] >= _DEPENDENT_TOL:
+            continue
+        regular[idx] = False
+        mu = w[idx].mean()
+        sigma = mu + np.abs(np.delete(w, idx) - mu).min() / 10.0
+        inverse = np.linalg.inv(gen - sigma * np.eye(len(gen)))
+        q = np.linalg.qr(vecs[:, idx])[0]
+        for _ in range(_BLOCK_ITERATIONS):
+            block = q.conj().T @ gen @ q
+            if np.abs(gen @ q - q @ block).max() <= _BLOCK_TOL * np.abs(gen).max():
                 break
-            w = psi @ w
-        return reduced, tops, traces
+            q = np.linalg.qr(inverse @ q)[0]
+        else:
+            raise NumericError(f"no invariant subspace for the eigenvalues near {mu:.6g}")
+        blocks.append((q, np.full(len(idx), mu), block - mu * np.eye(len(idx))))
+    return [(vecs[:, regular], w[regular], None)] + blocks
 
 
-def _substeps(spacing: float, dt: float) -> int:
-    return max(1, math.ceil(spacing / dt - 1e-9))
+def _spectral_modes(channel: DrivenAmplitudeDamping, t_max: float):
+    """Modes (w, p, A) with rows(t) = sum_m A[:, m] f_m(t) for 0 <= t <= t_max,
+    f_m(t) = exp(w_m t) t^p_m / p_m!, and the exact rows at t = 0.
+
+    Rows 6j..6j+5 follow the operator x_j (x) |0><0|, x_j = |e><e|, |e><g|,
+    |g><g|: its qubit-reduced entries ee, eg, ge, gg, the population of the
+    top Fock level, and the trace.  The generator preserves Hermiticity, so
+    in an orthonormal Hermitian operator basis it is a real matrix; its
+    eigendecomposition V diag(w) V^-1 gives A = (R V) o (V^-1 x_j), each
+    mode with p = 0.  A nearly defective eigenvalue cluster (see
+    _invariant_blocks) enters instead as an invariant subspace Q with block
+    mu + N: its modes are the columns of (R Q) o (N^k y) with rate mu and
+    p = k, y = Q^-1 x_j, the Taylor series of exp(N t) y taken until its
+    tail is below rounding at t_max.
+    """
+    n = channel.n_fock
+    d = 2 * n
+    pos_a, val_a, pos_b, val_b = _hermitian_basis(d)
+
+    def to_basis(x):  # coordinates Tr(B_k X) of vectorized operators (columns of x)
+        out = x[pos_a] * np.conj(val_a)[:, None]
+        part = x[pos_b]
+        part *= np.conj(val_b)[:, None]
+        out += part
+        return out
+
+    def from_basis(rows):  # row functionals of X -> functionals of its coordinates
+        out = rows[:, pos_a] * val_a
+        part = rows[:, pos_b]
+        part *= val_b
+        out += part
+        return out
+
+    gen = from_basis(_liouvillian(channel))
+    gen = to_basis(gen).real
+
+    levels = np.arange(n)
+    red = np.zeros((6, d * d), dtype=complex)
+    for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        red[k, (a * n + levels) * d + b * n + levels] = 1.0
+    top = np.array([n - 1, d - 1])
+    red[4, top * (d + 1)] = 1.0
+    red[5, np.arange(d) * (d + 1)] = 1.0
+    x0 = np.zeros((d * d, 3), dtype=complex)
+    x0[[0, n, n * d + n], [0, 1, 2]] = 1.0  # |e><e|, |e><g|, |g><g| (x) |0><0|
+    c0 = to_basis(x0)
+
+    try:
+        blocks = _invariant_blocks(gen, *np.linalg.eig(gen))
+        basis = np.concatenate([q for q, _, _ in blocks], axis=1)
+        coefs = np.linalg.solve(basis, c0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"pseudomode generator eigendecomposition failed: {exc}") from exc
+    err = float(np.abs(basis @ coefs - c0).max())
+    if not err <= RECONSTRUCTION_TOL:
+        raise NumericError(
+            f"spectral propagator misses the initial operators at t = 0 by {err:.3e} "
+            f"(tolerance {RECONSTRUCTION_TOL:g})"
+        )
+    start_rows = (red @ x0).T.reshape(18)
+    red = from_basis(red)
+    rates, powers, amps, start = [], [], [], 0
+    for q, mu, nil in blocks:  # the Taylor series of exp(nil t) y, cut below rounding at t_max
+        y, reduced = coefs[start : start + len(mu)], red @ q
+        start += len(mu)
+        size, bound, terms = np.abs(y).max(), 1.0, []
+        while True:
+            terms.append((y.T[:, None, :] * reduced[None, :, :]).reshape(18, -1))
+            if nil is None:
+                break
+            y = nil @ y
+            bound *= t_max / len(terms)  # t_max^k / k! for the next term k
+            if np.abs(y).max() * bound <= 1e-16 * size:
+                break
+            if len(terms) == _MAX_TERMS:
+                raise NumericError(f"exp(N t) series near {mu[0]:.6g} does not converge")
+        amps.append(np.stack(terms, axis=-1).reshape(18, -1))  # mode c * K + k: chains contiguous
+        rates.append(np.repeat(mu, len(terms)))
+        powers.append(np.tile(np.arange(len(terms)), len(mu)))
+    return np.concatenate(rates), np.concatenate(powers), np.hstack(amps), start_rows
+
+
+def _trajectories(modes, times) -> np.ndarray:
+    """(len(times), 3, 6) rows of _spectral_modes at every time; times is a
+    TimeGrid or a sequence of times >= 0.
+
+    Within one mode chain f_k(s + d) = sum_q f_q(s) f_(k-q)(d), which for
+    p = 0 is exp(w s) exp(w d): a table of f(d) over the offsets d of one
+    block of times serves every block start s, so a TimeGrid costs _CHUNK
+    exponentials per mode rather than one per sample (other times are
+    blocks of one).
+    """
+    w, power, amps, start_rows = modes
+    if isinstance(times, TimeGrid):
+        count, h = times.n_steps + 1, times.spacing
+        starts = h * _CHUNK * np.arange(-(-count // _CHUNK))
+        offsets = h * np.arange(_CHUNK)
+    else:
+        count, starts, offsets = len(times), np.asarray(times, dtype=float), np.zeros(1)
+    factorial = np.array([math.factorial(p) for p in power.tolist()], dtype=float)
+    table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / factorial)
+    amps_t = amps.T
+    out = np.empty((len(starts), len(offsets), 18), dtype=complex)
+    for i, s in enumerate(starts):
+        scale = np.exp(w * s)
+        coef = amps_t * scale[:, None]
+        for q in range(1, power.max(initial=0) + 1):  # chain term i gains A_(i+q) f_q(s)
+            src = np.flatnonzero(power >= q)
+            coef[src - q] += amps_t[src] * (scale[src] * s**q / math.factorial(q))[:, None]
+        out[i] = table @ coef
+    out = out.reshape(-1, 18)[:count]
+    # exp(L 0) is the identity; the spectral sum matches it only to rounding,
+    # which the square roots in the concurrence would amplify to ~1e-8
+    out[(starts[:, None] + offsets).reshape(-1)[:count] == 0] = start_rows
+    return out.reshape(-1, 3, 6)
 
 
 def _check_physical(top: np.ndarray, trace: np.ndarray, what: str) -> None:
@@ -339,29 +444,88 @@ def _check_physical(top: np.ndarray, trace: np.ndarray, what: str) -> None:
         raise NumericError(f"{what}: trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:g}")
 
 
-def _vacuum_projector(n: int) -> np.ndarray:
-    vac = np.zeros((n, n), dtype=complex)
-    vac[0, 0] = 1.0
-    return vac
+def _evolve(channel: DrivenAmplitudeDamping, times, states, contexts) -> list:
+    """Evolve system states rho (x) |0><0| to every time and trace out the
+    pseudomode.  Each rho is a qubit state (2 x 2) or an untouched ancilla
+    followed by the qubit (4 x 4); by linearity its trajectory combines the
+    three operator trajectories of _spectral_modes, with |g><e| taken as the
+    adjoint of |e><g|.  Every result passes the leak and drift checks at
+    samples no further apart than GUARD_STEP over [0, max(times)] (a TimeGrid
+    that fine is its own check grid), and the density checks at every time,
+    under its context name."""
+    grid = isinstance(times, TimeGrid)
+    t_max = times.t_max if grid else float(np.max(times, initial=0.0))
+    modes = _spectral_modes(channel, t_max)
+    rows = _trajectories(modes, times)
+    checks = max(1, math.ceil(t_max * channel.gamma0 / GUARD_STEP - 1e-9))
+    guard = rows if grid and times.n_steps >= checks else _trajectories(
+        modes, TimeGrid(t_max, checks)
+    )
+    m = rows.shape[0]
+    r_ee, r_eg, r_gg = (rows[:, j, :4].reshape(m, 2, 2) for j in range(3))
+    maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
+
+    def qubit_sum(q, k):  # sum_ab q_ab (guard row k of |a><b|) for Hermitian q
+        return (q[0, 0] * guard[:, 0, k] + q[1, 1] * guard[:, 2, k]).real + 2.0 * (
+            q[0, 1] * guard[:, 1, k]
+        ).real
+
+    out = []
+    for rho, what in zip(states, contexts):
+        k = rho.shape[0] // 2
+        r4 = rho.reshape(k, 2, k, 2)  # ancilla, qubit, ancilla, qubit
+        qubit = np.einsum("xaxb->ab", r4)
+        _check_physical(qubit_sum(qubit, 4), qubit_sum(qubit, 5), what)
+        state = np.zeros((m, k, 2, k, 2), dtype=complex)
+        for (x, a, y, b), c in np.ndenumerate(r4):
+            if c != 0:
+                state[:, x, :, y, :] += c * maps[a][b]
+        state = state.reshape(m, 2 * k, 2 * k)
+        state += qmath.dag(state)  # scrub 1e-16 asymmetry
+        state *= 0.5
+        out.append(qmath.validate_density(state, what))
+    return out
+
+
+def fock_ladder(attempt, channel: DrivenAmplitudeDamping):
+    """attempt(channel), retried at n_fock + 4 and n_fock + 8 on a truncation leak.
+
+    Strong drive on a weakly damped pseudomode can push population past the
+    default truncation; the leak guard turns that into an error, and every
+    driven caller that wants a value rather than the error goes through this
+    one deterministic ladder.
+    """
+    last = None
+    for extra in (0, 4, 8):
+        try:
+            return attempt(replace(channel, n_fock=channel.n_fock + extra))
+        except TruncationLeakError as exc:
+            last = exc
+    raise last
 
 
 def driven_ad_evolve(
     rho0: np.ndarray,
-    grid: TimeGrid,
+    times,
     channel: DrivenAmplitudeDamping,
     system_dims: tuple[int, ...] = (2,),
-    dt: float | None = None,
 ) -> np.ndarray:
-    """Integrate the pseudomode master equation and trace out the pseudomode.
+    """Propagate the pseudomode master equation and trace out the pseudomode.
 
     rho0 lives on (system factors) x pseudomode with the pseudomode in the
     Fock vacuum; system_dims is (2,) for the open qubit alone or (2, 2) for an
-    untouched ancilla qubit followed by the open qubit.  Returns the reduced
-    system state at every grid sample, shape (n_steps + 1, d_sys, d_sys).
+    untouched ancilla qubit followed by the open qubit.  times is a TimeGrid
+    or a sequence of times >= 0.  Returns the reduced system state at every
+    time, shape (len(times), d_sys, d_sys).  No Fock ladder: a truncation
+    leak raises (see fock_ladder).
     """
     system_dims = tuple(int(d) for d in system_dims)
     if system_dims not in ((2,), (2, 2)):
         raise ConfigError(f"system_dims must be (2,) or (2, 2), got {system_dims}")
+    if not isinstance(times, TimeGrid):
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or np.any(times < 0):
+            raise ConfigError("times must be a TimeGrid or a 1-D sequence of values >= 0")
     n = channel.n_fock
     d_sys = int(np.prod(system_dims))
     qmath.validate_density(rho0, "driven_ad_evolve input")
@@ -370,99 +534,26 @@ def driven_ad_evolve(
             f"rho0 has shape {rho0.shape}, expected {(d_sys * n, d_sys * n)}"
         )
     pm = qmath.partial_trace(rho0, [d_sys, n], keep=[1])
-    if np.abs(pm - _vacuum_projector(n)).max() > 1e-9:
+    if np.abs(pm - vacuum(n)).max() > 1e-9:
         raise ConfigError("pseudomode factor of rho0 is not the Fock vacuum")
-
-    if grid.t_max == 0:
-        red = qmath.partial_trace(rho0, list(system_dims) + [n], keep=list(range(len(system_dims))))
-        return np.broadcast_to(red, (grid.n_steps + 1, d_sys, d_sys)).copy()
-
-    if dt is None:
-        dt = DEFAULT_RK4_STEP / channel.gamma0
-    n_sub = _substeps(grid.spacing, dt)
-    prop = _PseudomodePropagator(channel, grid.spacing / n_sub)
-    d = 2 * n
-
-    if system_dims == (2,):
-        cols = rho0.reshape(d * d, 1)
-        reduced, tops, traces = prop.run(cols, grid.n_steps * n_sub, n_sub)
-        _check_physical(tops[:, 0], traces[:, 0], "driven_ad_evolve")
-        out = reduced[:, 0]
-    else:
-        blocks = rho0.reshape(2, d, 2, d)
-        cols = np.stack(
-            [blocks[a, :, b, :].reshape(d * d) for a in range(2) for b in range(2)],
-            axis=1,
-        )
-        reduced, tops, traces = prop.run(cols, grid.n_steps * n_sub, n_sub)
-        _check_physical(
-            tops[:, 0] + tops[:, 3], traces[:, 0] + traces[:, 3], "driven_ad_evolve"
-        )
-        m = reduced.shape[0]
-        out = np.empty((m, 4, 4), dtype=complex)
-        view = out.reshape(m, 2, 2, 2, 2)
-        for a in range(2):
-            for b in range(2):
-                view[:, a, :, b, :] = reduced[:, 2 * a + b]
-    out = 0.5 * (out + qmath.dag(out))  # scrub 1e-16 integrator asymmetry
-    return qmath.validate_density(out, "driven_ad_evolve output")
+    rho_sys = qmath.partial_trace(rho0, [d_sys, n], keep=[0])
+    return _evolve(channel, times, [rho_sys], ["driven_ad_evolve"])[0]
 
 
 def driven_bell_and_plus(
-    channel: DrivenAmplitudeDamping, grid: TimeGrid, dt: float | None = None
+    channel: DrivenAmplitudeDamping, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One integration pass serving both dataset quantities.
+    """One propagator pass serving both dataset quantities.
 
     Returns (bell, plus): the reduced ancilla x qubit state of an evolved Bell
     pair, and the reduced qubit state evolved from |+>, at every grid sample.
     Both come from the same three operator trajectories |e><e|, |e><g|,
     |g><g| (x) vacuum by linearity of the master equation.
     """
-    n = channel.n_fock
-    if dt is None:
-        dt = DEFAULT_RK4_STEP / channel.gamma0
-    vac = _vacuum_projector(n)
-    x_ee = np.kron(qmath.ket2dm(qmath.KET_E), vac)
-    x_eg = np.kron(np.outer(qmath.KET_E, qmath.KET_G.conj()), vac)
-    x_gg = np.kron(qmath.ket2dm(qmath.KET_G), vac)
-
-    if grid.t_max == 0:
-        m = grid.n_steps + 1
-        bell0 = qmath.ket2dm(qmath.KET_BELL)
-        plus0 = qmath.ket2dm(qmath.KET_PLUS)
-        return (
-            np.broadcast_to(bell0, (m, 4, 4)).copy(),
-            np.broadcast_to(plus0, (m, 2, 2)).copy(),
-        )
-
-    n_sub = _substeps(grid.spacing, dt)
-    prop = _PseudomodePropagator(channel, grid.spacing / n_sub)
-    d = 2 * n
-    cols = np.stack([x.reshape(d * d) for x in (x_ee, x_eg, x_gg)], axis=1)
-    reduced, tops, traces = prop.run(cols, grid.n_steps * n_sub, n_sub)
-
-    top_sym = tops[:, 0] + tops[:, 2]
-    trace_sym = traces[:, 0] + traces[:, 2]
-    _check_physical(0.5 * top_sym, 0.5 * trace_sym, "driven evolution (bell)")
-    _check_physical(
-        0.5 * (top_sym + 2.0 * tops[:, 1].real),
-        0.5 * (trace_sym + 2.0 * traces[:, 1].real),
-        "driven evolution (plus)",
+    bell, plus = _evolve(
+        channel,
+        grid,
+        [qmath.ket2dm(qmath.KET_BELL), qmath.ket2dm(qmath.KET_PLUS)],
+        ["driven evolution (bell)", "driven evolution (plus)"],
     )
-
-    r_ee, r_eg, r_gg = reduced[:, 0], reduced[:, 1], reduced[:, 2]
-    r_ge = qmath.dag(r_eg)
-    m = reduced.shape[0]
-    bell = np.empty((m, 4, 4), dtype=complex)
-    view = bell.reshape(m, 2, 2, 2, 2)
-    view[:, 0, :, 0, :] = r_ee
-    view[:, 0, :, 1, :] = r_eg
-    view[:, 1, :, 0, :] = r_ge
-    view[:, 1, :, 1, :] = r_gg
-    bell *= 0.5
-    plus = 0.5 * (r_ee + r_eg + r_ge + r_gg)
-    bell = 0.5 * (bell + qmath.dag(bell))
-    plus = 0.5 * (plus + qmath.dag(plus))
-    qmath.validate_density(bell, "driven evolution (bell)")
-    qmath.validate_density(plus, "driven evolution (plus)")
     return bell, plus

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, channels, dataset, measures, qmath, svr
+from . import __version__, channels, dataset, measures, svr
 from .errors import ConfigError, DataFormatError, NumericError
 
 EXIT_OK = 0
@@ -358,27 +358,7 @@ def cmd_sweep(args) -> int:
         for om in resolved["omegas"]:
             for p in grid_params:
                 ch = _sweep_channel(channel_kind, p, om)
-                if isinstance(ch, channels.PhaseDamping):
-                    states = np.stack(
-                        [
-                            channels.pd_apply(qmath.ket2dm(qmath.KET_PLUS), t, ch.tau)
-                            for t in tgrid.values
-                        ]
-                    )
-                elif isinstance(ch, channels.AmplitudeDamping):
-                    states = np.stack(
-                        [
-                            channels.ad_apply(qmath.ket2dm(qmath.KET_PLUS), t, ch.lam)
-                            for t in tgrid.values
-                        ]
-                    )
-                else:
-                    vac = np.zeros((ch.n_fock,) * 2, dtype=complex)
-                    vac[0, 0] = 1.0
-                    states = channels.driven_ad_evolve(
-                        np.kron(qmath.ket2dm(qmath.KET_PLUS), vac), tgrid, ch, (2,)
-                    )
-                obs = dataset.expectations(states)
+                obs = dataset.features_at(ch, tgrid.values).reshape(-1, 3)
                 for t, (ox, oy, oz) in zip(tgrid.values, obs):
                     lines.append(
                         ",".join(
@@ -395,11 +375,8 @@ def cmd_sweep(args) -> int:
         for om in resolved["omegas"]:
             for p in grid_params:
                 if om > 0.0 and channel_kind == "ad":
-                    # same route as the dataset targets, with the Fock ladder
-                    grid = measures.default_grid()
-                    bell, _ = dataset.driven_bell_plus_retry(float(p), float(om), grid)
-                    series = measures.MeasureSeries(grid, qmath.concurrence(bell))
-                    value = measures.accumulate(series).value
+                    # same route as the dataset targets
+                    value = dataset.driven_pair(float(p), float(om), measures.default_grid())[0]
                 elif resolved["measure"] == "trace":
                     value = measures.n_trace_distance(_sweep_channel(channel_kind, p, om)).value
                 else:
@@ -487,10 +464,7 @@ def cmd_reproduce(args) -> int:
             if om == 0.0:
                 value = measures.n_entanglement(channels.AmplitudeDamping(float(lam))).value
             else:
-                grid = measures.default_grid()
-                bell, _ = dataset.driven_bell_plus_retry(float(lam), om, grid)
-                series = measures.MeasureSeries(grid, qmath.concurrence(bell))
-                value = measures.accumulate(series).value
+                value = dataset.driven_pair(float(lam), om, measures.default_grid())[0]
             lines.append(",".join([_FMT % lam, _FMT % om, _FMT % value]))
     with open(path("fig4_ne_vs_lambda.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

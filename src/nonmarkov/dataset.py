@@ -23,7 +23,7 @@ from .channels import (
     PhaseDamping,
     TimeGrid,
 )
-from .errors import ConfigError, DataFormatError, TruncationLeakError
+from .errors import ConfigError, DataFormatError
 
 FEATURE_INITIAL_STATE = "+x"  # recorded in metadata; see ledger
 DEFAULT_SEED = 7
@@ -162,18 +162,12 @@ def features_at(channel: Channel, times) -> np.ndarray:
     elif isinstance(channel, AmplitudeDamping):
         states = [channels.ad_apply(plus, t, channel.lam, channel.gamma0) for t in times]
     elif isinstance(channel, DrivenAmplitudeDamping):
-        t_max = max(times)
-        if t_max == 0:
-            states = [plus for _ in times]
-        else:
-            dt = channels.DEFAULT_RK4_STEP / channel.gamma0
-            grid = TimeGrid(t_max, max(1, round(t_max / dt)))
-            vac = np.zeros((channel.n_fock,) * 2, dtype=complex)
-            vac[0, 0] = 1.0
-            series = channels.driven_ad_evolve(
-                np.kron(plus, vac), grid, channel, (2,)
-            )
-            states = [series[grid.index_of(t)] for t in times]
+        states = channels.fock_ladder(
+            lambda ch: channels.driven_ad_evolve(
+                np.kron(plus, channels.vacuum(ch.n_fock)), times, ch
+            ),
+            channel,
+        )
     else:
         raise ConfigError(f"unsupported channel {channel!r}")
     return np.concatenate([expectations(rho) for rho in states])
@@ -224,21 +218,26 @@ def generate_pure_pd(
 def driven_bell_plus_retry(
     lam: float, omega: float, grid: TimeGrid, n_fock: int = channels.DEFAULT_N_FOCK
 ):
-    """driven_bell_and_plus with a deterministic truncation ladder.
+    """driven_bell_and_plus for one (lambda, omega) pair through the Fock
+    ladder (n_fock, n_fock + 4, n_fock + 8; see channels.fock_ladder)."""
+    return channels.fock_ladder(
+        lambda ch: channels.driven_bell_and_plus(ch, grid),
+        DrivenAmplitudeDamping(lam, omega, n_fock=n_fock),
+    )
 
-    Strong drive on a weakly damped pseudomode can push population past the
-    default truncation; the guard turns that into an error, and this helper
-    retries with a larger Fock space (n, n+4, n+8) before giving up.
+
+def driven_pair(
+    lam: float, omega: float, grid: TimeGrid, n_fock: int = channels.DEFAULT_N_FOCK
+) -> tuple[float, np.ndarray]:
+    """Entanglement measure of one (lambda, omega) pair on the single grid,
+    and its |+> trajectory, from one propagator pass.
+
+    The value is the positive-increment sum of the Bell-pair concurrence on
+    `grid` itself; measures.n_entanglement adds grid doubling on top.
     """
-    last = None
-    for n in (n_fock, n_fock + 4, n_fock + 8):
-        try:
-            return channels.driven_bell_and_plus(
-                DrivenAmplitudeDamping(lam, omega, n_fock=n), grid
-            )
-        except TruncationLeakError as exc:
-            last = exc
-    raise last
+    bell, plus = driven_bell_plus_retry(lam, omega, grid, n_fock)
+    series = measures.MeasureSeries(grid, qmath.concurrence(bell))
+    return measures.accumulate(series).value, plus
 
 
 def generate_driven_ad(
@@ -249,9 +248,9 @@ def generate_driven_ad(
 ) -> DataTable:
     """Driven AD table: n_lambda rows per drive strength, entanglement targets.
 
-    Each (lambda, omega) pair costs one integrator pass: the Bell trajectory
+    Each (lambda, omega) pair costs one propagator pass: the Bell trajectory
     supplies the target and the |+> trajectory the features (see
-    channels.driven_bell_and_plus).  The target is the positive-increment sum
+    driven_pair).  The target is the positive-increment sum
     on the default measure grid; its doubled-grid value differs by far less
     than the convergence tolerance (checked in the test suite).
     """
@@ -270,9 +269,7 @@ def generate_driven_ad(
     i = 0
     for om in omegas:
         for lam in lams:
-            bell, plus = driven_bell_plus_retry(float(lam), float(om), grid, n_fock)
-            series = measures.MeasureSeries(grid, qmath.concurrence(bell))
-            targets[i] = measures.accumulate(series).value
+            targets[i], plus = driven_pair(float(lam), float(om), grid, n_fock)
             feats[i] = np.concatenate([expectations(plus[j]) for j in time_idx])
             params[i] = (lam, om)
             i += 1

@@ -12,7 +12,7 @@ D(t) = |Lambda(nu)| (PD) or sqrt(P_t) (AD); the one-sided channels turn the
 Bell state into an X-state whose Wootters concurrence reduces to the same
 expressions.  The generic eigensolver routes in qmath serve as independent
 oracles in the test suite.  The driven channel has no closed form and goes
-through the pseudomode integrator.
+through the spectral pseudomode propagator and its Fock ladder.
 """
 
 from __future__ import annotations
@@ -83,20 +83,17 @@ def trace_distance_series(channel: Channel, grid: TimeGrid) -> MeasureSeries:
     return MeasureSeries(grid, values)
 
 
-def entanglement_series(
-    channel: Channel, grid: TimeGrid, dt: float | None = None
-) -> MeasureSeries:
+def entanglement_series(channel: Channel, grid: TimeGrid) -> MeasureSeries:
     """Concurrence of the Bell pair under one-sided evolution."""
     if isinstance(channel, PhaseDamping):
         values = np.abs(channels.pd_lambda(grid.values, channel.tau))
     elif isinstance(channel, AmplitudeDamping):
         values = np.sqrt(channels.ad_survival(grid.values, channel.lam, channel.gamma0))
     elif isinstance(channel, DrivenAmplitudeDamping):
-        vac = np.zeros((channel.n_fock, channel.n_fock), dtype=complex)
-        vac[0, 0] = 1.0
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_BELL), vac)
-        joint = channels.driven_ad_evolve(rho0, grid, channel, (2, 2), dt=dt)
-        values = qmath.concurrence(joint)
+        bell, _ = channels.fock_ladder(
+            lambda ch: channels.driven_bell_and_plus(ch, grid), channel
+        )
+        values = qmath.concurrence(bell)
     else:
         raise ConfigError(f"unsupported channel {channel!r}")
     return MeasureSeries(grid, values)
@@ -148,10 +145,9 @@ def n_entanglement(
     channel: Channel,
     grid: TimeGrid | None = None,
     max_doublings: int = MAX_DOUBLINGS,
-    dt: float | None = None,
 ) -> MeasureResult:
     """Entanglement measure with automatic grid doubling until converged."""
     grid = grid or default_grid()
     return _accumulate_until_converged(
-        lambda g: entanglement_series(channel, g, dt=dt), grid, max_doublings
+        lambda g: entanglement_series(channel, g), grid, max_doublings
     )

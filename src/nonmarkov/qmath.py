@@ -34,7 +34,8 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 # (|ee> + |gg>)/sqrt(2) in the 4-dim ancilla (x) system space.
 KET_BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
-_SYSY = np.kron(SIGMA_Y, SIGMA_Y).real  # real matrix, entries in {0, +-1}
+# (sy x sy) X (sy x sy) = (s s^T) o X[::-1, ::-1] for 4x4 X, with s = (-1, 1, 1, -1)
+_SYSY_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ConfigError(f"concurrence needs a 4x4 state, got {rho.shape}")
-    rho_tilde = _SYSY @ np.conj(rho) @ _SYSY
+    rho_tilde = _SYSY_SIGNS * np.conj(rho)[..., ::-1, ::-1]
     w = np.linalg.eigvals(rho @ rho_tilde)
     # eigenvalues are real and non-negative up to round-off
     lam = np.sqrt(np.clip(w.real, 0.0, None))

@@ -3,11 +3,14 @@
 Each routine deliberately takes a different computational route from the
 package code it checks: concurrence via the square-root decomposition instead
 of the eigenvalues of rho * rho_tilde, the SVR dual via projected gradient
-instead of SMO, partial trace via explicit index loops instead of einsum, and
-measure accumulation via a scalar loop instead of vectorized diffs.
+instead of SMO, partial trace via explicit index loops instead of einsum,
+measure accumulation via a scalar loop instead of vectorized diffs, and the
+driven channel via scipy's expm of a separately built generator instead of
+its eigendecomposition.
 """
 
 import numpy as np
+import scipy.linalg
 
 SY2 = np.array(
     [
@@ -18,6 +21,16 @@ SY2 = np.array(
     ],
     dtype=complex,
 )
+
+
+def matmul_concurrence(rho):
+    """Wootters concurrence with rho_tilde = (sy x sy) rho* (sy x sy) formed
+    by matrix products; otherwise the steps of qmath.concurrence."""
+    rho_tilde = SY2.real @ np.conj(rho) @ SY2.real
+    w = np.linalg.eigvals(rho @ rho_tilde)
+    lam = np.sort(np.sqrt(np.clip(w.real, 0.0, None)), axis=-1)
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    return np.maximum(c, 0.0)
 
 
 def sqrtm_psd(a):
@@ -134,3 +147,31 @@ def projected_gradient_svr_dual(kern, y, c, eps, max_iter=200_000):
                 break
             prev_obj = obj
     return -float(0.5 * a @ q @ a + p @ a)
+
+
+def pseudomode_expm_evolve(rho_sys, times, lam, omega, n_fock, gamma0=1.0):
+    """Reduced system states of rho_sys (x) |0><0| under the pseudomode master
+    equation, by scipy.linalg.expm.  The generator is built on pseudomode (x)
+    system (system = qubit, or ancilla (x) qubit) and acts on column-stacked
+    operators, vec(A X B) = (B^T kron A) vec X."""
+    d_sys = rho_sys.shape[0]
+    eye_m, eye_s, eye_anc = np.eye(n_fock), np.eye(d_sys), np.eye(d_sys // 2)
+    b = np.kron(np.diag(np.sqrt(np.arange(1.0, n_fock)), 1), eye_s)
+    s_plus = np.kron(eye_m, np.kron(eye_anc, [[0.0, 1.0], [0.0, 0.0]]))  # |e><g|
+    s_x = np.kron(eye_m, np.kron(eye_anc, [[0.0, 1.0], [1.0, 0.0]]))
+    g = np.sqrt(lam * gamma0 / 2.0)
+    ham = omega * s_x + g * (s_plus @ b + b.T @ s_plus.T)
+    num = b.T @ b
+    eye = np.eye(n_fock * d_sys)
+    gen = -1j * (np.kron(eye, ham) - np.kron(ham.T, eye)) + lam * (
+        2.0 * np.kron(b, b) - np.kron(eye, num) - np.kron(num.T, eye)
+    )
+    vac = np.zeros((n_fock, n_fock))
+    vac[0, 0] = 1.0
+    dim = n_fock * d_sys
+    x0 = np.kron(vac, rho_sys).reshape(-1, order="F")
+    out = []
+    for t in times:
+        x = (scipy.linalg.expm(gen * t) @ x0).reshape(dim, dim, order="F")
+        out.append(np.einsum("iaib->ab", x.reshape(n_fock, d_sys, n_fock, d_sys)))
+    return np.array(out)

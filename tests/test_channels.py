@@ -10,7 +10,7 @@ from nonmarkov.channels import (
     PhaseDamping,
     TimeGrid,
 )
-from nonmarkov.errors import ConfigError, TruncationLeakError
+from nonmarkov.errors import ConfigError, NumericError, TruncationLeakError
 
 import oracles
 
@@ -243,29 +243,80 @@ class TestDrivenEvolve:
         assert out.shape == (2, 2, 2)
         assert np.abs(out[0] - qmath.ket2dm(qmath.KET_PLUS)).max() < 1e-14
 
-    def test_step_halving_changes_little(self):
-        ch = DrivenAmplitudeDamping(lam=0.5, omega=0.3)
-        grid = TimeGrid(5.0, 500)
+    @pytest.mark.parametrize(
+        "lam, omega, n_fock, dims",
+        [
+            (0.6, 0.15, 8, (2,)),
+            (0.6, 0.15, 8, (2, 2)),
+            (0.1, 0.5, 12, (2,)),  # the pair that climbs the Fock ladder
+            # exceptional points: at omega = 0 the generator is defective at
+            # lambda = 2 gamma0 N (N = 1, 2 here), and nearly so close by
+            (2.0, 0.0, 8, (2, 2)),
+            (2.0 + 1e-6, 0.0, 8, (2, 2)),
+            (2.0, 1e-5, 8, (2, 2)),
+            (4.0, 0.0, 8, (2, 2)),
+        ],
+    )
+    def test_matches_expm_oracle(self, lam, omega, n_fock, dims):
+        d = int(np.prod(dims))
+        rho_sys = oracles.random_density(d, np.random.default_rng(7))
+        ch = DrivenAmplitudeDamping(lam, omega, n_fock=n_fock)
+        times = (0.0, 0.7, 3.0, 20.0)
+        got = channels.driven_ad_evolve(np.kron(rho_sys, vacuum(n_fock)), times, ch, dims)
+        want = oracles.pseudomode_expm_evolve(rho_sys, times, lam, omega, n_fock)
+        assert np.abs(got - want).max() < 1e-10
+
+    @pytest.mark.parametrize("lam, omega", [(0.7, 0.2), (2.0, 0.0)])
+    def test_grid_blocks_match_direct_times(self, lam, omega):
+        # 601 samples: two full blocks of the exp(w t) table and a partial one;
+        # (2, 0) is an exceptional point, whose block modes are t^k exp(mu t)
+        ch = DrivenAmplitudeDamping(lam, omega)
+        grid = TimeGrid(3.0, 600)
         rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
-        coarse = channels.driven_ad_evolve(rho0, grid, ch, dt=1e-3)
-        fine = channels.driven_ad_evolve(rho0, grid, ch, dt=5e-4)
-        from nonmarkov.dataset import expectations
+        blocked = channels.driven_ad_evolve(rho0, grid, ch)
+        direct = channels.driven_ad_evolve(rho0, grid.values, ch)
+        assert blocked.shape == direct.shape == (601, 2, 2)
+        assert np.abs(blocked - direct).max() < 1e-12
 
-        assert np.abs(expectations(coarse) - expectations(fine)).max() < 1e-7
+    def test_t0_guard_rejects_corrupted_eigenbasis(self, monkeypatch):
+        eig = np.linalg.eig
 
-    def test_stride_bookkeeping_matches_sequential_stepping(self):
-        # 37 steps is not a multiple of the GEMM stride
-        ch = DrivenAmplitudeDamping(lam=0.7, omega=0.2, n_fock=3)
-        grid = TimeGrid(0.037, 37)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(3))
-        out = channels.driven_ad_evolve(rho0, grid, ch)
-        prop = channels._PseudomodePropagator(ch, grid.spacing)
-        v = rho0.reshape(-1, 1).astype(complex)
-        for i in range(1, 38):
-            v = prop.phi @ v
-            state = v.reshape(6, 6)
-            red = qmath.partial_trace(state, [2, 3], [0])
-            assert np.abs(out[i] - red).max() < 1e-12
+        def corrupted(a):
+            # every eigenvector pulled onto the first: still invertible, but
+            # too ill-conditioned to carry the initial operators
+            w, v = eig(a)
+            return w, v[:, :1] + 1e-9 * v
+
+        monkeypatch.setattr(np.linalg, "eig", corrupted)
+        ch = DrivenAmplitudeDamping(lam=0.5, omega=0.3)
+        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
+        with pytest.raises(NumericError, match="t = 0"):
+            channels.driven_ad_evolve(rho0, TimeGrid(1.0, 10), ch)
+
+    def test_exceptional_point_matches_closed_form(self):
+        # lambda = 2 gamma0 is the critical coupling, where ad_amplitude uses
+        # its analytic limit (1 + lambda t / 2) exp(-lambda t / 2)
+        grid = TimeGrid(20.0, 20000)
+        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
+        out = channels.driven_ad_evolve(rho0, grid, DrivenAmplitudeDamping(2.0, 0.0))
+        g = channels.ad_amplitude(grid.values, 2.0)
+        want = 0.5 * np.stack([g**2, g, g, 2.0 - g**2], axis=-1).reshape(-1, 2, 2)
+        assert np.abs(out - want).max() < 1e-10
+
+    def test_leak_between_requested_times_raises(self):
+        # omega = 0, n_fock = 2: the single excitation's pseudomode part,
+        # amplitude ~ exp(-lambda t / 2) sin(d t / 2), fills the top level
+        # between t = 0 and t = 2 pi / d, where it is empty again; the guard
+        # checks the interval, not only the requested samples
+        lam = 0.5
+        t_zero = 2.0 * math.pi / math.sqrt(2.0 * lam - lam**2)
+        ch = DrivenAmplitudeDamping(lam, 0.0, n_fock=2)
+        modes = channels._spectral_modes(ch, t_zero)
+        rows = channels._trajectories(modes, (0.0, t_zero))
+        assert np.abs(rows[:, :, 4]).max() < 1e-12  # empty at both samples
+        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(2))
+        with pytest.raises(TruncationLeakError):
+            channels.driven_ad_evolve(rho0, (0.0, t_zero), ch)
 
     def test_truncation_leak_raises(self):
         ch = DrivenAmplitudeDamping(lam=0.1, omega=0.5, n_fock=2)

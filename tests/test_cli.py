@@ -80,6 +80,19 @@ class TestGenerate:
         assert code == 0
         assert len(dataset.load_table(out)) == 2
 
+    def test_driven_undriven_grid_through_critical_coupling(self, tmp_path):
+        # the 29-coupling grid holds lambda = 0.1 + 19 * 0.1 = 2.0, the
+        # exceptional point of the undriven generator
+        out = tmp_path / "driven0.csv"
+        code = run(
+            "generate", "--channel", "driven", "--tc", "3.0",
+            "--count", "29", "--omegas", "0", "--out", str(out),
+        )
+        assert code == 0
+        table = dataset.load_table(out)
+        assert len(table) == 29
+        assert np.isclose(table.params[19, 0], 2.0)
+
 
 class TestTrain:
     def test_writes_model_report_and_scaler(self, trained_model):
@@ -190,6 +203,16 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "param_lambda,param_omega,t,ox,oy,oz"
         assert len(lines) == 1 + 2 * 5
+
+    def test_driven_ox_sweep_climbs_fock_ladder(self, tmp_path):
+        # (0.1, 0.5) leaks past n_fock = 8 by t = 20; the sweep retries at 12
+        out = tmp_path / "ox_driven.csv"
+        code = run(
+            "sweep", "--kind", "ox", "--channel", "ad", "--lambdas", "0.1",
+            "--omegas", "0.5", "--tmax", "20", "--out", str(out),
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 500
 
     def test_ox_curves_separated_by_critical_coupling(self, tmp_path):
         # at t = 1/gamma0 every lambda < 2 curve sits above the lambda = 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonmarkov import channels, measures, qmath
+from nonmarkov import channels, dataset, measures, qmath
 from nonmarkov.channels import (
     AmplitudeDamping,
     DrivenAmplitudeDamping,
@@ -157,6 +157,14 @@ class TestMeasureValues:
             d = measures.n_trace_distance(AmplitudeDamping(lam)).value
             e = measures.n_entanglement(AmplitudeDamping(lam)).value
             assert abs(d - e) < 1e-8
+
+    def test_driven_measure_climbs_fock_ladder(self):
+        # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
+        # route retries at 12 like the dataset route, and agrees with it
+        res = measures.n_entanglement(DrivenAmplitudeDamping(0.1, 0.5))
+        assert res.converged
+        row, _ = dataset.driven_pair(0.1, 0.5, measures.default_grid())
+        assert abs(res.value - row) < measures.CONVERGENCE_TOL
 
     def test_drive_suppresses_memory_effects(self):
         # fixed strong coupling, increasing drive: N_E non-increasing

@@ -154,6 +154,14 @@ class TestConcurrence:
         want = [qmath.concurrence(batch[i]) for i in range(5)]
         assert np.abs(got - want).max() < 1e-12
 
+    def test_sign_flip_equals_matmul_formula_bitwise(self):
+        rng = np.random.default_rng(10)
+        batch = np.stack([oracles.random_density(4, rng) for _ in range(200)])
+        assert np.array_equal(qmath.concurrence(batch), oracles.matmul_concurrence(batch))
+        ch = channels.DrivenAmplitudeDamping(0.6, 0.15)
+        bell, _ = channels.driven_bell_and_plus(ch, channels.TimeGrid(20.0, 20000))
+        assert np.array_equal(qmath.concurrence(bell), oracles.matmul_concurrence(bell))
+
     def test_wrong_dimension(self):
         with pytest.raises(ConfigError):
             qmath.concurrence(np.eye(2) / 2)
