@@ -1,12 +1,17 @@
 """Time evolution under the three channel back-ends.
 
-Phase damping is the colored-dephasing Kraus map with decoherence factor
+Each channel class answers for its own physics: the Bloch vector of the
+evolved |+> (bloch_plus, the tomography features) and, for the two undriven
+channels, the coherence factor that scales the off-diagonals (coherence,
+closed_form = True).  Phase damping dephases with
 Lambda(nu) = exp(-nu) [cos(mu nu) + sin(mu nu)/mu],  mu = sqrt((4 tau)^2 - 1),
-applied at dimensionless time nu.  Undriven amplitude damping uses the closed
-form with survival probability
-P_t = exp(-lambda t) [cos(d t/2) + (lambda/d) sin(d t/2)]^2,
-d = sqrt(2 gamma0 lambda - lambda^2).  The driven case has no closed form and
-is solved as a qubit coupled to a damped pseudomode oscillator,
+at dimensionless time nu, so |+> goes to (Lambda, 0, 0).  Undriven amplitude
+damping scales coherences with the signed amplitude
+G(t) = exp(-lambda t/2) [cos(d t/2) + (lambda/d) sin(d t/2)],
+d = sqrt(2 gamma0 lambda - lambda^2), and the excited population with
+P_t = G^2, so |+> goes to (G, 0, G^2 - 1).  The driven case has no closed
+form (closed_form = False) and is solved as a qubit coupled to a damped
+pseudomode oscillator,
 d rho/dt = -i[H, rho] + lambda (2 b rho b+ - b+b rho - rho b+b),
 H = Omega (s+ + s-) + sqrt(lambda gamma0 / 2) (s+ b + b+ s-),
 in a frame rotating with the drive.  The generator is time independent, so
@@ -20,7 +25,9 @@ guards: the spectral form must reproduce the initial operators at t = 0
 (RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
 (fock_ladder retries a larger n_fock) and the trace within TRACE_DRIFT_TOL
 of 1, both checked at least every GUARD_STEP up to the last time asked for;
-and the reduced states must be valid density matrices.
+and the reduced states must be valid density matrices.  The driven class's
+methods (bloch_plus, bell_and_plus) go through the Fock ladder; the bare
+driven_ad_evolve and driven_bell_and_plus do not.
 
 Parameter regimes where mu or d would be imaginary are evaluated with the
 hyperbolic rewrites so every output is manifestly real; the degenerate points
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,6 +64,7 @@ class PhaseDamping:
     """Colored dephasing with memory parameter tau (> 0); time is nu = t/2tau."""
 
     tau: float
+    closed_form: ClassVar[bool] = True
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -65,6 +74,15 @@ class PhaseDamping:
     def mu_squared(self) -> float:
         return (4.0 * self.tau) ** 2 - 1.0
 
+    def coherence(self, nu):
+        """Dephasing factor Lambda(nu)."""
+        return pd_lambda(nu, self.tau)
+
+    def bloch_plus(self, times) -> np.ndarray:
+        """(O_x, O_y, O_z) = (Lambda, 0, 0) of the evolved |+>, one row per time."""
+        lam = self.coherence(np.asarray(times, dtype=float))
+        return np.stack([lam, np.zeros_like(lam), np.zeros_like(lam)], axis=-1)
+
 
 @dataclass(frozen=True)
 class AmplitudeDamping:
@@ -72,6 +90,7 @@ class AmplitudeDamping:
 
     lam: float
     gamma0: float = 1.0
+    closed_form: ClassVar[bool] = True
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -83,6 +102,15 @@ class AmplitudeDamping:
     def d_squared(self) -> float:
         return 2.0 * self.gamma0 * self.lam - self.lam**2
 
+    def coherence(self, t):
+        """Signed excited-state amplitude G(t)."""
+        return ad_amplitude(t, self.lam, self.gamma0)
+
+    def bloch_plus(self, times) -> np.ndarray:
+        """(O_x, O_y, O_z) = (G, 0, P_t - 1) of the evolved |+>, one row per time."""
+        g = self.coherence(np.asarray(times, dtype=float))
+        return np.stack([g, np.zeros_like(g), g * g - 1.0], axis=-1)
+
 
 @dataclass(frozen=True)
 class DrivenAmplitudeDamping:
@@ -92,6 +120,7 @@ class DrivenAmplitudeDamping:
     omega: float
     gamma0: float = 1.0
     n_fock: int = DEFAULT_N_FOCK
+    closed_form: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -102,6 +131,19 @@ class DrivenAmplitudeDamping:
             raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
         if int(self.n_fock) != self.n_fock or self.n_fock < 2:
             raise ConfigError(f"n_fock must be an integer >= 2, got {self.n_fock}")
+
+    def bloch_plus(self, times) -> np.ndarray:
+        """(O_x, O_y, O_z) of the evolved |+>, one row per time (a TimeGrid
+        or a sequence), through the Fock ladder."""
+        plus = qmath.ket2dm(qmath.KET_PLUS)
+        states = fock_ladder(
+            lambda ch: driven_ad_evolve(np.kron(plus, vacuum(ch.n_fock)), times, ch), self
+        )
+        return qmath.bloch_vector(states)
+
+    def bell_and_plus(self, grid: "TimeGrid") -> tuple[np.ndarray, np.ndarray]:
+        """driven_bell_and_plus on grid, through the Fock ladder."""
+        return fock_ladder(lambda ch: driven_bell_and_plus(ch, grid), self)
 
 
 Channel = PhaseDamping | AmplitudeDamping | DrivenAmplitudeDamping
@@ -187,46 +229,6 @@ def ad_amplitude(t, lam: float, gamma0: float = 1.0):
         amp = np.cosh(d * t / 2.0) + (lam / d) * np.sinh(d * t / 2.0)
     out = env * amp
     return float(out) if out.ndim == 0 else out
-
-
-def ad_survival(t, lam: float, gamma0: float = 1.0):
-    """Excited-state survival probability P_t = G(t)^2."""
-    out = np.asarray(ad_amplitude(t, lam, gamma0)) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def pd_apply(rho: np.ndarray, nu: float, tau: float) -> np.ndarray:
-    """Kraus map of the dephasing channel: populations fixed, coherences
-    scaled by Lambda(nu)."""
-    rho = qmath.validate_density(rho, "pd_apply input")
-    if rho.shape != (2, 2):
-        raise ConfigError(f"pd_apply needs a single-qubit state, got {rho.shape}")
-    lam_nu = pd_lambda(float(nu), tau)
-    m1 = math.sqrt((1.0 + lam_nu) / 2.0) * qmath.IDENTITY_2
-    m2 = math.sqrt(max(0.0, (1.0 - lam_nu) / 2.0)) * qmath.SIGMA_Z
-    out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
-    return qmath.validate_density(out, "pd_apply output (internal)")
-
-
-def ad_kraus(g: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus pair of amplitude damping at signed amplitude g (|g| <= 1)."""
-    m1 = np.array([[g, 0.0], [0.0, 1.0]], dtype=complex)
-    m2 = np.array([[0.0, 0.0], [math.sqrt(max(0.0, 1.0 - g * g)), 0.0]], dtype=complex)
-    return m1, m2
-
-
-def ad_apply(rho: np.ndarray, t: float, lam: float, gamma0: float = 1.0) -> np.ndarray:
-    """Closed-form undriven AD map at time t (units of 1/gamma0).
-
-    Populations scale with P_t, coherences with the signed amplitude G(t).
-    """
-    rho = qmath.validate_density(rho, "ad_apply input")
-    if rho.shape != (2, 2):
-        raise ConfigError(f"ad_apply needs a single-qubit state, got {rho.shape}")
-    g = ad_amplitude(float(t), lam, gamma0)
-    m1, m2 = ad_kraus(g)
-    out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
-    return qmath.validate_density(out, "ad_apply output (internal)")
 
 
 def _lowering(n: int) -> np.ndarray:

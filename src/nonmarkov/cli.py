@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, channels, dataset, measures, svr
+from . import __version__, channels, dataset, svr
 from .errors import ConfigError, DataFormatError, NumericError
 
 EXIT_OK = 0
@@ -82,10 +82,12 @@ def _require(resolved: dict, *keys) -> None:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _fresh(path) -> str:
+def _fresh(path, *suffixes) -> str:
+    """path, once it and every path + suffix are free to create."""
     path = str(path)
-    if os.path.exists(path):
-        raise FileExistsError(f"output path exists, refusing to overwrite: {path}")
+    for claimed in [path] + [path + suffix for suffix in suffixes]:
+        if os.path.exists(claimed):
+            raise FileExistsError(f"output path exists, refusing to overwrite: {claimed}")
     parent = os.path.dirname(path)
     if parent and not os.path.isdir(parent):
         raise FileNotFoundError(f"output directory does not exist: {parent}")
@@ -119,18 +121,18 @@ def _times(resolved: dict) -> tuple[float, ...]:
 def _generate_table(resolved: dict) -> dataset.DataTable:
     channel = resolved["channel"]
     times = _times(resolved)
+    count = resolved["count"]
     if channel == "ad":
-        count = resolved["count"] or dataset.PURE_AD_COUNT
+        count = dataset.PURE_AD_COUNT if count is None else count
         return dataset.generate_pure_ad(resolved["measure"], times, count)
     if channel == "pd":
-        count = resolved["count"] or dataset.PURE_PD_COUNT
+        count = dataset.PURE_PD_COUNT if count is None else count
         return dataset.generate_pure_pd(resolved["measure"], times, count)
     if channel == "driven":
         if resolved["measure"] != "entanglement":
             raise ConfigError("the driven channel supports only --measure entanglement")
-        n_lambda = resolved["count"] or dataset.DRIVEN_LAMBDA_COUNT
-        omegas = resolved["omegas"]
-        return dataset.generate_driven_ad(times, n_lambda, omegas)
+        n_lambda = dataset.DRIVEN_LAMBDA_COUNT if count is None else count
+        return dataset.generate_driven_ad(times, n_lambda, resolved["omegas"])
     raise ConfigError(f"unknown channel {channel!r}")
 
 
@@ -148,7 +150,7 @@ def cmd_generate(args) -> int:
     resolved = _resolve(args, spec)
     _require(resolved, "channel", "out")
     resolved["tc"] = _times(resolved)[0]
-    out = _fresh(resolved["out"])
+    out = _fresh(resolved["out"], ".config")
     table = _generate_table(resolved)
     dataset.save_table(table, out, seed=resolved["seed"])
     _write_resolved(resolved, out + ".config")
@@ -198,7 +200,7 @@ def cmd_train(args) -> int:
     }
     resolved = _resolve(args, spec)
     _require(resolved, "data", "out")
-    out = _fresh(resolved["out"])
+    out = _fresh(resolved["out"], ".report", ".config")
     table = dataset.load_table(resolved["data"])
     if len(table) < 2:
         raise ConfigError(f"dataset {resolved['data']} has too few rows to train on")
@@ -211,7 +213,6 @@ def cmd_train(args) -> int:
             f"SMO did not converge within {config.max_iter} iterations"
         )
     svr.save_model(model, out)
-    dataset.save_scaler(model.scaler, _fresh(out + ".scaler"))
     x_train = model.scaler.transform(train.features)
     kkt = float(svr.kkt_violations(model, x_train, train.targets, config).max())
     mae_train = svr.mae(svr.predict(model, train.features), train.targets)
@@ -251,7 +252,7 @@ def cmd_evaluate(args) -> int:
     _require(resolved, "model", "data", "out")
     if resolved["split"] not in ("all", "train", "test"):
         raise ConfigError("--split must be one of all, train, test")
-    out = _fresh(resolved["out"])
+    out = _fresh(resolved["out"], ".config")
     model = svr.load_model(resolved["model"])
     table = dataset.load_table(resolved["data"])
     if resolved["split"] != "all":
@@ -294,6 +295,8 @@ def cmd_predict(args) -> int:
     _require(resolved, "model")
     if (resolved["features"] is None) == (resolved["data"] is None):
         raise ConfigError("provide exactly one of --features or --data")
+    if resolved["out"] is not None:
+        _fresh(resolved["out"], ".config")
     model = svr.load_model(resolved["model"])
     if resolved["features"] is not None:
         values = [svr.predict(model, np.array(resolved["features"]))]
@@ -336,7 +339,7 @@ def cmd_sweep(args) -> int:
     }
     resolved = _resolve(args, spec)
     _require(resolved, "kind", "out")
-    out = _fresh(resolved["out"])
+    out = _fresh(resolved["out"], ".config")
     channel_kind = resolved["channel"]
     if channel_kind == "pd":
         if resolved["taus"] is None:
@@ -366,21 +369,11 @@ def cmd_sweep(args) -> int:
                         )
                     )
     elif resolved["kind"] == "measure":
-        driven = channel_kind == "ad" and any(om > 0 for om in resolved["omegas"])
-        if driven and resolved["measure"] == "trace":
-            raise ConfigError(
-                "the trace-distance measure is not evaluated for the driven channel"
-            )
         lines.append(f"{pname},param_omega,value")
         for om in resolved["omegas"]:
             for p in grid_params:
-                if om > 0.0 and channel_kind == "ad":
-                    # same route as the dataset targets
-                    value = dataset.driven_pair(float(p), float(om), measures.default_grid())[0]
-                elif resolved["measure"] == "trace":
-                    value = measures.n_trace_distance(_sweep_channel(channel_kind, p, om)).value
-                else:
-                    value = measures.n_entanglement(_sweep_channel(channel_kind, p, om)).value
+                ch = _sweep_channel(channel_kind, p, om)
+                value = dataset.measure_value(ch, resolved["measure"])
                 lines.append(",".join([_FMT % p, _FMT % om, _FMT % value]))
     else:
         raise ConfigError("--kind must be 'ox' or 'measure'")
@@ -461,10 +454,7 @@ def cmd_reproduce(args) -> int:
     lines = ["param_lambda,param_omega,value"]
     for om in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5):
         for lam in dataset.lambda_grid(n_driven, span=2.9):
-            if om == 0.0:
-                value = measures.n_entanglement(channels.AmplitudeDamping(float(lam))).value
-            else:
-                value = dataset.driven_pair(float(lam), om, measures.default_grid())[0]
+            value = dataset.measure_value(_sweep_channel("ad", float(lam), om), "entanglement")
             lines.append(",".join([_FMT % lam, _FMT % om, _FMT % value]))
     with open(path("fig4_ne_vs_lambda.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -3,9 +3,12 @@ measure targets, standardization, splitting, and CSV persistence.
 
 Features are the Pauli expectation values O_k = Tr[sigma_k rho(t)] of the
 state evolved from |+> (the +1 eigenstate of sigma_x, inferred from the
-initial value O_x(0) = 1), concatenated over the tomography times.  Targets
-are the non-Markovianity measures.  Parameter grids realize the published
-sample counts: value = start + i * step with the count authoritative.
+initial value O_x(0) = 1), concatenated over the tomography times; each
+channel supplies them (bloch_plus), in closed form for the undriven ones.
+Targets are the non-Markovianity measures, all through measure_value: grid
+doubling for the undriven channels, the single default grid for the driven
+one (driven_pair).  Parameter grids realize the published sample counts:
+value = start + i * step with the count authoritative.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ PURE_AD_TIME = 3.0  # default tomography time t_c (units 1/gamma0)
 # see ledger for the time-unit reading behind 1.5.
 PURE_PD_TIME = 1.5
 
-_SCALER_MAGIC = "nonmarkov-scaler v1"
 _FMT = "%.17g"
 
 
@@ -92,16 +94,6 @@ class TableSchema:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One row: feature vector, measure target, and provenance parameters."""
-
-    features: np.ndarray
-    target: float
-    param: float
-    omega: float
-
-
-@dataclass(frozen=True)
 class DataTable:
     """Columnar table of samples with a uniform schema."""
 
@@ -119,19 +111,12 @@ class DataTable:
             )
         if self.params.shape != (n, 2):
             raise ConfigError(f"params block {self.params.shape} must be ({n}, 2)")
-        if n and (not np.isfinite(self.features).all() or self.targets.min() < 0):
-            raise ConfigError("features must be finite and targets non-negative")
+        finite = np.isfinite(self.features).all() and np.isfinite(self.targets).all()
+        if n and (not finite or self.targets.min() < 0):
+            raise ConfigError("features and targets must be finite, targets non-negative")
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def row(self, i: int) -> Sample:
-        return Sample(
-            self.features[i].copy(),
-            float(self.targets[i]),
-            float(self.params[i, 0]),
-            float(self.params[i, 1]),
-        )
 
     def subset(self, indices) -> "DataTable":
         indices = np.asarray(indices)
@@ -143,40 +128,35 @@ class DataTable:
         )
 
 
-def expectations(rho: np.ndarray) -> np.ndarray:
-    """[O_x, O_y, O_z] of a single-qubit state (batch-aware)."""
-    ox = 2.0 * rho[..., 0, 1].real
-    oy = -2.0 * rho[..., 0, 1].imag
-    oz = (rho[..., 0, 0] - rho[..., 1, 1]).real
-    return np.stack([ox, oy, oz], axis=-1)
-
-
 def features_at(channel: Channel, times) -> np.ndarray:
     """Pauli expectations of the evolved |+> state, concatenated over times."""
     times = tuple(float(t) for t in times)
     if not times or any(t < 0 for t in times):
         raise ConfigError("times must be non-empty and non-negative")
-    plus = qmath.ket2dm(qmath.KET_PLUS)
-    if isinstance(channel, PhaseDamping):
-        states = [channels.pd_apply(plus, t, channel.tau) for t in times]
-    elif isinstance(channel, AmplitudeDamping):
-        states = [channels.ad_apply(plus, t, channel.lam, channel.gamma0) for t in times]
-    elif isinstance(channel, DrivenAmplitudeDamping):
-        states = channels.fock_ladder(
-            lambda ch: channels.driven_ad_evolve(
-                np.kron(plus, channels.vacuum(ch.n_fock)), times, ch
-            ),
-            channel,
-        )
-    else:
-        raise ConfigError(f"unsupported channel {channel!r}")
-    return np.concatenate([expectations(rho) for rho in states])
+    return channel.bloch_plus(times).reshape(-1)
 
 
-def _measure_value(channel: Channel, measure: str) -> float:
+def measure_value(channel: Channel, measure: str) -> float:
+    """The target of one channel: the undriven channels converge by grid
+    doubling (measures.n_*), the driven one is the single default-grid value
+    of driven_pair.  The trace measure of the driven channel is an error."""
     if measure == "trace":
         return measures.n_trace_distance(channel).value
-    return measures.n_entanglement(channel).value
+    if channel.closed_form:
+        return measures.n_entanglement(channel).value
+    grid = measures.default_grid()
+    return driven_pair(channel.lam, channel.omega, grid, channel.n_fock)[0]
+
+
+def _pure_table(schema: TableSchema, params: np.ndarray, make_channel) -> DataTable:
+    """One row per parameter value of an undriven channel."""
+    feats = np.empty((len(params), schema.n_features))
+    targets = np.empty(len(params))
+    for i, p in enumerate(params):
+        ch = make_channel(float(p))
+        feats[i] = features_at(ch, schema.times)
+        targets[i] = measure_value(ch, schema.measure)
+    return DataTable(schema, feats, targets, np.column_stack([params, np.zeros(len(params))]))
 
 
 def generate_pure_ad(
@@ -186,15 +166,7 @@ def generate_pure_ad(
 ) -> DataTable:
     """Undriven AD table: one row per lambda on the uniform grid."""
     schema = TableSchema("ad", measure, tuple(float(t) for t in times), "lambda")
-    lams = lambda_grid(count)
-    feats = np.empty((count, schema.n_features))
-    targets = np.empty(count)
-    for i, lam in enumerate(lams):
-        ch = AmplitudeDamping(float(lam))
-        feats[i] = features_at(ch, schema.times)
-        targets[i] = _measure_value(ch, measure)
-    params = np.column_stack([lams, np.zeros(count)])
-    return DataTable(schema, feats, targets, params)
+    return _pure_table(schema, lambda_grid(count), AmplitudeDamping)
 
 
 def generate_pure_pd(
@@ -204,15 +176,7 @@ def generate_pure_pd(
 ) -> DataTable:
     """PD table: one row per tau on the uniform grid; times are in nu."""
     schema = TableSchema("pd", measure, tuple(float(t) for t in times), "tau")
-    taus = tau_grid(count)
-    feats = np.empty((count, schema.n_features))
-    targets = np.empty(count)
-    for i, tau in enumerate(taus):
-        ch = PhaseDamping(float(tau))
-        feats[i] = features_at(ch, schema.times)
-        targets[i] = _measure_value(ch, measure)
-    params = np.column_stack([taus, np.zeros(count)])
-    return DataTable(schema, feats, targets, params)
+    return _pure_table(schema, tau_grid(count), PhaseDamping)
 
 
 def driven_bell_plus_retry(
@@ -220,10 +184,7 @@ def driven_bell_plus_retry(
 ):
     """driven_bell_and_plus for one (lambda, omega) pair through the Fock
     ladder (n_fock, n_fock + 4, n_fock + 8; see channels.fock_ladder)."""
-    return channels.fock_ladder(
-        lambda ch: channels.driven_bell_and_plus(ch, grid),
-        DrivenAmplitudeDamping(lam, omega, n_fock=n_fock),
-    )
+    return DrivenAmplitudeDamping(lam, omega, n_fock=n_fock).bell_and_plus(grid)
 
 
 def driven_pair(
@@ -270,7 +231,7 @@ def generate_driven_ad(
     for om in omegas:
         for lam in lams:
             targets[i], plus = driven_pair(float(lam), float(om), grid, n_fock)
-            feats[i] = np.concatenate([expectations(plus[j]) for j in time_idx])
+            feats[i] = qmath.bloch_vector(plus[time_idx]).reshape(-1)
             params[i] = (lam, om)
             i += 1
     return DataTable(schema, feats, targets, params)
@@ -312,6 +273,8 @@ class Scaler:
     def __post_init__(self):
         if self.mean.shape != self.scale.shape or self.mean.ndim != 1:
             raise ConfigError("scaler mean/scale must be matching vectors")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.scale).all()):
+            raise ConfigError("scaler mean and scale entries must be finite")
         if np.any(self.scale <= 0):
             raise ConfigError("scaler scale entries must be positive")
 
@@ -347,37 +310,6 @@ def scaler_fit(table: DataTable, strict: bool = True) -> Scaler:
         raise ConfigError(f"zero-variance feature column(s): {names}")
     scale = np.sqrt(var)
     scale[zero] = 1.0
-    return Scaler(mean, scale)
-
-
-def scaler_apply(scaler: Scaler, table: DataTable) -> DataTable:
-    return DataTable(
-        table.schema,
-        scaler.transform(table.features),
-        table.targets.copy(),
-        table.params.copy(),
-    )
-
-
-def save_scaler(scaler: Scaler, path) -> None:
-    lines = [_SCALER_MAGIC]
-    for u, s in zip(scaler.mean, scaler.scale):
-        lines.append(f"{_FMT % u} {_FMT % s}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_scaler(path) -> Scaler:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != _SCALER_MAGIC:
-        raise DataFormatError(f"not a scaler file (expected '{_SCALER_MAGIC}')")
-    try:
-        pairs = [tuple(float(x) for x in ln.split()) for ln in lines[1:]]
-        mean = np.array([p[0] for p in pairs])
-        scale = np.array([p[1] for p in pairs])
-    except (ValueError, IndexError) as exc:
-        raise DataFormatError(f"malformed scaler file: {exc}") from exc
     return Scaler(mean, scale)
 
 

@@ -14,7 +14,7 @@ class ConfigError(NonMarkovError):
 
 
 class DataFormatError(ConfigError):
-    """A dataset, scaler, or model file does not match its schema/version."""
+    """A dataset or model file does not match its schema/version."""
 
 
 class NumericError(NonMarkovError):

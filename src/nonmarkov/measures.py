@@ -6,13 +6,16 @@ known optimal inputs: the sigma_x eigenstate pair |+>, |-> for the trace
 distance, and the Bell state (|gg> + |ee>)/sqrt(2) with an untouched ancilla
 for the entanglement measure.
 
-For the pure channels both functionals have exact closed forms, used here
-directly: the evolved |+>, |-> pair differs only in its off-diagonals, so
-D(t) = |Lambda(nu)| (PD) or sqrt(P_t) (AD); the one-sided channels turn the
-Bell state into an X-state whose Wootters concurrence reduces to the same
-expressions.  The generic eigensolver routes in qmath serve as independent
-oracles in the test suite.  The driven channel has no closed form and goes
-through the spectral pseudomode propagator and its Fock ladder.
+For the pure channels both functionals have exact closed forms in the
+channel's coherence factor, used here directly: the evolved |+>, |-> pair
+differs only in its off-diagonals, so D(t) = |Lambda(nu)| (PD) or |G(t)| =
+sqrt(P_t) (AD); the one-sided channels turn the Bell state into an X-state
+whose Wootters concurrence reduces to the same expression.  The Kraus maps
+and the generic eigensolver routes in qmath serve as independent oracles in
+the test suite.  The driven channel has no closed form: its entanglement
+series is the concurrence of the Bell pair from the spectral pseudomode
+propagator and its Fock ladder, and its trace-distance measure is not
+evaluated.
 """
 
 from __future__ import annotations
@@ -21,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, qmath
-from .channels import (
-    AmplitudeDamping,
-    Channel,
-    DrivenAmplitudeDamping,
-    PhaseDamping,
-    TimeGrid,
-)
+from . import qmath
+from .channels import Channel, TimeGrid
 from .errors import ConfigError, ConvergenceError
 
 DEFAULT_T_MAX = 20.0
@@ -71,31 +68,19 @@ def default_grid() -> TimeGrid:
 
 
 def trace_distance_series(channel: Channel, grid: TimeGrid) -> MeasureSeries:
-    """D(t) between the evolutions of |+><+| and |-><-|."""
-    if isinstance(channel, PhaseDamping):
-        values = np.abs(channels.pd_lambda(grid.values, channel.tau))
-    elif isinstance(channel, AmplitudeDamping):
-        values = np.sqrt(channels.ad_survival(grid.values, channel.lam, channel.gamma0))
-    else:
-        raise ConfigError(
-            "trace_distance_series supports only the undriven channels"
-        )
-    return MeasureSeries(grid, values)
+    """D(t) = |coherence| between the evolutions of |+><+| and |-><-|."""
+    if not channel.closed_form:
+        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
+    return MeasureSeries(grid, np.abs(channel.coherence(grid.values)))
 
 
 def entanglement_series(channel: Channel, grid: TimeGrid) -> MeasureSeries:
-    """Concurrence of the Bell pair under one-sided evolution."""
-    if isinstance(channel, PhaseDamping):
-        values = np.abs(channels.pd_lambda(grid.values, channel.tau))
-    elif isinstance(channel, AmplitudeDamping):
-        values = np.sqrt(channels.ad_survival(grid.values, channel.lam, channel.gamma0))
-    elif isinstance(channel, DrivenAmplitudeDamping):
-        bell, _ = channels.fock_ladder(
-            lambda ch: channels.driven_bell_and_plus(ch, grid), channel
-        )
-        values = qmath.concurrence(bell)
+    """Concurrence of the Bell pair under one-sided evolution: |coherence|
+    in closed form, else the concurrence of the propagated pair."""
+    if channel.closed_form:
+        values = np.abs(channel.coherence(grid.values))
     else:
-        raise ConfigError(f"unsupported channel {channel!r}")
+        values = qmath.concurrence(channel.bell_and_plus(grid)[0])
     return MeasureSeries(grid, values)
 
 
@@ -133,8 +118,6 @@ def n_trace_distance(
     max_doublings: int = MAX_DOUBLINGS,
 ) -> MeasureResult:
     """Trace-distance measure with automatic grid doubling until converged."""
-    if isinstance(channel, DrivenAmplitudeDamping):
-        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
     grid = grid or default_grid()
     return _accumulate_until_converged(
         lambda g: trace_distance_series(channel, g), grid, max_doublings

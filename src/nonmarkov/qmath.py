@@ -49,13 +49,12 @@ def ket2dm(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with shape (ra*rb, ca*cb)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigError("tensor expects 2-D matrices")
-    return np.kron(a, b)
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """[O_x, O_y, O_z] = Tr[sigma_k rho] of a single-qubit state (batch-aware)."""
+    ox = 2.0 * rho[..., 0, 1].real
+    oy = -2.0 * rho[..., 0, 1].imag
+    oz = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return np.stack([ox, oy, oz], axis=-1)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

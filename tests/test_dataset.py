@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonmarkov import channels, dataset, measures
+from nonmarkov import channels, dataset, measures, qmath
 from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDamping
 from nonmarkov.errors import ConfigError, DataFormatError
 
@@ -46,6 +46,21 @@ class TestFeaturesAt:
         tau, nu = 0.5, 3.0
         feats = dataset.features_at(PhaseDamping(tau), (nu,))
         assert np.abs(feats - [channels.pd_lambda(nu, tau), 0.0, 0.0]).max() < 1e-12
+
+    @pytest.mark.parametrize("ch", [AmplitudeDamping(0.37), AmplitudeDamping(2.6), PhaseDamping(0.41)])
+    def test_closed_form_features_match_kraus_oracle(self, ch):
+        # the closed-form Bloch vector against the Kraus map applied to |+>;
+        # the two routes round differently, by up to a few ULP of 1
+        times = (0.0, 0.5, 1.5, 3.0, 7.0)
+        plus = qmath.ket2dm(qmath.KET_PLUS)
+        want = []
+        for t in times:
+            if isinstance(ch, PhaseDamping):
+                rho = oracles.pd_apply(plus, t, ch.tau)
+            else:
+                rho = oracles.ad_apply(plus, t, ch.lam)
+            want += [np.trace(qmath.SIGMA_X @ rho).real, 0.0, (rho[0, 0] - rho[1, 1]).real]
+        assert np.abs(dataset.features_at(ch, times) - want).max() <= 4e-16
 
     def test_driven_features_reduce_to_closed_form(self):
         lam = 0.8
@@ -173,9 +188,9 @@ class TestScaler:
         rng = np.random.default_rng(0)
         table = toy_table(rng.uniform(-1, 1, size=(40, 3)))
         scaler = dataset.scaler_fit(table)
-        out = dataset.scaler_apply(scaler, table)
-        assert np.abs(out.features.mean(axis=0)).max() < 1e-10
-        assert np.abs(out.features.var(axis=0) - 1.0).max() < 1e-10
+        out = scaler.transform(table.features)
+        assert np.abs(out.mean(axis=0)).max() < 1e-10
+        assert np.abs(out.var(axis=0) - 1.0).max() < 1e-10
 
     def test_non_strict_mode_passes_constant_columns(self):
         table = toy_table([[1.0, 2.0, 5.0], [1.0, 3.0, 5.0]])
@@ -184,19 +199,24 @@ class TestScaler:
         out = scaler.transform(table.features)
         assert np.allclose(out[:, 0], 0.0)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        scaler = dataset.Scaler(np.array([0.5, -1.25]), np.array([2.0, 0.125]))
-        path = tmp_path / "scaler.txt"
-        dataset.save_scaler(scaler, path)
-        back = dataset.load_scaler(path)
-        assert np.array_equal(back.mean, scaler.mean)
-        assert np.array_equal(back.scale, scaler.scale)
+    @pytest.mark.parametrize(
+        "mean, scale",
+        [([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]), ([0.0, 0.0], [1.0, np.inf])],
+    )
+    def test_rejects_non_finite_entries(self, mean, scale):
+        with pytest.raises(ConfigError):
+            dataset.Scaler(np.array(mean), np.array(scale))
 
-    def test_load_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "scaler.txt"
-        path.write_text("something-else v9\n0 1\n")
-        with pytest.raises(DataFormatError):
-            dataset.load_scaler(path)
+
+class TestDataTable:
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -0.5])
+    def test_rejects_bad_targets(self, target):
+        with pytest.raises(ConfigError):
+            toy_table([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [0.1, target])
+
+    def test_rejects_non_finite_features(self):
+        with pytest.raises(ConfigError):
+            toy_table([[1.0, 0.0, np.nan], [0.5, 0.0, 0.0]], [0.1, 0.2])
 
 
 class TestSplit:

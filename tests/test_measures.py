@@ -19,11 +19,11 @@ def eigen_route_trace_distance(channel, grid):
     out = []
     for t in grid.values:
         if isinstance(channel, PhaseDamping):
-            r1 = channels.pd_apply(plus, t, channel.tau)
-            r2 = channels.pd_apply(minus, t, channel.tau)
+            r1 = oracles.pd_apply(plus, t, channel.tau)
+            r2 = oracles.pd_apply(minus, t, channel.tau)
         else:
-            r1 = channels.ad_apply(plus, t, channel.lam, channel.gamma0)
-            r2 = channels.ad_apply(minus, t, channel.lam, channel.gamma0)
+            r1 = oracles.ad_apply(plus, t, channel.lam, channel.gamma0)
+            r2 = oracles.ad_apply(minus, t, channel.lam, channel.gamma0)
         out.append(qmath.trace_distance(r1, r2))
     return np.array(out)
 
@@ -38,7 +38,7 @@ def eigen_route_concurrence(channel, grid):
             m1 = np.sqrt((1 + lam) / 2) * qmath.IDENTITY_2
             m2 = np.sqrt(max(0.0, (1 - lam) / 2)) * qmath.SIGMA_Z
         else:
-            m1, m2 = channels.ad_kraus(
+            m1, m2 = oracles.ad_kraus(
                 channels.ad_amplitude(t, channel.lam, channel.gamma0)
             )
         k1, k2 = np.kron(np.eye(2), m1), np.kron(np.eye(2), m2)
@@ -67,7 +67,7 @@ class TestSeries:
         grid = TimeGrid(10.0, 200)
         got = measures.trace_distance_series(ch, grid).values
         assert np.abs(got - eigen_route_trace_distance(ch, grid)).max() < 1e-12
-        assert np.abs(got - np.sqrt(channels.ad_survival(grid.values, 0.5))).max() == 0.0
+        assert np.abs(got - np.sqrt(oracles.ad_survival(grid.values, 0.5))).max() == 0.0
         got_c = measures.entanglement_series(ch, grid).values
         assert np.abs(got_c - eigen_route_concurrence(ch, grid)).max() < 1e-7
 
@@ -75,7 +75,7 @@ class TestSeries:
         ch = DrivenAmplitudeDamping(lam=0.5, omega=0.0)
         grid = TimeGrid(6.0, 600)
         got = measures.entanglement_series(ch, grid).values
-        want = np.sqrt(channels.ad_survival(grid.values, 0.5))
+        want = np.sqrt(oracles.ad_survival(grid.values, 0.5))
         assert np.abs(got - want).max() < 1e-6
 
     def test_trace_distance_rejects_driven(self):
@@ -126,7 +126,7 @@ class TestMeasureValues:
         res = measures.n_entanglement(AmplitudeDamping(0.1))
         assert res.value > 0.0
         want = oracles.positive_increment_sum(
-            np.sqrt(channels.ad_survival(res.series.grid.values, 0.1)).tolist()
+            np.sqrt(oracles.ad_survival(res.series.grid.values, 0.1)).tolist()
         )
         assert res.value == pytest.approx(want, abs=1e-12)
 

@@ -20,13 +20,12 @@ def smooth_problem(seed, n=30, within_eps=False):
 
 class TestKernel:
     def test_self_similarity(self):
-        x = np.array([0.3, -1.2, 4.0])
-        assert svr.rbf(x, x, 0.7) == 1.0
+        x = np.array([[0.3, -1.2, 4.0]])
+        assert svr.rbf_gram(x, x, 0.7)[0, 0] == 1.0
 
     def test_unit_distance(self):
-        assert svr.rbf(np.zeros(2), np.array([1.0, 0.0]), 1.0) == pytest.approx(
-            np.exp(-1.0)
-        )
+        got = svr.rbf_gram(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0)
+        assert got[0, 0] == pytest.approx(np.exp(-1.0))
 
     def test_gram_matrix_is_psd(self):
         rng = np.random.default_rng(0)
@@ -37,7 +36,7 @@ class TestKernel:
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            svr.rbf(np.zeros(2), np.zeros(3), 1.0)
+            svr.rbf_gram(np.zeros((1, 2)), np.zeros((1, 3)), 1.0)
 
     def test_scale_gamma(self):
         x = np.array([[0.0, 10.0], [2.0, 10.0]])  # variances 1 and 0
@@ -206,4 +205,32 @@ class TestModelIO:
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         with pytest.raises(DataFormatError):
+            svr.load_model(bad)
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            (0, "gamma nan"),
+            (0, "gamma -3"),
+            (0, "gamma inf"),
+            (3, "intercept nan"),
+            (2, "0.5 nan"),
+            (2, "nan 1.0"),
+            (2, "0.5 0"),
+        ],
+    )
+    def test_non_finite_or_invalid_values_rejected(self, tmp_path, line, value):
+        x, y = smooth_problem(16)
+        model = svr.fit(x, y)
+        path = tmp_path / "model.txt"
+        svr.save_model(model, path)
+        text = path.read_text().splitlines()
+        assert text[1] == "scaler 1" and text[3].startswith("intercept ")
+        if line == 0:
+            text[0] = "nonmarkov-svr v1 " + value
+        else:
+            text[line] = value
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(text) + "\n")
+        with pytest.raises(ConfigError):
             svr.load_model(bad)
