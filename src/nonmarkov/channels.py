@@ -3,7 +3,7 @@
 Each channel class answers for its own physics: the Bloch vector of the
 evolved |+> (bloch_plus, the tomography features) and, for the two undriven
 channels, the coherence factor that scales the off-diagonals (coherence,
-closed_form = True).  Phase damping dephases with
+rates; closed_form = True).  Phase damping dephases with
 Lambda(nu) = exp(-nu) [cos(mu nu) + sin(mu nu)/mu],  mu = sqrt((4 tau)^2 - 1),
 at dimensionless time nu, so |+> goes to (Lambda, 0, 0).  Undriven amplitude
 damping scales coherences with the signed amplitude
@@ -71,8 +71,9 @@ class PhaseDamping:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
 
     @property
-    def mu_squared(self) -> float:
-        return (4.0 * self.tau) ** 2 - 1.0
+    def rates(self) -> tuple[float, float]:
+        """(a, w^2) of Lambda(nu) = exp(-a nu) [cos(w nu) + (a/w) sin(w nu)]."""
+        return 1.0, (4.0 * self.tau) ** 2 - 1.0
 
     def coherence(self, nu):
         """Dephasing factor Lambda(nu)."""
@@ -99,8 +100,9 @@ class AmplitudeDamping:
             raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
 
     @property
-    def d_squared(self) -> float:
-        return 2.0 * self.gamma0 * self.lam - self.lam**2
+    def rates(self) -> tuple[float, float]:
+        """(a, w^2) = (lambda/2, d^2/4) of G(t) = exp(-a t) [cos(w t) + (a/w) sin(w t)]."""
+        return self.lam / 2.0, (2.0 * self.gamma0 * self.lam - self.lam**2) / 4.0
 
     def coherence(self, t):
         """Signed excited-state amplitude G(t)."""

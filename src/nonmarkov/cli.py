@@ -29,9 +29,12 @@ REPRODUCE_SMOKE_LAMBDAS = 29  # coarse coupling grid for the default reproduce r
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(",") if v != "")
+        values = tuple(float(v) for v in text.split(",") if v != "")
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _gamma_arg(text: str):
@@ -339,6 +342,8 @@ def cmd_sweep(args) -> int:
     }
     resolved = _resolve(args, spec)
     _require(resolved, "kind", "out")
+    if resolved["kind"] == "ox" and resolved["points"] < 2:
+        raise ConfigError(f"--points must be >= 2, got {resolved['points']}")
     out = _fresh(resolved["out"], ".config")
     channel_kind = resolved["channel"]
     if channel_kind == "pd":
@@ -356,7 +361,7 @@ def cmd_sweep(args) -> int:
 
     lines = []
     if resolved["kind"] == "ox":
-        tgrid = channels.TimeGrid(resolved["tmax"], max(1, resolved["points"] - 1))
+        tgrid = channels.TimeGrid(resolved["tmax"], resolved["points"] - 1)
         lines.append(f"{pname},param_omega,t,ox,oy,oz")
         for om in resolved["omegas"]:
             for p in grid_params:
@@ -571,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    try:  # the type converters (_parse_floats, _gamma_arg) raise ConfigError
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, DataFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -5,10 +5,10 @@ Features are the Pauli expectation values O_k = Tr[sigma_k rho(t)] of the
 state evolved from |+> (the +1 eigenstate of sigma_x, inferred from the
 initial value O_x(0) = 1), concatenated over the tomography times; each
 channel supplies them (bloch_plus), in closed form for the undriven ones.
-Targets are the non-Markovianity measures, all through measure_value: grid
-doubling for the undriven channels, the single default grid for the driven
-one (driven_pair).  Parameter grids realize the published sample counts:
-value = start + i * step with the count authoritative.
+Targets are the non-Markovianity measures up to the horizon in #meta, all
+through measure_value: exact revival-peak sums for the undriven channels,
+the single default grid for the driven one (driven_pair).  Parameter grids
+realize the published sample counts: value = start + i * step.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ def features_at(channel: Channel, times) -> np.ndarray:
 
 
 def measure_value(channel: Channel, measure: str) -> float:
-    """The target of one channel: the undriven channels converge by grid
-    doubling (measures.n_*), the driven one is the single default-grid value
-    of driven_pair.  The trace measure of the driven channel is an error."""
+    """The target of one channel on the default horizon: the exact measure of
+    an undriven channel (measures.n_*), else driven_pair on the default grid.
+    The trace measure of the driven channel is an error."""
     if measure == "trace":
         return measures.n_trace_distance(channel).value
     if channel.closed_form:
@@ -338,6 +338,7 @@ def _meta_line(table: DataTable, seed: int) -> str:
         ("times", ",".join(_FMT % t for t in schema.times)),
         ("initial_state", FEATURE_INITIAL_STATE),
         ("measure_inputs", "bell-phi+" if schema.measure == "entanglement" else "plus-minus-pair"),
+        ("horizon", _FMT % measures.DEFAULT_T_MAX),
         ("param", schema.param_name),
         ("rows", str(len(table))),
         ("omegas", ",".join(_FMT % o for o in omegas)),

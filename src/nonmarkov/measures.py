@@ -1,25 +1,21 @@
-"""Non-Markovianity measures: accumulated positive increments of
-distinguishability (trace distance) or of system-ancilla entanglement.
+"""Non-Markovianity measures on [0, horizon]: accumulated positive increments
+of distinguishability (trace distance) or of system-ancilla entanglement.
 
-The optimization over initial states in both definitions is replaced by the
-known optimal inputs: the sigma_x eigenstate pair |+>, |-> for the trace
-distance, and the Bell state (|gg> + |ee>)/sqrt(2) with an untouched ancilla
-for the entanglement measure.
-
-For the pure channels both functionals have exact closed forms in the
-channel's coherence factor, used here directly: the evolved |+>, |-> pair
-differs only in its off-diagonals, so D(t) = |Lambda(nu)| (PD) or |G(t)| =
-sqrt(P_t) (AD); the one-sided channels turn the Bell state into an X-state
-whose Wootters concurrence reduces to the same expression.  The Kraus maps
-and the generic eigensolver routes in qmath serve as independent oracles in
-the test suite.  The driven channel has no closed form: its entanglement
-series is the concurrence of the Bell pair from the spectral pseudomode
-propagator and its Fock ladder, and its trace-distance measure is not
-evaluated.
+The optimal inputs replace the optimization over initial states: the pair
+|+>, |-> for the trace distance, the Bell state (|gg> + |ee>)/sqrt(2) with an
+untouched ancilla for entanglement.  Under the undriven channels both series
+are |coherence|, a damped oscillation exp(-a t) [cos(w t) + (a/w) sin(w t)]
+whose |maxima| sit at t_k = k pi / w with height q^k, q = exp(-a pi / w), so
+both measures are one exact sum over those revival peaks (revival_measure),
+with no time grid and a bound on what lies past the horizon.  The driven
+channel has no closed form: its entanglement series is the Bell-pair
+concurrence from the pseudomode propagator, summed on a grid doubled until
+the value settles; its trace-distance measure is not evaluated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +24,7 @@ from . import qmath
 from .channels import Channel, TimeGrid
 from .errors import ConfigError, ConvergenceError
 
-DEFAULT_T_MAX = 20.0
+DEFAULT_T_MAX = 20.0  # the horizon: t <= 20/gamma0 (AD, driven) or nu <= 20 (PD)
 DEFAULT_N_STEPS = 20000
 CONVERGENCE_TOL = 1e-4
 MAX_DOUBLINGS = 3
@@ -55,11 +51,13 @@ class MeasureSeries:
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """Accumulated measure value, its series, and the grid-convergence flag."""
+    """Value on [0, horizon], exact or grid-converged; tail_bound: the most it
+    gains past the horizon (None: no bound established, the driven channel)."""
 
     value: float
-    series: MeasureSeries
     converged: bool
+    horizon: float
+    tail_bound: float | None = None
 
 
 def default_grid() -> TimeGrid:
@@ -67,61 +65,43 @@ def default_grid() -> TimeGrid:
     return TimeGrid(DEFAULT_T_MAX, DEFAULT_N_STEPS)
 
 
-def trace_distance_series(channel: Channel, grid: TimeGrid) -> MeasureSeries:
-    """D(t) = |coherence| between the evolutions of |+><+| and |-><-|."""
-    if not channel.closed_form:
-        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
-    return MeasureSeries(grid, np.abs(channel.coherence(grid.values)))
+def revival_measure(channel: Channel, horizon: float = DEFAULT_T_MAX) -> MeasureResult:
+    """Exact positive variation of |coherence| of an undriven channel: the
+    K = floor(horizon w / pi) peaks give q (1 - q^K) / (1 - q), plus |coherence(horizon)|
+    past the zero z_K = (pi - atan(w/a) + K pi) / w; 0 for w^2 <= 0."""
+    if not horizon >= 0:
+        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    a, w2 = channel.rates
+    if w2 <= 0.0:
+        return MeasureResult(0.0, True, horizon, 0.0)
+    w = math.sqrt(w2)
+    q = math.exp(-a * math.pi / w)
+    k = math.floor(horizon * w / math.pi)
+    value = q * (1.0 - q**k) / (1.0 - q)
+    if horizon > (math.pi - math.atan(w / a) + k * math.pi) / w:
+        value += abs(float(channel.coherence(horizon)))
+    return MeasureResult(value, True, horizon, q / (1.0 - q) - value)
 
 
 def entanglement_series(channel: Channel, grid: TimeGrid) -> MeasureSeries:
-    """Concurrence of the Bell pair under one-sided evolution: |coherence|
-    in closed form, else the concurrence of the propagated pair."""
-    if channel.closed_form:
-        values = np.abs(channel.coherence(grid.values))
-    else:
-        values = qmath.concurrence(channel.bell_and_plus(grid)[0])
-    return MeasureSeries(grid, values)
+    """Bell-pair concurrence series of the driven channel (undriven: revival_measure)."""
+    return MeasureSeries(grid, qmath.concurrence(channel.bell_and_plus(grid)[0]))
 
 
 def accumulate(series: MeasureSeries) -> MeasureResult:
-    """Sum of positive increments of the series.
-
-    The converged flag cannot be established from a single series; the
-    n_trace_distance / n_entanglement drivers set it by recomputing on a
-    doubled grid.
-    """
+    """Sum of positive increments of the series; converged=False, since one
+    grid cannot tell (n_entanglement doubles it)."""
     diffs = np.diff(series.values)
     value = float(np.clip(diffs, 0.0, None).sum())
-    return MeasureResult(value, series, False)
+    return MeasureResult(value, False, series.grid.t_max)
 
 
-def _accumulate_until_converged(series_fn, grid, max_doublings):
-    prev = accumulate(series_fn(grid))
-    change = float("inf")
-    for _ in range(max_doublings):
-        grid = grid.doubled()
-        cur = accumulate(series_fn(grid))
-        change = abs(cur.value - prev.value)
-        if change < CONVERGENCE_TOL:
-            return MeasureResult(cur.value, cur.series, True)
-        prev = cur
-    raise ConvergenceError(
-        f"measure did not converge after {max_doublings} grid doublings "
-        f"(last change {change:.3e})"
-    )
-
-
-def n_trace_distance(
-    channel: Channel,
-    grid: TimeGrid | None = None,
-    max_doublings: int = MAX_DOUBLINGS,
-) -> MeasureResult:
-    """Trace-distance measure with automatic grid doubling until converged."""
-    grid = grid or default_grid()
-    return _accumulate_until_converged(
-        lambda g: trace_distance_series(channel, g), grid, max_doublings
-    )
+def n_trace_distance(channel: Channel, grid: TimeGrid | None = None) -> MeasureResult:
+    """Trace-distance measure of an undriven channel on [0, grid.t_max]
+    (revival_measure; only the grid's horizon matters)."""
+    if not channel.closed_form:
+        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
+    return revival_measure(channel, (grid or default_grid()).t_max)
 
 
 def n_entanglement(
@@ -129,8 +109,21 @@ def n_entanglement(
     grid: TimeGrid | None = None,
     max_doublings: int = MAX_DOUBLINGS,
 ) -> MeasureResult:
-    """Entanglement measure with automatic grid doubling until converged."""
+    """Entanglement measure on [0, grid.t_max]: revival_measure for the
+    undriven channels, grid doubling until converged for the driven one."""
     grid = grid or default_grid()
-    return _accumulate_until_converged(
-        lambda g: entanglement_series(channel, g), grid, max_doublings
+    if channel.closed_form:
+        return revival_measure(channel, grid.t_max)
+    prev = accumulate(entanglement_series(channel, grid))
+    change = float("inf")
+    for _ in range(max_doublings):
+        grid = grid.doubled()
+        cur = accumulate(entanglement_series(channel, grid))
+        change = abs(cur.value - prev.value)
+        if change < CONVERGENCE_TOL:
+            return MeasureResult(cur.value, True, grid.t_max)
+        prev = cur
+    raise ConvergenceError(
+        f"measure did not converge after {max_doublings} grid doublings "
+        f"(last change {change:.3e})"
     )

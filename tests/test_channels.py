@@ -44,8 +44,8 @@ class TestChannelSpecs:
             DrivenAmplitudeDamping(1.0, omega=0.1, n_fock=1)
 
     def test_derived_quantities(self):
-        assert PhaseDamping(0.5).mu_squared == pytest.approx(3.0)
-        assert AmplitudeDamping(1.0).d_squared == pytest.approx(1.0)
+        assert PhaseDamping(0.5).rates == pytest.approx((1.0, 3.0))
+        assert AmplitudeDamping(1.0).rates == pytest.approx((0.5, 0.25))
 
 
 class TestTimeGrid:

@@ -218,6 +218,14 @@ class TestPredict:
         code = run("predict", "--model", str(bad), "--features", "0.5,0,-0.7")
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("features", ["0.5,nan,-0.7", "inf,0,-0.7", "0.5,x,-0.7"])
+    def test_non_finite_or_malformed_features_are_config_errors(
+        self, trained_model, features, capsys
+    ):
+        code = run("predict", "--model", str(trained_model), "--features", features)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_wrong_length_is_schema_error(self, trained_model):
         code = run("predict", "--model", str(trained_model), "--features", "0.5,0")
         assert code == cli.EXIT_CONFIG
@@ -258,6 +266,24 @@ class TestSweep:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 500
+
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_fewer_than_two_points_is_config_error(self, tmp_path, points):
+        out = tmp_path / "ox.csv"
+        code = run(
+            "sweep", "--kind", "ox", "--channel", "ad", "--lambdas", "0.5",
+            "--tmax", "2.0", "--points", points, "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, values", [("--omegas", "nan"), ("--lambdas", "0.5,inf")])
+    def test_non_finite_parameters_are_config_errors(self, tmp_path, flag, values):
+        out = tmp_path / "m.csv"
+        argv = ["sweep", "--kind", "measure", "--channel", "ad", "--out", str(out)]
+        argv += ["--lambdas", "0.5"] if flag == "--omegas" else []
+        assert run(*argv, flag, values) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
     def test_ox_curves_separated_by_critical_coupling(self, tmp_path):
         # at t = 1/gamma0 every lambda < 2 curve sits above the lambda = 2

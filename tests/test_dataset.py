@@ -257,6 +257,12 @@ class TestTableIO:
         assert np.array_equal(back.targets, table.targets)
         assert np.array_equal(back.params, table.params)
 
+    def test_meta_records_horizon(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate_pure_pd("trace", count=3), path)
+        meta = path.read_text().splitlines()[0].split()
+        assert "horizon=20" in meta and measures.DEFAULT_T_MAX == 20.0
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         table = dataset.generate_pure_pd("trace", count=5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

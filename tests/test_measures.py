@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonmarkov import channels, dataset, measures, qmath
 from nonmarkov.channels import (
@@ -51,24 +53,24 @@ class TestSeries:
     def test_initial_distinguishability_is_one(self):
         grid = TimeGrid(5.0, 50)
         for ch in (PhaseDamping(0.5), AmplitudeDamping(1.3)):
-            assert measures.trace_distance_series(ch, grid).values[0] == 1.0
-            assert measures.entanglement_series(ch, grid).values[0] == 1.0
+            assert oracles.trace_distance_series(ch, grid).values[0] == 1.0
+            assert oracles.entanglement_series(ch, grid).values[0] == 1.0
 
     def test_pd_series_equals_eigen_route(self):
         ch = PhaseDamping(0.5)
         grid = TimeGrid(10.0, 200)
-        got = measures.trace_distance_series(ch, grid).values
+        got = oracles.trace_distance_series(ch, grid).values
         assert np.abs(got - eigen_route_trace_distance(ch, grid)).max() < 1e-12
-        got_c = measures.entanglement_series(ch, grid).values
+        got_c = oracles.entanglement_series(ch, grid).values
         assert np.abs(got_c - eigen_route_concurrence(ch, grid)).max() < 1e-7
 
     def test_ad_series_equals_eigen_route(self):
         ch = AmplitudeDamping(0.5)
         grid = TimeGrid(10.0, 200)
-        got = measures.trace_distance_series(ch, grid).values
+        got = oracles.trace_distance_series(ch, grid).values
         assert np.abs(got - eigen_route_trace_distance(ch, grid)).max() < 1e-12
         assert np.abs(got - np.sqrt(oracles.ad_survival(grid.values, 0.5))).max() == 0.0
-        got_c = measures.entanglement_series(ch, grid).values
+        got_c = oracles.entanglement_series(ch, grid).values
         assert np.abs(got_c - eigen_route_concurrence(ch, grid)).max() < 1e-7
 
     def test_driven_series_reduces_to_closed_form_at_zero_drive(self):
@@ -80,7 +82,7 @@ class TestSeries:
 
     def test_trace_distance_rejects_driven(self):
         with pytest.raises(ConfigError):
-            measures.trace_distance_series(
+            oracles.trace_distance_series(
                 DrivenAmplitudeDamping(1.0, 0.1), TimeGrid(1.0, 10)
             )
         with pytest.raises(ConfigError):
@@ -106,7 +108,7 @@ class TestAccumulate:
 
     def test_matches_scalar_loop_oracle(self):
         ch = PhaseDamping(0.5)
-        series = measures.trace_distance_series(ch, measures.default_grid())
+        series = oracles.trace_distance_series(ch, measures.default_grid())
         got = measures.accumulate(series).value
         want = oracles.positive_increment_sum(series.values.tolist())
         assert got == pytest.approx(want, abs=1e-12)
@@ -123,12 +125,44 @@ class TestMeasureValues:
         assert measures.n_entanglement(AmplitudeDamping(3.0)).value <= 1e-8
 
     def test_strong_coupling_ad_matches_brute_force(self):
-        res = measures.n_entanglement(AmplitudeDamping(0.1))
+        ch = AmplitudeDamping(0.1)
+        res = measures.n_entanglement(ch)
         assert res.value > 0.0
-        want = oracles.positive_increment_sum(
-            np.sqrt(oracles.ad_survival(res.series.grid.values, 0.1)).tolist()
+        assert res.value == pytest.approx(oracles.revival_peak_sum(ch, 20.0), abs=1e-12)
+        grid = measures.default_grid()
+        grid_sum = oracles.positive_increment_sum(
+            np.sqrt(oracles.ad_survival(grid.values, 0.1)).tolist()
         )
-        assert res.value == pytest.approx(want, abs=1e-12)
+        assert 0.0 <= res.value - grid_sum <= oracles.grid_tolerance(ch, 20.0, grid.spacing)
+
+    def test_no_chance_agreement_between_grids(self):
+        # a grid-doubling route stopped here on 20 000 vs 40 000 intervals
+        # agreeing to 8e-6 at 0.1678840, 1.4e-4 below the measure
+        ch = PhaseDamping(0.476)
+        res = measures.n_trace_distance(ch)
+        assert res.value == pytest.approx(0.16802568218066588, abs=1e-12)
+        assert res.value == pytest.approx(oracles.revival_peak_sum(ch, 20.0), abs=1e-12)
+        fine = oracles.grid_measure(ch, 20.0, 2_000_000)
+        assert fine == pytest.approx(0.1680246, abs=1e-7)
+        assert 0.0 <= res.value - fine < oracles.grid_tolerance(ch, 20.0, 1e-5)
+
+    def test_result_carries_horizon_and_tail_bound(self):
+        for ch in (PhaseDamping(0.45), AmplitudeDamping(0.3)):
+            a, w2 = oracles.damped_rates(ch)
+            q = np.exp(-a * np.pi / np.sqrt(w2))
+            for res in (measures.n_trace_distance(ch), measures.n_entanglement(ch)):
+                assert res.converged and res.horizon == 20.0
+                assert 0.0 < res.tail_bound == pytest.approx(q / (1 - q) - res.value, abs=1e-15)
+        short = measures.n_entanglement(AmplitudeDamping(0.3), TimeGrid(5.0, 10))
+        assert short.horizon == 5.0
+        assert short.value == pytest.approx(
+            oracles.revival_peak_sum(AmplitudeDamping(0.3), 5.0), abs=1e-12
+        )
+        series = measures.MeasureSeries(TimeGrid(2.0, 2), np.array([1.0, 0.5, 0.7]))
+        assert measures.accumulate(series).tail_bound is None
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                measures.revival_measure(PhaseDamping(0.45), bad)
 
     def test_pd_threshold_dichotomy(self):
         for tau in np.arange(0.10, 0.245, 0.02):
@@ -162,7 +196,7 @@ class TestMeasureValues:
         # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
         # route retries at 12 like the dataset route, and agrees with it
         res = measures.n_entanglement(DrivenAmplitudeDamping(0.1, 0.5))
-        assert res.converged
+        assert res.converged and res.tail_bound is None
         row, _ = dataset.driven_pair(0.1, 0.5, measures.default_grid())
         assert abs(res.value - row) < measures.CONVERGENCE_TOL
 
@@ -177,3 +211,29 @@ class TestMeasureValues:
             series = measures.MeasureSeries(grid, qmath.concurrence(bell))
             values.append(measures.accumulate(series).value)
         assert all(a >= b - 1e-9 for a, b in zip(values[:-1], values[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@example(kind="pd", u=0.25, horizon=20.0)  # tau = 0.2: w^2 < 0
+@example(kind="ad", u=0.9, horizon=40.0)  # lambda = 2.705: w^2 < 0
+@example(kind="pd", u=0.94, horizon=20.0)  # tau = 0.476
+@given(
+    kind=st.sampled_from(["ad", "pd"]),
+    u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    horizon=st.floats(1.0, 40.0),
+)
+def test_revival_measure_brackets_grid_oracle(kind, u, horizon):
+    ch = AmplitudeDamping(0.05 + 2.95 * u) if kind == "ad" else PhaseDamping(0.1 + 0.4 * u)
+    res = measures.revival_measure(ch, horizon)
+    grid = TimeGrid(horizon, round(horizon / 1e-3))
+    grid_sum = oracles.grid_measure(ch, horizon, grid.n_steps)
+    # the exact sum bounds every grid sum from above, up to the rounding of
+    # the sampled series
+    assert res.value >= grid_sum - 1e-12
+    assert res.value <= grid_sum + oracles.grid_tolerance(ch, horizon, grid.spacing)
+    a, w2 = oracles.damped_rates(ch)
+    if w2 <= 0.0:
+        assert res.value == 0.0 and res.tail_bound == 0.0
+    else:
+        q = np.exp(-a * np.pi / np.sqrt(w2))
+        assert res.value + res.tail_bound == pytest.approx(q / (1 - q), abs=1e-12)
