@@ -20,14 +20,16 @@ an orthonormal Hermitian operator basis), evaluated at any set of times with
 no time step.  Where L is defective or nearly so (the exceptional points
 omega = 0, lambda = 2 gamma0 N, and their neighbourhood), each cluster of
 coalescing eigenvalues enters as an invariant-subspace block instead, with
-the Taylor series of its nilpotent part.  Every driven result passes four
-guards: the spectral form must reproduce the initial operators at t = 0
-(RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
-(fock_ladder retries a larger n_fock) and the trace within TRACE_DRIFT_TOL
-of 1, both checked at least every GUARD_STEP up to the last time asked for;
-and the reduced states must be valid density matrices.  The driven class's
-methods (bloch_plus, bell_and_plus) go through the Fock ladder; the bare
-driven_ad_evolve and driven_bell_and_plus do not.
+the Taylor series of its nilpotent part.  One evaluation (_evolve) takes
+several (state, times) requests, for instance the Bell pair on the measure
+grid and |+> at the tomography times, from one mode build.  Every driven
+result passes four guards: the spectral form must reproduce the initial
+operators at t = 0 (RECONSTRUCTION_TOL); the top Fock level must stay below
+LEAK_TOL (fock_ladder retries a larger n_fock) and the trace within
+TRACE_DRIFT_TOL of 1, both checked at least every GUARD_STEP up to the last
+time any request asks for; and the reduced states must be valid density
+matrices.  DrivenAmplitudeDamping.bloch_plus and measures.driven_entanglement
+go through the Fock ladder; the bare driven_ad_evolve does not.
 
 Parameter regimes where mu or d would be imaginary are evaluated with the
 hyperbolic rewrites so every output is manifestly real; the degenerate points
@@ -137,15 +139,8 @@ class DrivenAmplitudeDamping:
     def bloch_plus(self, times) -> np.ndarray:
         """(O_x, O_y, O_z) of the evolved |+>, one row per time (a TimeGrid
         or a sequence), through the Fock ladder."""
-        plus = qmath.ket2dm(qmath.KET_PLUS)
-        states = fock_ladder(
-            lambda ch: driven_ad_evolve(np.kron(plus, vacuum(ch.n_fock)), times, ch), self
-        )
-        return qmath.bloch_vector(states)
-
-    def bell_and_plus(self, grid: "TimeGrid") -> tuple[np.ndarray, np.ndarray]:
-        """driven_bell_and_plus on grid, through the Fock ladder."""
-        return fock_ladder(lambda ch: driven_bell_and_plus(ch, grid), self)
+        request = (qmath.ket2dm(qmath.KET_PLUS), times, "driven evolution (plus)")
+        return qmath.bloch_vector(fock_ladder(lambda ch: _evolve(ch, [request])[0], self))
 
 
 Channel = PhaseDamping | AmplitudeDamping | DrivenAmplitudeDamping
@@ -171,20 +166,6 @@ class TimeGrid:
     @property
     def spacing(self) -> float:
         return self.t_max / self.n_steps
-
-    def doubled(self) -> "TimeGrid":
-        return TimeGrid(self.t_max, 2 * self.n_steps)
-
-    def index_of(self, t: float) -> int:
-        """Index of a sample that coincides with time t (error if none does)."""
-        if self.t_max == 0:
-            if abs(t) > 1e-9:
-                raise ConfigError(f"time {t} outside degenerate grid")
-            return 0
-        idx = int(round(t / self.spacing))
-        if idx < 0 or idx > self.n_steps or abs(idx * self.spacing - t) > 1e-9:
-            raise ConfigError(f"time {t} is not a sample of grid {self}")
-        return idx
 
 
 def pd_lambda(nu, tau: float):
@@ -448,26 +429,43 @@ def _check_physical(top: np.ndarray, trace: np.ndarray, what: str) -> None:
         raise NumericError(f"{what}: trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:g}")
 
 
-def _evolve(channel: DrivenAmplitudeDamping, times, states, contexts) -> list:
-    """Evolve system states rho (x) |0><0| to every time and trace out the
-    pseudomode.  Each rho is a qubit state (2 x 2) or an untouched ancilla
-    followed by the qubit (4 x 4); by linearity its trajectory combines the
-    three operator trajectories of _spectral_modes, with |g><e| taken as the
-    adjoint of |e><g|.  Every result passes the leak and drift checks at
-    samples no further apart than GUARD_STEP over [0, max(times)] (a TimeGrid
-    that fine is its own check grid), and the density checks at every time,
-    under its context name."""
-    grid = isinstance(times, TimeGrid)
-    t_max = times.t_max if grid else float(np.max(times, initial=0.0))
+def _evolve(channel: DrivenAmplitudeDamping, requests) -> list:
+    """Evolve system states rho (x) |0><0| and trace out the pseudomode: one
+    batch of reduced states per request (rho, times, context), times a
+    TimeGrid or a sequence of times >= 0 (empty: no states, guards only).
+
+    Each rho is a qubit state (2 x 2) or an untouched ancilla followed by the
+    qubit (4 x 4); by linearity its trajectory combines the three operator
+    trajectories of _spectral_modes, with |g><e| taken as the adjoint of
+    |e><g|.  The requests share one mode build and one guard grid over
+    [0, t_max], t_max the last time of any request: every rho passes the leak
+    and drift checks at samples no further apart than GUARD_STEP over all of
+    it (a request's TimeGrid that fine and that long is itself the guard
+    grid), and the density checks at its own times, under its context name.
+    """
+    ends = []
+    for _, times, _ in requests:
+        if isinstance(times, TimeGrid):
+            ends.append(times.t_max)
+            continue
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or not np.all(times >= 0):
+            raise ConfigError("times must be a TimeGrid or a 1-D sequence of values >= 0")
+        ends.append(float(times.max(initial=0.0)))
+    t_max = max(ends)
     modes = _spectral_modes(channel, t_max)
-    rows = _trajectories(modes, times)
+    trajectories = [_trajectories(modes, times) for _, times, _ in requests]
     checks = max(1, math.ceil(t_max * channel.gamma0 / GUARD_STEP - 1e-9))
-    guard = rows if grid and times.n_steps >= checks else _trajectories(
-        modes, TimeGrid(t_max, checks)
+    guard = next(
+        (
+            rows
+            for (_, times, _), rows in zip(requests, trajectories)
+            if isinstance(times, TimeGrid) and times.t_max == t_max and times.n_steps >= checks
+        ),
+        None,
     )
-    m = rows.shape[0]
-    r_ee, r_eg, r_gg = (rows[:, j, :4].reshape(m, 2, 2) for j in range(3))
-    maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
+    if guard is None:
+        guard = _trajectories(modes, TimeGrid(t_max, checks))
 
     def qubit_sum(q, k):  # sum_ab q_ab (guard row k of |a><b|) for Hermitian q
         return (q[0, 0] * guard[:, 0, k] + q[1, 1] * guard[:, 2, k]).real + 2.0 * (
@@ -475,7 +473,10 @@ def _evolve(channel: DrivenAmplitudeDamping, times, states, contexts) -> list:
         ).real
 
     out = []
-    for rho, what in zip(states, contexts):
+    for (rho, _, what), rows in zip(requests, trajectories):
+        m = rows.shape[0]
+        r_ee, r_eg, r_gg = (rows[:, j, :4].reshape(m, 2, 2) for j in range(3))
+        maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
         k = rho.shape[0] // 2
         r4 = rho.reshape(k, 2, k, 2)  # ancilla, qubit, ancilla, qubit
         qubit = np.einsum("xaxb->ab", r4)
@@ -487,7 +488,7 @@ def _evolve(channel: DrivenAmplitudeDamping, times, states, contexts) -> list:
         state = state.reshape(m, 2 * k, 2 * k)
         state += qmath.dag(state)  # scrub 1e-16 asymmetry
         state *= 0.5
-        out.append(qmath.validate_density(state, what))
+        out.append(qmath.validate_density(state, what) if m else state)
     return out
 
 
@@ -526,10 +527,6 @@ def driven_ad_evolve(
     system_dims = tuple(int(d) for d in system_dims)
     if system_dims not in ((2,), (2, 2)):
         raise ConfigError(f"system_dims must be (2,) or (2, 2), got {system_dims}")
-    if not isinstance(times, TimeGrid):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or np.any(times < 0):
-            raise ConfigError("times must be a TimeGrid or a 1-D sequence of values >= 0")
     n = channel.n_fock
     d_sys = int(np.prod(system_dims))
     qmath.validate_density(rho0, "driven_ad_evolve input")
@@ -541,23 +538,5 @@ def driven_ad_evolve(
     if np.abs(pm - vacuum(n)).max() > 1e-9:
         raise ConfigError("pseudomode factor of rho0 is not the Fock vacuum")
     rho_sys = qmath.partial_trace(rho0, [d_sys, n], keep=[0])
-    return _evolve(channel, times, [rho_sys], ["driven_ad_evolve"])[0]
+    return _evolve(channel, [(rho_sys, times, "driven_ad_evolve")])[0]
 
-
-def driven_bell_and_plus(
-    channel: DrivenAmplitudeDamping, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """One propagator pass serving both dataset quantities.
-
-    Returns (bell, plus): the reduced ancilla x qubit state of an evolved Bell
-    pair, and the reduced qubit state evolved from |+>, at every grid sample.
-    Both come from the same three operator trajectories |e><e|, |e><g|,
-    |g><g| (x) vacuum by linearity of the master equation.
-    """
-    bell, plus = _evolve(
-        channel,
-        grid,
-        [qmath.ket2dm(qmath.KET_BELL), qmath.ket2dm(qmath.KET_PLUS)],
-        ["driven evolution (bell)", "driven evolution (plus)"],
-    )
-    return bell, plus

@@ -5,9 +5,11 @@ Features are the Pauli expectation values O_k = Tr[sigma_k rho(t)] of the
 state evolved from |+> (the +1 eigenstate of sigma_x, inferred from the
 initial value O_x(0) = 1), concatenated over the tomography times; each
 channel supplies them (bloch_plus), in closed form for the undriven ones.
-Targets are the non-Markovianity measures up to the horizon in #meta, all
-through measure_value: exact revival-peak sums for the undriven channels,
-the single default grid for the driven one (driven_pair).  Parameter grids
+Targets are the non-Markovianity measures up to the horizon in #meta:
+exact revival-peak sums for the undriven channels, and for the driven one
+the concurrence sum on the default grid, which measures.driven_entanglement
+returns together with the row's features from one propagator build.
+measure_value gives the same target for a single channel.  Parameter grids
 realize the published sample counts: value = start + i * step.
 """
 
@@ -18,14 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channels, measures, qmath
-from .channels import (
-    AmplitudeDamping,
-    Channel,
-    DrivenAmplitudeDamping,
-    PhaseDamping,
-    TimeGrid,
-)
+from . import channels, measures
+from .channels import AmplitudeDamping, Channel, DrivenAmplitudeDamping, PhaseDamping
 from .errors import ConfigError, DataFormatError
 
 FEATURE_INITIAL_STATE = "+x"  # recorded in metadata; see ledger
@@ -137,15 +133,12 @@ def features_at(channel: Channel, times) -> np.ndarray:
 
 
 def measure_value(channel: Channel, measure: str) -> float:
-    """The target of one channel on the default horizon: the exact measure of
-    an undriven channel (measures.n_*), else driven_pair on the default grid.
-    The trace measure of the driven channel is an error."""
+    """The target of one channel on the default horizon (measures.n_*, the
+    same value as its table row).  The trace measure of the driven channel is
+    an error."""
     if measure == "trace":
         return measures.n_trace_distance(channel).value
-    if channel.closed_form:
-        return measures.n_entanglement(channel).value
-    grid = measures.default_grid()
-    return driven_pair(channel.lam, channel.omega, grid, channel.n_fock)[0]
+    return measures.n_entanglement(channel).value
 
 
 def _pure_table(schema: TableSchema, params: np.ndarray, make_channel) -> DataTable:
@@ -179,28 +172,6 @@ def generate_pure_pd(
     return _pure_table(schema, tau_grid(count), PhaseDamping)
 
 
-def driven_bell_plus_retry(
-    lam: float, omega: float, grid: TimeGrid, n_fock: int = channels.DEFAULT_N_FOCK
-):
-    """driven_bell_and_plus for one (lambda, omega) pair through the Fock
-    ladder (n_fock, n_fock + 4, n_fock + 8; see channels.fock_ladder)."""
-    return DrivenAmplitudeDamping(lam, omega, n_fock=n_fock).bell_and_plus(grid)
-
-
-def driven_pair(
-    lam: float, omega: float, grid: TimeGrid, n_fock: int = channels.DEFAULT_N_FOCK
-) -> tuple[float, np.ndarray]:
-    """Entanglement measure of one (lambda, omega) pair on the single grid,
-    and its |+> trajectory, from one propagator pass.
-
-    The value is the positive-increment sum of the Bell-pair concurrence on
-    `grid` itself; measures.n_entanglement adds grid doubling on top.
-    """
-    bell, plus = driven_bell_plus_retry(lam, omega, grid, n_fock)
-    series = measures.MeasureSeries(grid, qmath.concurrence(bell))
-    return measures.accumulate(series).value, plus
-
-
 def generate_driven_ad(
     times=(PURE_AD_TIME,),
     n_lambda: int = DRIVEN_LAMBDA_COUNT,
@@ -209,18 +180,12 @@ def generate_driven_ad(
 ) -> DataTable:
     """Driven AD table: n_lambda rows per drive strength, entanglement targets.
 
-    Each (lambda, omega) pair costs one propagator pass: the Bell trajectory
-    supplies the target and the |+> trajectory the features (see
-    driven_pair).  The target is the positive-increment sum
-    on the default measure grid; its doubled-grid value differs by far less
-    than the convergence tolerance (checked in the test suite).
+    Each (lambda, omega) pair costs one measures.driven_entanglement call on
+    the default grid: the Bell pair supplies the target, |+> at the
+    tomography times the features.
     """
     times = tuple(float(t) for t in times)
     schema = TableSchema("driven", "entanglement", times, "lambda")
-    grid = measures.default_grid()
-    if max(times) > grid.t_max:
-        raise ConfigError(f"tomography times {times} exceed horizon {grid.t_max}")
-    time_idx = [grid.index_of(t) for t in times]
     lams = lambda_grid(n_lambda, span=2.9)
     omegas = omega_grid() if omegas is None else np.asarray(omegas, dtype=float)
     n = len(omegas) * len(lams)
@@ -230,8 +195,9 @@ def generate_driven_ad(
     i = 0
     for om in omegas:
         for lam in lams:
-            targets[i], plus = driven_pair(float(lam), float(om), grid, n_fock)
-            feats[i] = qmath.bloch_vector(plus[time_idx]).reshape(-1)
+            ch = DrivenAmplitudeDamping(float(lam), float(om), n_fock=n_fock)
+            result, feats[i] = measures.driven_entanglement(ch, times=times)
+            targets[i] = result.value
             params[i] = (lam, om)
             i += 1
     return DataTable(schema, feats, targets, params)

@@ -28,6 +28,3 @@ class StateValidationError(NumericError):
 class TruncationLeakError(NumericError):
     """Population reached the top pseudomode Fock level; n_fock too small."""
 
-
-class ConvergenceError(NumericError):
-    """An iterative procedure did not converge within its budget."""

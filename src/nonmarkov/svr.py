@@ -95,7 +95,8 @@ class SvrModel:
     scaler: Scaler
     converged: bool = True
     n_iter: int = 0
-    objective_history: np.ndarray | None = field(default=None, compare=False)
+    # training-row index of each support vector; set by fit, not serialized
+    support_indices: np.ndarray | None = field(default=None, compare=False)
 
 
 def fit(
@@ -103,7 +104,6 @@ def fit(
     y: np.ndarray,
     config: SvrConfig = SvrConfig(),
     scaler: Scaler | None = None,
-    record_objective: bool = False,
 ) -> SvrModel:
     """Train on (already standardized) features x and targets y.
 
@@ -128,12 +128,10 @@ def fit(
     # Q = [[K, -K], [-K, K]], p = (eps - y, eps + y), subject to z^T a = 0.
     a = np.zeros(2 * l)
     grad = np.concatenate([eps - y, eps + y])
-    p = grad.copy()
     z = np.ones(2 * l)
     z[l:] = -1.0
     neg_inf = np.full(2 * l, -np.inf)
     pos_inf = np.full(2 * l, np.inf)
-    history = [] if record_objective else None
 
     n_iter = 0
     converged = False
@@ -177,15 +175,12 @@ def fit(
         grad[:l] += si * ki + sj * kj
         grad[l:] -= si * ki + sj * kj
         n_iter += 1
-        if history is not None:
-            # dual objective -f(a) with f = 1/2 a^T Q a + p^T a = (a.G + a.p)/2
-            history.append(-0.5 * float(a @ grad + a @ p))
 
     beta = a[:l] - a[l:]
     f0 = kern @ beta
     intercept = _intercept(beta, y, f0, c, eps)
-    keep = np.abs(beta) > SUPPORT_TOL
-    model = SvrModel(
+    keep = np.flatnonzero(np.abs(beta) > SUPPORT_TOL)
+    return SvrModel(
         support_vectors=x[keep].copy(),
         dual_coefs=beta[keep].copy(),
         intercept=intercept,
@@ -193,9 +188,8 @@ def fit(
         scaler=scaler,
         converged=converged,
         n_iter=n_iter,
-        objective_history=np.array(history) if history is not None else None,
+        support_indices=keep,
     )
-    return model
 
 
 def _intercept(beta, y, f0, c, eps) -> float:
@@ -254,43 +248,19 @@ def mae(predictions, truths) -> float:
     return float(np.mean(np.abs(predictions - truths)))
 
 
-def dual_objective(model: SvrModel, x_std: np.ndarray, y: np.ndarray, config: SvrConfig) -> float:
-    """Value of the beta-form dual objective at the fitted coefficients."""
-    beta = np.zeros(len(y))
-    if len(model.dual_coefs):
-        sv_index = _match_rows(x_std, model.support_vectors)
-        beta[sv_index] = model.dual_coefs
-    kern = rbf_gram(x_std, x_std, model.kernel_gamma)
-    return float(
-        -0.5 * beta @ kern @ beta
-        - config.epsilon * np.abs(beta).sum()
-        + y @ beta
-    )
-
-
-def _match_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    idx = []
-    used = set()
-    for r in rows:
-        hits = [h for h in np.flatnonzero((x == r).all(axis=1)) if h not in used]
-        if not hits:
-            raise ConfigError("support vector not found among training rows")
-        used.add(hits[0])
-        idx.append(hits[0])
-    return np.array(idx, dtype=int)
-
-
 def kkt_violations(
     model: SvrModel, x_std: np.ndarray, y: np.ndarray, config: SvrConfig
 ) -> np.ndarray:
     """Per-point epsilon-KKT violation magnitudes of a fitted model.
 
     beta = 0 requires |r| <= eps; |beta| = C requires r sign(beta) >= eps;
-    free requires r = eps sign(beta), with r = y - f(x).
+    free requires r = eps sign(beta), with r = y - f(x).  x_std and y are
+    the training rows of the model returned by fit, in the order fit saw them.
     """
+    if model.support_indices is None:
+        raise ConfigError("KKT residuals need the model returned by fit, not a loaded one")
     beta = np.zeros(len(y))
-    if len(model.dual_coefs):
-        beta[_match_rows(x_std, model.support_vectors)] = model.dual_coefs
+    beta[model.support_indices] = model.dual_coefs
     resid = y - decision_function(model, x_std)
     eps, c = config.epsilon, config.C
     viol = np.empty(len(y))

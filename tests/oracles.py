@@ -3,9 +3,10 @@
 Each routine deliberately takes a different computational route from the
 package code it checks: concurrence via the square-root decomposition instead
 of the eigenvalues of rho * rho_tilde, the SVR dual via projected gradient
-instead of SMO, partial trace via explicit index loops instead of einsum,
-measure accumulation via a scalar loop instead of vectorized diffs, the
-undriven channels as Kraus maps on density matrices instead of the closed
+instead of SMO (and its objective with a kernel from pairwise differences
+instead of svr.rbf_gram's expansion), partial trace via explicit index loops
+instead of einsum, measure accumulation via a scalar loop instead of
+vectorized diffs, the undriven channels as Kraus maps on density matrices instead of the closed
 forms of their coherence factor, their measures as grid sums of sampled
 series and as |coherence| read off at the revival peaks instead of the
 geometric peak sum, and the driven channel via scipy's expm of a separately
@@ -17,7 +18,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from nonmarkov import channels, measures, qmath
+from nonmarkov import channels, qmath
 from nonmarkov.errors import ConfigError
 
 SY2 = np.array(
@@ -102,7 +103,7 @@ def trace_distance_series(channel, grid):
     channel; the Bell-pair concurrence is the same series."""
     if not channel.closed_form:
         raise ConfigError("the grid-sum oracle covers the undriven channels only")
-    return measures.MeasureSeries(grid, np.abs(channel.coherence(grid.values)))
+    return np.abs(channel.coherence(grid.values))
 
 
 entanglement_series = trace_distance_series
@@ -110,8 +111,9 @@ entanglement_series = trace_distance_series
 
 def grid_measure(channel, horizon, n_steps):
     """Positive-increment sum of the sampled series on n_steps intervals."""
-    series = trace_distance_series(channel, channels.TimeGrid(horizon, n_steps))
-    return measures.accumulate(series).value
+    values = trace_distance_series(channel, channels.TimeGrid(horizon, n_steps))
+    rises = values[1:] - values[:-1]
+    return float(rises[rises > 0.0].sum())
 
 
 def damped_rates(channel):
@@ -246,6 +248,18 @@ def projected_gradient_svr_dual(kern, y, c, eps, max_iter=200_000):
                 break
             prev_obj = obj
     return -float(0.5 * a @ q @ a + p @ a)
+
+
+def dual_objective(model, x, y, config):
+    """Beta-form dual objective -1/2 b K b - eps |b|_1 + y.b of a model
+    returned by svr.fit on rows x (standardized) and targets y, with b
+    scattered back to the training rows by the model's support indices and K
+    built from pairwise differences."""
+    beta = np.zeros(len(y))
+    beta[model.support_indices] = model.dual_coefs
+    diff = x[:, None, :] - x[None, :, :]
+    kern = np.exp(-model.kernel_gamma * (diff * diff).sum(axis=-1))
+    return float(-0.5 * beta @ kern @ beta - config.epsilon * np.abs(beta).sum() + y @ beta)
 
 
 def pseudomode_expm_evolve(rho_sys, times, lam, omega, n_fock, gamma0=1.0):

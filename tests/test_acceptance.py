@@ -179,7 +179,7 @@ def test_criterion_7_solver_correctness(pure_pipelines, driven_pipelines):
         x = rng.standard_normal((10, 3))
         y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(10)
         model = svr.fit(x, y, tight)
-        got = svr.dual_objective(model, x, y, tight)
+        got = oracles.dual_objective(model, x, y, tight)
         kern = svr.rbf_gram(x, x, 0.7)
         want = oracles.projected_gradient_svr_dual(kern, y, tight.C, tight.epsilon)
         worst = max(worst, abs(got - want))

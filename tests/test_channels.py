@@ -54,17 +54,6 @@ class TestTimeGrid:
         assert np.allclose(grid.values, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert grid.spacing == pytest.approx(0.5)
 
-    def test_doubling_nests(self):
-        grid = TimeGrid(20.0, 1000)
-        fine = grid.doubled()
-        assert np.array_equal(fine.values[::2], grid.values)
-
-    def test_index_of(self):
-        grid = TimeGrid(20.0, 20000)
-        assert grid.index_of(3.0) == 3000
-        with pytest.raises(ConfigError):
-            grid.index_of(3.00041)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             TimeGrid(-1.0, 10)
@@ -335,19 +324,42 @@ class TestDrivenEvolve:
 
 
 class TestDrivenBellAndPlus:
+    """The Bell pair on a grid and |+> at a few times from one laddered
+    evaluation, the requests of measures.driven_entanglement."""
+
+    @staticmethod
+    def bell_and_plus(channel, grid, times):
+        requests = [
+            (qmath.ket2dm(qmath.KET_BELL), grid, "bell"),
+            (qmath.ket2dm(qmath.KET_PLUS), times, "plus"),
+        ]
+        return channels.fock_ladder(lambda ch: channels._evolve(ch, requests), channel)
+
     def test_matches_contract_paths(self):
         ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)
         grid = TimeGrid(4.0, 800)
-        bell, plus = channels.driven_bell_and_plus(ch, grid)
+        idx = [0, 150, 600, 800]
+        bell, plus = self.bell_and_plus(ch, grid, grid.values[idx])
         rho_b = np.kron(qmath.ket2dm(qmath.KET_BELL), vacuum(8))
         want_bell = channels.driven_ad_evolve(rho_b, grid, ch, (2, 2))
         rho_p = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
         want_plus = channels.driven_ad_evolve(rho_p, grid, ch, (2,))
-        assert np.abs(bell - want_bell).max() < 1e-12
-        assert np.abs(plus - want_plus).max() < 1e-12
+        assert np.array_equal(bell, want_bell)
+        assert np.abs(plus - want_plus[idx]).max() < 1e-12
 
     def test_initial_samples(self):
         ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)
-        bell, plus = channels.driven_bell_and_plus(ch, TimeGrid(0.5, 100))
+        bell, plus = self.bell_and_plus(ch, TimeGrid(0.5, 100), (0.0,))
         assert abs(qmath.concurrence(bell[0]) - 1.0) < 1e-12
         assert np.abs(plus[0] - qmath.ket2dm(qmath.KET_PLUS)).max() < 1e-12
+        # no tomography times: no |+> states, but its guards still run
+        _, none = self.bell_and_plus(ch, TimeGrid(0.5, 100), ())
+        assert none.shape == (0, 2, 2)
+        # (the ground state stays in the vacuum at zero drive; |+> leaks)
+        requests = [
+            (qmath.ket2dm(qmath.KET_G), TimeGrid(5.0, 5000), "ground"),
+            (qmath.ket2dm(qmath.KET_PLUS), (), "plus"),
+        ]
+        leaky = DrivenAmplitudeDamping(0.5, 0.0, n_fock=2)
+        with pytest.raises(TruncationLeakError, match="plus"):
+            channels._evolve(leaky, requests)

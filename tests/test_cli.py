@@ -309,23 +309,29 @@ class TestSweep:
 
 
 class TestReproduce:
-    def test_smoke_orchestration(self, tmp_path, monkeypatch):
-        # shrink every pipeline so the orchestration itself can be exercised
-        from nonmarkov import dataset as ds
+    @pytest.fixture(scope="class")
+    def outdir(self, tmp_path_factory):
+        # shrink every pipeline so the orchestration itself can be exercised;
+        # the drive grid keeps the nonzero drives of figures 3 and 4
+        gen_ad, gen_pd = dataset.generate_pure_ad, dataset.generate_pure_pd
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                dataset, "generate_pure_ad", lambda meas, times=(3.0,): gen_ad(meas, times, 40)
+            )
+            mp.setattr(
+                dataset,
+                "generate_pure_pd",
+                lambda meas, times=(dataset.PURE_PD_TIME,): gen_pd(meas, times, 40),
+            )
+            mp.setattr(
+                dataset, "omega_grid", lambda: np.array([0.01, 0.05, 0.09, 0.1, 0.2, 0.3, 0.5])
+            )
+            mp.setattr(cli, "REPRODUCE_SMOKE_LAMBDAS", 2)
+            outdir = tmp_path_factory.mktemp("reproduce") / "repro"
+            assert run("reproduce", "--out", str(outdir)) == 0
+        return outdir
 
-        gen_ad, gen_pd = ds.generate_pure_ad, ds.generate_pure_pd
-        monkeypatch.setattr(
-            ds, "generate_pure_ad", lambda meas, times=(3.0,): gen_ad(meas, times, 40)
-        )
-        monkeypatch.setattr(
-            ds,
-            "generate_pure_pd",
-            lambda meas, times=(ds.PURE_PD_TIME,): gen_pd(meas, times, 40),
-        )
-        monkeypatch.setattr(ds, "omega_grid", lambda: np.array([0.05, 0.2]))
-        monkeypatch.setattr(cli, "REPRODUCE_SMOKE_LAMBDAS", 2)
-        outdir = tmp_path / "repro"
-        assert run("reproduce", "--out", str(outdir)) == 0
+    def test_smoke_orchestration(self, outdir):
         names = {p.name for p in outdir.iterdir()}
         assert {"fig1_ox.csv", "fig4_ne_vs_lambda.csv", "summary.txt", "config.txt"} <= names
         for tag in ("ad_trace", "ad_entanglement", "pd_trace", "pd_entanglement"):
@@ -335,6 +341,25 @@ class TestReproduce:
         summary = (outdir / "summary.txt").read_text()
         assert summary.count("fig2") == 4 and summary.count("fig5") == 4
         assert run("reproduce", "--out", str(outdir)) == cli.EXIT_IO
+
+    def test_driven_figures_read_one_table(self, outdir, tmp_path):
+        # figures 3 and 4 take their driven rows from the figure-5 table; they
+        # are the rows generate and sweep compute on their own, byte for byte
+        table = tmp_path / "fig3.csv"
+        assert run(
+            "generate", "--channel", "driven", "--tc", "3", "--omegas", "0.09",
+            "--count", "2", "--out", str(table),
+        ) == 0
+        assert (outdir / "fig3_omega0.09.csv").read_bytes() == table.read_bytes()
+        fig4 = (outdir / "fig4_ne_vs_lambda.csv").read_text().splitlines()
+        assert len(fig4) == 1 + 6 * 2
+        lam, omega, value = fig4[1 + 2 * 2 + 1].split(",")  # omega = 0.1, second coupling
+        sweep = tmp_path / "sweep.csv"
+        assert run(
+            "sweep", "--kind", "measure", "--lambdas", lam, "--omegas", omega,
+            "--out", str(sweep),
+        ) == 0
+        assert sweep.read_text().splitlines()[1] == ",".join([lam, omega, value])
 
 
 class TestRefuseBeforeWork:

@@ -119,11 +119,16 @@ class TestGenerateDriven:
         assert len(table) == 2
         assert table.schema.times == (3.0,)
         assert np.all(table.targets >= 0.0)
-        # the single-grid row target agrees with the doubling route
+        # one route: the library measure and measure_value give the row's target
         ch = DrivenAmplitudeDamping(float(table.params[0, 0]), 0.05)
         full = measures.n_entanglement(ch)
-        assert full.converged
-        assert abs(table.targets[0] - full.value) < 1e-6
+        assert full.grid_error >= 0.0
+        assert table.targets[0] == full.value == dataset.measure_value(ch, "entanglement")
+        # features at a time evaluated alone match the grid-free |+> route
+        want = dataset.features_at(ch, (3.0,))
+        assert np.abs(table.features[0] - want).max() < 1e-12
+        with pytest.raises(ConfigError):
+            dataset.generate_driven_ad((3.0, 20.5), n_lambda=1, omegas=(0.05,))
 
     def test_rows_are_omega_major(self):
         table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.1, 0.2))

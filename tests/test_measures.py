@@ -10,7 +10,7 @@ from nonmarkov.channels import (
     PhaseDamping,
     TimeGrid,
 )
-from nonmarkov.errors import ConfigError
+from nonmarkov.errors import ConfigError, TruncationLeakError
 
 import oracles
 
@@ -49,34 +49,41 @@ def eigen_route_concurrence(channel, grid):
     return np.array(out)
 
 
+def bell_states(channel, grid):
+    """Reduced Bell-pair states of the driven channel on the grid, through
+    the Fock ladder."""
+    request = (qmath.ket2dm(qmath.KET_BELL), grid, "bell")
+    return channels.fock_ladder(lambda ch: channels._evolve(ch, [request])[0], channel)
+
+
 class TestSeries:
     def test_initial_distinguishability_is_one(self):
         grid = TimeGrid(5.0, 50)
         for ch in (PhaseDamping(0.5), AmplitudeDamping(1.3)):
-            assert oracles.trace_distance_series(ch, grid).values[0] == 1.0
-            assert oracles.entanglement_series(ch, grid).values[0] == 1.0
+            assert oracles.trace_distance_series(ch, grid)[0] == 1.0
+            assert oracles.entanglement_series(ch, grid)[0] == 1.0
 
     def test_pd_series_equals_eigen_route(self):
         ch = PhaseDamping(0.5)
         grid = TimeGrid(10.0, 200)
-        got = oracles.trace_distance_series(ch, grid).values
+        got = oracles.trace_distance_series(ch, grid)
         assert np.abs(got - eigen_route_trace_distance(ch, grid)).max() < 1e-12
-        got_c = oracles.entanglement_series(ch, grid).values
+        got_c = oracles.entanglement_series(ch, grid)
         assert np.abs(got_c - eigen_route_concurrence(ch, grid)).max() < 1e-7
 
     def test_ad_series_equals_eigen_route(self):
         ch = AmplitudeDamping(0.5)
         grid = TimeGrid(10.0, 200)
-        got = oracles.trace_distance_series(ch, grid).values
+        got = oracles.trace_distance_series(ch, grid)
         assert np.abs(got - eigen_route_trace_distance(ch, grid)).max() < 1e-12
         assert np.abs(got - np.sqrt(oracles.ad_survival(grid.values, 0.5))).max() == 0.0
-        got_c = oracles.entanglement_series(ch, grid).values
+        got_c = oracles.entanglement_series(ch, grid)
         assert np.abs(got_c - eigen_route_concurrence(ch, grid)).max() < 1e-7
 
     def test_driven_series_reduces_to_closed_form_at_zero_drive(self):
         ch = DrivenAmplitudeDamping(lam=0.5, omega=0.0)
         grid = TimeGrid(6.0, 600)
-        got = measures.entanglement_series(ch, grid).values
+        got = qmath.concurrence(bell_states(ch, grid))
         want = np.sqrt(oracles.ad_survival(grid.values, 0.5))
         assert np.abs(got - want).max() < 1e-6
 
@@ -88,29 +95,26 @@ class TestSeries:
         with pytest.raises(ConfigError):
             measures.n_trace_distance(DrivenAmplitudeDamping(1.0, 0.1))
 
-    def test_series_length_validation(self):
-        with pytest.raises(ConfigError):
-            measures.MeasureSeries(TimeGrid(1.0, 10), np.zeros(5))
-        with pytest.raises(ConfigError):
-            measures.MeasureSeries(TimeGrid(1.0, 4), np.array([0, 0.5, 2.0, 0.5, 0]))
-
 
 class TestAccumulate:
     def test_monotone_series_gives_zero(self):
-        grid = TimeGrid(1.0, 4)
-        series = measures.MeasureSeries(grid, np.array([1.0, 0.8, 0.5, 0.2, 0.1]))
-        assert measures.accumulate(series).value == 0.0
+        value, grid_error = measures.positive_increments([1.0, 0.8, 0.5, 0.2, 0.1])
+        assert value == 0.0 and grid_error == 0.0
 
     def test_single_revival_arithmetic(self):
-        grid = TimeGrid(1.0, 3)
-        series = measures.MeasureSeries(grid, np.array([1.0, 0.4, 0.7, 0.2]))
-        assert measures.accumulate(series).value == pytest.approx(0.3, abs=1e-15)
+        # one rise of 0.3; turning samples 0.4 (neighbours 1.0, 0.7) and 0.7
+        # (neighbours 0.4, 0.2), so grid_error = 0.75 (0.3 + 0.2)
+        value, grid_error = measures.positive_increments([1.0, 0.4, 0.7, 0.2])
+        assert value == pytest.approx(0.3, abs=1e-15)
+        assert grid_error == pytest.approx(0.375, abs=1e-15)
+        # flat stretches (sudden death) are not turning samples
+        assert measures.positive_increments([0.5, 0.0, 0.0, 0.2])[1] == 0.0
 
     def test_matches_scalar_loop_oracle(self):
         ch = PhaseDamping(0.5)
         series = oracles.trace_distance_series(ch, measures.default_grid())
-        got = measures.accumulate(series).value
-        want = oracles.positive_increment_sum(series.values.tolist())
+        got = measures.positive_increments(series)[0]
+        want = oracles.positive_increment_sum(series.tolist())
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -119,7 +123,7 @@ class TestMeasureValues:
         r_d = measures.n_trace_distance(PhaseDamping(0.2))
         r_e = measures.n_entanglement(PhaseDamping(0.2))
         assert r_d.value == 0.0 and r_e.value == 0.0
-        assert r_d.converged and r_e.converged
+        assert r_d.grid_error == 0.0 and r_e.grid_error == 0.0
 
     def test_weak_coupling_ad_vanishes(self):
         assert measures.n_entanglement(AmplitudeDamping(3.0)).value <= 1e-8
@@ -151,15 +155,15 @@ class TestMeasureValues:
             a, w2 = oracles.damped_rates(ch)
             q = np.exp(-a * np.pi / np.sqrt(w2))
             for res in (measures.n_trace_distance(ch), measures.n_entanglement(ch)):
-                assert res.converged and res.horizon == 20.0
+                assert res.grid_error == 0.0 and res.horizon == 20.0
                 assert 0.0 < res.tail_bound == pytest.approx(q / (1 - q) - res.value, abs=1e-15)
         short = measures.n_entanglement(AmplitudeDamping(0.3), TimeGrid(5.0, 10))
         assert short.horizon == 5.0
         assert short.value == pytest.approx(
             oracles.revival_peak_sum(AmplitudeDamping(0.3), 5.0), abs=1e-12
         )
-        series = measures.MeasureSeries(TimeGrid(2.0, 2), np.array([1.0, 0.5, 0.7]))
-        assert measures.accumulate(series).tail_bound is None
+        driven = measures.n_entanglement(DrivenAmplitudeDamping(0.5, 0.1), TimeGrid(2.0, 2000))
+        assert driven.horizon == 2.0 and driven.tail_bound is None
         for bad in (-1.0, float("nan")):
             with pytest.raises(ConfigError):
                 measures.revival_measure(PhaseDamping(0.45), bad)
@@ -194,23 +198,48 @@ class TestMeasureValues:
 
     def test_driven_measure_climbs_fock_ladder(self):
         # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
-        # route retries at 12 like the dataset route, and agrees with it
-        res = measures.n_entanglement(DrivenAmplitudeDamping(0.1, 0.5))
-        assert res.converged and res.tail_bound is None
-        row, _ = dataset.driven_pair(0.1, 0.5, measures.default_grid())
-        assert abs(res.value - row) < measures.CONVERGENCE_TOL
+        # route retries at 12 and gives the table row's target bit for bit
+        ch = DrivenAmplitudeDamping(0.1, 0.5)
+        bell = (qmath.ket2dm(qmath.KET_BELL), measures.default_grid(), "bell")
+        with pytest.raises(TruncationLeakError):
+            channels._evolve(ch, [bell])
+        res = measures.n_entanglement(ch)
+        assert res.tail_bound is None and res.grid_error >= 0.0
+        table = dataset.generate_driven_ad((3.0,), n_lambda=1, omegas=(0.5,))
+        assert table.params[0, 0] == 0.1 and res.value == table.targets[0]
+        assert dataset.measure_value(ch, "entanglement") == res.value
 
     def test_drive_suppresses_memory_effects(self):
         # fixed strong coupling, increasing drive: N_E non-increasing
         lam = 0.5
-        grid = measures.default_grid()
         values = [measures.n_entanglement(AmplitudeDamping(lam)).value]
         for om in (0.05, 0.1, 0.2):
-            ch = DrivenAmplitudeDamping(lam, om)
-            bell, _ = channels.driven_bell_and_plus(ch, grid)
-            series = measures.MeasureSeries(grid, qmath.concurrence(bell))
-            values.append(measures.accumulate(series).value)
+            values.append(measures.n_entanglement(DrivenAmplitudeDamping(lam, om)).value)
         assert all(a >= b - 1e-9 for a, b in zip(values[:-1], values[1:]))
+
+
+
+class TestDrivenGridError:
+    """grid_error bounds the distance to the continuous-time measure, up to
+    the 1e-8 rounding floor of the concurrence."""
+
+    @pytest.mark.parametrize(
+        "lam, omega", [(0.3, 0.0), (0.6, 0.15), (0.1, 0.5), (1.0, 0.05), (0.2, 0.02)]
+    )
+    def test_bounds_an_eightfold_finer_grid(self, lam, omega):
+        ch = DrivenAmplitudeDamping(lam, omega)
+        res = measures.n_entanglement(ch)
+        fine = measures.n_entanglement(ch, TimeGrid(20.0, 160_000))
+        assert abs(fine.value - res.value) <= res.grid_error + 1e-8
+
+    def test_bounds_and_tracks_the_exact_zero_drive_measure(self):
+        # at omega = 0 the concurrence is |G(t)|: the grid misses half of
+        # |C[k+1] - C[k-1]| at each cusp, two thirds of grid_error
+        for lam in np.linspace(0.1, 2.9, 15):
+            res = measures.n_entanglement(DrivenAmplitudeDamping(lam, 0.0))
+            gap = abs(measures.revival_measure(AmplitudeDamping(lam)).value - res.value)
+            assert gap <= res.grid_error + 1e-8
+            assert gap >= 0.5 * res.grid_error - 1e-8
 
 
 @settings(max_examples=60, deadline=None)

@@ -156,7 +156,8 @@ class TestConcurrence:
         batch = np.stack([oracles.random_density(4, rng) for _ in range(200)])
         assert np.array_equal(qmath.concurrence(batch), oracles.matmul_concurrence(batch))
         ch = channels.DrivenAmplitudeDamping(0.6, 0.15)
-        bell, _ = channels.driven_bell_and_plus(ch, channels.TimeGrid(20.0, 20000))
+        request = (qmath.ket2dm(qmath.KET_BELL), channels.TimeGrid(20.0, 20000), "bell")
+        bell = channels.fock_ladder(lambda c: channels._evolve(c, [request])[0], ch)
         assert np.array_equal(qmath.concurrence(bell), oracles.matmul_concurrence(bell))
 
     def test_wrong_dimension(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestFit:
             x = rng.standard_normal((10, 3))
             y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(10)
             model = svr.fit(x, y, config)
-            got = svr.dual_objective(model, x, y, config)
+            got = oracles.dual_objective(model, x, y, config)
             kern = svr.rbf_gram(x, x, 0.7)
             want = oracles.projected_gradient_svr_dual(kern, y, config.C, config.epsilon)
             assert abs(got - want) < 1e-6
@@ -114,11 +116,27 @@ class TestFit:
         assert np.abs(svr.predict(model_a, probe) - svr.predict(model_b, probe)).max() < 1e-8
 
     def test_monotone_dual_ascent(self):
-        x, y = smooth_problem(7)
-        model = svr.fit(x, y, svr.SvrConfig(), record_objective=True)
-        hist = model.objective_history
-        assert hist is not None and len(hist) == model.n_iter
-        assert np.all(np.diff(hist) >= -1e-9)
+        # the fit is deterministic, so fit(max_iter=k) is the iterate after k steps
+        x, y = smooth_problem(7, n=15)
+        n_iter = svr.fit(x, y, svr.SvrConfig()).n_iter
+        objectives = []
+        for k in range(1, n_iter + 1):
+            config = svr.SvrConfig(max_iter=k)
+            objectives.append(oracles.dual_objective(svr.fit(x, y, config), x, y, config))
+        assert n_iter > 1 and np.all(np.diff(objectives) >= -1e-9)
+
+    def test_kkt_certificate_with_duplicate_rows(self):
+        # row 10 twice with different targets: the two copies carry different
+        # dual coefficients, which a search by feature values cannot tell apart
+        x = np.linspace(-2, 2, 30)[:, None]
+        y = np.sin(x[:, 0])
+        x, y = np.vstack([x, x[10]]), np.append(y, 2.0)
+        config = svr.SvrConfig(epsilon=0.3, C=0.1, tol=1e-6)
+        model = svr.fit(x, y, config)
+        assert model.converged
+        assert svr.kkt_violations(model, x, y, config).max() <= config.tol
+        with pytest.raises(ConfigError):
+            svr.kkt_violations(replace(model, support_indices=None), x, y, config)
 
     def test_non_convergence_is_flagged(self):
         x, y = smooth_problem(8)
