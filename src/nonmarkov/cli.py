@@ -213,7 +213,8 @@ def cmd_train(args) -> int:
     )
     if not model.converged:
         raise NumericError(
-            f"SMO did not converge within {config.max_iter} iterations"
+            f"SMO did not converge within {config.max_iter} iterations: "
+            f"gap m_up - m_low {model.gap:.6e} >= tol {_FMT % config.tol}"
         )
     svr.save_model(model, out)
     x_train = model.scaler.transform(train.features)
@@ -229,6 +230,8 @@ def cmd_train(args) -> int:
         f"standardized={not resolved['no_scale']}",
         f"iterations={model.n_iter}",
         f"support_vectors={len(model.dual_coefs)}",
+        f"gap={model.gap:.6e}",
+        f"dual_objective={_FMT % model.dual_objective}",
         f"kkt_residual={kkt:.6e}",
         f"mae_train={mae_train:.6e}",
         f"mae_test={mae_test:.6e}",

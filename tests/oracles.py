@@ -4,7 +4,8 @@ Each routine deliberately takes a different computational route from the
 package code it checks: concurrence via the square-root decomposition instead
 of the eigenvalues of rho * rho_tilde, the SVR dual via projected gradient
 instead of SMO (and its objective with a kernel from pairwise differences
-instead of svr.rbf_gram's expansion), partial trace via explicit index loops
+instead of svr.rbf_gram's expansion), the RBF Gram as one plain expression
+instead of svr.rbf_gram's in-place build, partial trace via explicit index loops
 instead of einsum, measure accumulation via a scalar loop instead of
 vectorized diffs, the undriven channels as Kraus maps on density matrices instead of the closed
 forms of their coherence factor, their measures as grid sums of sampled
@@ -248,6 +249,13 @@ def projected_gradient_svr_dual(kern, y, c, eps, max_iter=200_000):
                 break
             prev_obj = obj
     return -float(0.5 * a @ q @ a + p @ a)
+
+
+def naive_rbf_gram(x, y, gamma):
+    """exp(-gamma max(|x_i|^2 + |y_j|^2 - 2 x_i.y_j, 0)) as one plain
+    expression, with its temporaries; svr.rbf_gram builds it in place."""
+    sq = (x**2).sum(axis=1)[:, None] + (y**2).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+    return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
 def dual_objective(model, x, y, config):

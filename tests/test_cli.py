@@ -108,6 +108,7 @@ class TestTrain:
         assert len(model.dual_coefs) > 0
         text = open(str(trained_model) + ".report").read()
         assert "kkt_residual=" in text and "support_vectors=" in text
+        assert "gap=" in text and "dual_objective=" in text
         assert "seed=7" in open(str(trained_model) + ".config").read()
         # the model embeds the scaler of its training split; no sidecar file
         train, _ = dataset.split(dataset.load_table(ad_table), seed=7)
@@ -141,12 +142,13 @@ class TestTrain:
         bad.write_text("\n".join(lines) + "\n")
         assert run("train", "--data", str(bad), "--out", str(tmp_path / "m")) == cli.EXIT_CONFIG
 
-    def test_non_convergence_is_numeric_error(self, ad_table, tmp_path):
+    def test_non_convergence_is_numeric_error(self, ad_table, tmp_path, capsys):
         code = run(
             "train", "--data", str(ad_table), "--out", str(tmp_path / "m"),
             "--max-iter", "1",
         )
         assert code == cli.EXIT_NUMERIC
+        assert "gap m_up - m_low" in capsys.readouterr().err
 
 
 class TestEvaluate:
