@@ -1,10 +1,12 @@
 """Command-line orchestration: dataset generation, training, evaluation,
 prediction, parameter sweeps, and the figure-reproduction meta-command.
 
-Every command resolves its configuration (key=value config file overridden by
-long-form flags), writes the resolved config next to its outputs, and refuses
-to overwrite existing paths.  Exit codes: 0 success, 2 configuration/schema
-error, 3 numeric failure, 4 I/O failure.
+Every option is declared once, in build_parser.  A --config file holds
+key=value lines; each becomes the flag --key=value in front of the command's
+own flags, so one parser checks both and a flag wins.  Every command writes
+its resolved options next to its outputs, in the same key=value form, and
+refuses to overwrite existing paths.  Exit codes: 0 success, 2
+configuration/schema error, 3 numeric failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ REPRODUCE_SMOKE_LAMBDAS = 29  # coarse coupling grid for the default reproduce r
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(",") if v != "")
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
-    if not np.isfinite(values).all():
-        raise ConfigError(f"expected finite numbers, got {text!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not values or not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 
@@ -42,47 +44,54 @@ def _gamma_arg(text: str):
         return "scale"
     try:
         return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"--gamma must be a number or 'scale', got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'scale', got {text!r}")
 
 
-def _load_config_file(path) -> dict:
-    values = {}
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:  # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
+
+
+def _config_tokens(path) -> list[str]:
+    """The key=value lines of a config file as --key=value flags."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for ln_no, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            if "=" not in ln:
-                raise ConfigError(f"{path}:{ln_no}: expected key=value, got {ln!r}")
-            key, val = ln.split("=", 1)
-            values[key.strip()] = val.strip()
-    return values
+            key, sep, val = ln.partition("=")
+            key = key.strip().replace("_", "-")
+            if not sep or key == "config":
+                raise ConfigError(f"{path}:{ln_no}: expected key=value of an option, got {ln!r}")
+            tokens.append(f"--{key}={val.strip()}")
+    return tokens
 
 
-def _resolve(args: argparse.Namespace, spec: dict) -> dict:
-    """Merge CLI flags over config-file entries over defaults."""
-    from_file = _load_config_file(args.config) if args.config else {}
-    unknown = set(from_file) - set(spec)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    resolved = {}
-    for key, (conv, default) in spec.items():
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in from_file:
-            raw = from_file[key]
-            resolved[key] = raw if conv is str else conv(raw)
-        else:
-            resolved[key] = default
-    return resolved
-
-
-def _require(resolved: dict, *keys) -> None:
-    for key in keys:
-        if resolved[key] is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the flags of each --config file put after the command name
+    and before the command's own flags, which the parser reads later and so
+    win."""
+    tokens = []
+    for i, arg in enumerate(argv[1:], 1):
+        if arg.startswith("--config="):
+            tokens += _config_tokens(arg[len("--config="):])
+        elif arg == "--config" and i + 1 < len(argv):
+            tokens += _config_tokens(argv[i + 1])
+    return argv[:1] + tokens + argv[1:]
 
 
 def _fresh(path, *suffixes) -> str:
@@ -97,10 +106,15 @@ def _fresh(path, *suffixes) -> str:
     return path
 
 
-def _write_resolved(resolved: dict, path) -> None:
+def _write_resolved(args: argparse.Namespace, path) -> None:
+    """The options a command ran with, as --config input; unset ones are left
+    out."""
     lines = [f"# resolved configuration (nonmarkov {__version__})"]
+    resolved = vars(args)
     for key in sorted(resolved):
         val = resolved[key]
+        if val is None or key in ("command", "config", "func"):
+            continue
         if isinstance(val, tuple):
             val = ",".join(_FMT % v if isinstance(v, float) else str(v) for v in val)
         lines.append(f"{key}={val}")
@@ -108,55 +122,31 @@ def _write_resolved(resolved: dict, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _times(resolved: dict) -> tuple[float, ...]:
-    tc = resolved["tc"]
-    if tc is None:
-        tc = dataset.PURE_PD_TIME if resolved.get("channel") == "pd" else dataset.PURE_AD_TIME
-    times = (tc,)
-    if resolved.get("tc2") is not None:
-        times = times + (resolved["tc2"],)
-    return times
-
-
 # ---------------------------------------------------------------- generate
 
 
-def _generate_table(resolved: dict) -> dataset.DataTable:
-    channel = resolved["channel"]
-    times = _times(resolved)
-    count = resolved["count"]
-    if channel == "ad":
+def _generate_table(args) -> dataset.DataTable:
+    times = (args.tc,) if args.tc2 is None else (args.tc, args.tc2)
+    count = args.count
+    if args.channel == "ad":
         count = dataset.PURE_AD_COUNT if count is None else count
-        return dataset.generate_pure_ad(resolved["measure"], times, count)
-    if channel == "pd":
+        return dataset.generate_pure_ad(args.measure, times, count)
+    if args.channel == "pd":
         count = dataset.PURE_PD_COUNT if count is None else count
-        return dataset.generate_pure_pd(resolved["measure"], times, count)
-    if channel == "driven":
-        if resolved["measure"] != "entanglement":
-            raise ConfigError("the driven channel supports only --measure entanglement")
-        n_lambda = dataset.DRIVEN_LAMBDA_COUNT if count is None else count
-        return dataset.generate_driven_ad(times, n_lambda, resolved["omegas"])
-    raise ConfigError(f"unknown channel {channel!r}")
+        return dataset.generate_pure_pd(args.measure, times, count)
+    if args.measure != "entanglement":
+        raise ConfigError("the driven channel supports only --measure entanglement")
+    n_lambda = dataset.DRIVEN_LAMBDA_COUNT if count is None else count
+    return dataset.generate_driven_ad(times, n_lambda, args.omegas)
 
 
 def cmd_generate(args) -> int:
-    spec = {
-        "channel": (str, None),
-        "measure": (str, "entanglement"),
-        "tc": (float, None),
-        "tc2": (float, None),
-        "count": (int, None),
-        "omegas": (_parse_floats, None),
-        "seed": (int, dataset.DEFAULT_SEED),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
-    _require(resolved, "channel", "out")
-    resolved["tc"] = _times(resolved)[0]
-    out = _fresh(resolved["out"], ".config")
-    table = _generate_table(resolved)
-    dataset.save_table(table, out, seed=resolved["seed"])
-    _write_resolved(resolved, out + ".config")
+    if args.tc is None:
+        args.tc = dataset.PURE_PD_TIME if args.channel == "pd" else dataset.PURE_AD_TIME
+    out = _fresh(args.out, ".config")
+    table = _generate_table(args)
+    dataset.save_table(table, out, seed=args.seed)
+    _write_resolved(args, out + ".config")
     t = table.targets
     print(
         f"wrote {out}: rows={len(table)} target_min={t.min():.6g} "
@@ -168,18 +158,10 @@ def cmd_generate(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-def _svr_config(resolved: dict) -> svr.SvrConfig:
-    return svr.SvrConfig(
-        C=resolved["cost"],
-        epsilon=resolved["epsilon"],
-        tol=resolved["tol"],
-        kernel_gamma=resolved["gamma"],
-        max_iter=resolved["max_iter"],
-    )
-
-
 def _train_pipeline(table, config, seed, standardize):
     train, test = dataset.split(table, seed=seed)
+    if len(test) == 0:
+        raise ConfigError(f"a {len(table)}-row table leaves no row to test on after the split")
     if standardize:
         scaler = dataset.scaler_fit(train, strict=False)
     else:
@@ -190,27 +172,16 @@ def _train_pipeline(table, config, seed, standardize):
 
 
 def cmd_train(args) -> int:
-    spec = {
-        "data": (str, None),
-        "out": (str, None),
-        "seed": (int, dataset.DEFAULT_SEED),
-        "epsilon": (float, 1e-3),
-        "cost": (float, 1.0),
-        "gamma": (_gamma_arg, "scale"),
-        "tol": (float, 1e-3),
-        "max_iter": (int, svr.DEFAULT_MAX_ITER),
-        "no_scale": (lambda s: s.lower() in ("1", "true", "yes"), False),
-    }
-    resolved = _resolve(args, spec)
-    _require(resolved, "data", "out")
-    out = _fresh(resolved["out"], ".report", ".config")
-    table = dataset.load_table(resolved["data"])
-    if len(table) < 2:
-        raise ConfigError(f"dataset {resolved['data']} has too few rows to train on")
-    config = _svr_config(resolved)
-    model, train, test = _train_pipeline(
-        table, config, resolved["seed"], not resolved["no_scale"]
+    out = _fresh(args.out, ".report", ".config")
+    table = dataset.load_table(args.data)
+    config = svr.SvrConfig(
+        C=args.cost,
+        epsilon=args.epsilon,
+        tol=args.tol,
+        kernel_gamma=args.gamma,
+        max_iter=args.max_iter,
     )
+    model, train, test = _train_pipeline(table, config, args.seed, not args.no_scale)
     if not model.converged:
         raise NumericError(
             f"SMO did not converge within {config.max_iter} iterations: "
@@ -223,11 +194,11 @@ def cmd_train(args) -> int:
     mae_test = svr.mae(svr.predict(model, test.features), test.targets)
     report = [
         f"nonmarkov train report (version {__version__})",
-        f"data={resolved['data']}",
-        f"rows_train={len(train)} rows_test={len(test)} split_seed={resolved['seed']}",
+        f"data={args.data}",
+        f"rows_train={len(train)} rows_test={len(test)} split_seed={args.seed}",
         f"epsilon={_FMT % config.epsilon} cost={_FMT % config.C} "
         f"tol={_FMT % config.tol} gamma={_FMT % model.kernel_gamma}",
-        f"standardized={not resolved['no_scale']}",
+        f"standardized={not args.no_scale}",
         f"iterations={model.n_iter}",
         f"support_vectors={len(model.dual_coefs)}",
         f"gap={model.gap:.6e}",
@@ -238,7 +209,7 @@ def cmd_train(args) -> int:
     ]
     with open(_fresh(out + ".report"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report) + "\n")
-    _write_resolved(resolved, out + ".config")
+    _write_resolved(args, out + ".config")
     print(f"wrote {out}: sv={len(model.dual_coefs)} kkt={kkt:.3e} mae_test={mae_test:.6e}")
     return EXIT_OK
 
@@ -247,23 +218,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec = {
-        "model": (str, None),
-        "data": (str, None),
-        "split": (str, "all"),
-        "seed": (int, dataset.DEFAULT_SEED),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
-    _require(resolved, "model", "data", "out")
-    if resolved["split"] not in ("all", "train", "test"):
-        raise ConfigError("--split must be one of all, train, test")
-    out = _fresh(resolved["out"], ".config")
-    model = svr.load_model(resolved["model"])
-    table = dataset.load_table(resolved["data"])
-    if resolved["split"] != "all":
-        train, test = dataset.split(table, seed=resolved["seed"])
-        table = train if resolved["split"] == "train" else test
+    out = _fresh(args.out, ".config")
+    model = svr.load_model(args.model)
+    table = dataset.load_table(args.data)
+    if args.split != "all":
+        train, test = dataset.split(table, seed=args.seed)
+        table = train if args.split == "train" else test
     if len(table) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     pred = svr.predict(model, table.features)
@@ -273,7 +233,7 @@ def cmd_evaluate(args) -> int:
     order = np.argsort(-table.targets, kind="stable")
     lines = [
         f"#meta mae={_FMT % err} max_error={_FMT % max_err} rows={len(table)} "
-        f"split={resolved['split']} seed={resolved['seed']}",
+        f"split={args.split} seed={args.seed}",
         "target,prediction,residual",
     ]
     for i in order:
@@ -282,7 +242,7 @@ def cmd_evaluate(args) -> int:
         )
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_resolved(resolved, out + ".config")
+    _write_resolved(args, out + ".config")
     print(f"wrote {out}: rows={len(table)} mae={err:.6e} max_error={max_err:.6e}")
     return EXIT_OK
 
@@ -291,30 +251,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    spec = {
-        "model": (str, None),
-        "features": (_parse_floats, None),
-        "data": (str, None),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
-    _require(resolved, "model")
-    if (resolved["features"] is None) == (resolved["data"] is None):
-        raise ConfigError("provide exactly one of --features or --data")
-    if resolved["out"] is not None:
-        _fresh(resolved["out"], ".config")
-    model = svr.load_model(resolved["model"])
-    if resolved["features"] is not None:
-        values = [svr.predict(model, np.array(resolved["features"]))]
+    if args.out is not None:
+        _fresh(args.out, ".config")
+    model = svr.load_model(args.model)
+    if args.features is not None:
+        values = [svr.predict(model, np.array(args.features))]
     else:
-        table = dataset.load_table(resolved["data"])
+        table = dataset.load_table(args.data)
         values = list(svr.predict(model, table.features))
     text = "\n".join(_FMT % v for v in values) + "\n"
-    if resolved["out"] is not None:
-        with open(_fresh(resolved["out"]), "w", encoding="utf-8") as fh:
+    if args.out is not None:
+        with open(_fresh(args.out), "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_resolved(resolved, resolved["out"] + ".config")
-        print(f"wrote {resolved['out']}: {len(values)} prediction(s)")
+        _write_resolved(args, args.out + ".config")
+        print(f"wrote {args.out}: {len(values)} prediction(s)")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -332,43 +282,29 @@ def _sweep_channel(kind_channel, param, omega):
 
 
 def cmd_sweep(args) -> int:
-    spec = {
-        "kind": (str, None),
-        "channel": (str, "ad"),
-        "measure": (str, "entanglement"),
-        "lambdas": (_parse_floats, None),
-        "taus": (_parse_floats, None),
-        "omegas": (_parse_floats, (0.0,)),
-        "tmax": (float, 5.0),
-        "points": (int, 500),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
-    _require(resolved, "kind", "out")
-    if resolved["kind"] == "ox" and resolved["points"] < 2:
-        raise ConfigError(f"--points must be >= 2, got {resolved['points']}")
-    out = _fresh(resolved["out"], ".config")
-    channel_kind = resolved["channel"]
-    if channel_kind == "pd":
-        if resolved["taus"] is None:
+    if args.kind == "ox" and args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
+    out = _fresh(args.out, ".config")
+    if args.channel == "pd":
+        if args.taus is None:
             raise ConfigError("PD sweeps need --taus")
-        if any(om != 0.0 for om in resolved["omegas"]):
+        if any(om != 0.0 for om in args.omegas):
             raise ConfigError("the PD channel has no drive; omit --omegas")
-        grid_params = resolved["taus"]
+        grid_params = args.taus
         pname = "param_tau"
     else:
-        if resolved["lambdas"] is None:
+        if args.lambdas is None:
             raise ConfigError("AD sweeps need --lambdas")
-        grid_params = resolved["lambdas"]
+        grid_params = args.lambdas
         pname = "param_lambda"
 
     lines = []
-    if resolved["kind"] == "ox":
-        tgrid = channels.TimeGrid(resolved["tmax"], resolved["points"] - 1)
+    if args.kind == "ox":
+        tgrid = channels.TimeGrid(args.tmax, args.points - 1)
         lines.append(f"{pname},param_omega,t,ox,oy,oz")
-        for om in resolved["omegas"]:
+        for om in args.omegas:
             for p in grid_params:
-                ch = _sweep_channel(channel_kind, p, om)
+                ch = _sweep_channel(args.channel, p, om)
                 obs = dataset.features_at(ch, tgrid.values).reshape(-1, 3)
                 for t, (ox, oy, oz) in zip(tgrid.values, obs):
                     lines.append(
@@ -376,19 +312,17 @@ def cmd_sweep(args) -> int:
                             [_FMT % p, _FMT % om, _FMT % t, _FMT % ox, _FMT % oy, _FMT % oz]
                         )
                     )
-    elif resolved["kind"] == "measure":
-        lines.append(f"{pname},param_omega,value")
-        for om in resolved["omegas"]:
-            for p in grid_params:
-                ch = _sweep_channel(channel_kind, p, om)
-                value = dataset.measure_value(ch, resolved["measure"])
-                lines.append(",".join([_FMT % p, _FMT % om, _FMT % value]))
     else:
-        raise ConfigError("--kind must be 'ox' or 'measure'")
+        lines.append(f"{pname},param_omega,value")
+        for om in args.omegas:
+            for p in grid_params:
+                ch = _sweep_channel(args.channel, p, om)
+                value = dataset.measure_value(ch, args.measure)
+                lines.append(",".join([_FMT % p, _FMT % om, _FMT % value]))
 
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_resolved(resolved, out + ".config")
+    _write_resolved(args, out + ".config")
     print(f"wrote {out}: {len(lines) - 1} rows")
     return EXIT_OK
 
@@ -397,19 +331,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    spec = {
-        "out": (str, None),
-        "seed": (int, dataset.DEFAULT_SEED),
-        "full": (lambda s: s.lower() in ("1", "true", "yes"), False),
-    }
-    resolved = _resolve(args, spec)
-    _require(resolved, "out")
-    outdir = resolved["out"]
+    outdir = args.out
     if os.path.exists(outdir):
         raise FileExistsError(f"output directory exists: {outdir}")
     os.makedirs(outdir)
-    seed = resolved["seed"]
-    full = resolved["full"]
+    seed = args.seed
+    full = args.full
     n_driven = dataset.DRIVEN_LAMBDA_COUNT if full else REPRODUCE_SMOKE_LAMBDAS
     config = svr.SvrConfig()
     summary = [f"nonmarkov reproduce (version {__version__}, full={full}, seed={seed})"]
@@ -492,7 +419,7 @@ def cmd_reproduce(args) -> int:
 
     with open(path("summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary) + "\n")
-    _write_resolved(resolved, path("config.txt"))
+    _write_resolved(args, path("config.txt"))
     print(f"wrote {outdir}/summary.txt")
     return EXIT_OK
 
@@ -500,12 +427,16 @@ def cmd_reproduce(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value configuration file")
+class _Parser(argparse.ArgumentParser):
+    """A parse error is a ConfigError (exit 2), whether its option came from
+    the command line or a --config file."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonmarkov",
         description="Non-Markovianity measures of qubit channels and their "
         "estimation from tomography features with epsilon-SVR.",
@@ -513,80 +444,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a feature/target dataset")
-    p.add_argument("--channel", choices=("ad", "pd", "driven"))
-    p.add_argument("--measure", choices=("trace", "entanglement"))
-    p.add_argument("--tc", type=float, help="tomography time (1/gamma0, or nu for PD)")
-    p.add_argument("--tc2", type=float, help="second tomography time")
-    p.add_argument("--count", type=int, help="parameter grid size override")
-    p.add_argument("--omegas", type=_parse_floats, help="drive strengths (driven only)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument(
+            "--config", help="key=value file; each key is an option name, flags win"
+        )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="fit the epsilon-SVR on a dataset")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="70/30 split seed")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cost", type=float)
-    p.add_argument("--gamma", type=_gamma_arg)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
+    p = command("generate", cmd_generate, "generate a feature/target dataset")
+    p.add_argument("--channel", choices=("ad", "pd", "driven"), required=True)
+    p.add_argument("--measure", choices=("trace", "entanglement"), default="entanglement")
     p.add_argument(
-        "--no-scale", dest="no_scale", action="store_const", const=True,
+        "--tc", type=float, help="tomography time (1/gamma0, or nu for PD; default 3 or 1.5)"
+    )
+    p.add_argument("--tc2", type=float, help="second tomography time")
+    p.add_argument("--count", type=int, help="parameter grid size (default: the paper's)")
+    p.add_argument("--omegas", type=_parse_floats, help="drive strengths (driven only)")
+    p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
+    p.add_argument("--out", required=True)
+
+    p = command("train", cmd_train, "fit the epsilon-SVR on a dataset")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED, help="70/30 split seed")
+    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--cost", type=float, default=1.0)
+    p.add_argument("--gamma", type=_gamma_arg, default="scale")
+    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--max-iter", type=int, default=svr.DEFAULT_MAX_ITER)
+    p.add_argument(
+        "--no-scale", type=_bool, nargs="?", const=True, default=False,
         help="skip feature standardization",
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a model on a dataset")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--split", choices=("all", "train", "test"))
-    p.add_argument("--seed", type=int)
+    p = command("evaluate", cmd_evaluate, "evaluate a model on a dataset")
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--split", choices=("all", "train", "test"), default="all")
+    p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
+    p.add_argument("--out", required=True)
+
+    p = command("predict", cmd_predict, "predict from a feature vector or dataset")
+    p.add_argument("--model", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--features", type=_parse_floats)
+    source.add_argument("--data")
     p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="predict from a feature vector or dataset")
-    p.add_argument("--model")
-    p.add_argument("--features", type=_parse_floats)
-    p.add_argument("--data")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("sweep", help="trajectory or measure-vs-parameter tables")
-    p.add_argument("--kind", choices=("ox", "measure"))
-    p.add_argument("--channel", choices=("ad", "pd"))
-    p.add_argument("--measure", choices=("trace", "entanglement"))
+    p = command("sweep", cmd_sweep, "trajectory or measure-vs-parameter tables")
+    p.add_argument("--kind", choices=("ox", "measure"), required=True)
+    p.add_argument("--channel", choices=("ad", "pd"), default="ad")
+    p.add_argument("--measure", choices=("trace", "entanglement"), default="entanglement")
     p.add_argument("--lambdas", type=_parse_floats)
     p.add_argument("--taus", type=_parse_floats)
-    p.add_argument("--omegas", type=_parse_floats)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--omegas", type=_parse_floats, default=(0.0,))
+    p.add_argument("--tmax", type=float, default=5.0)
+    p.add_argument("--points", type=int, default=500)
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("reproduce", help="run the five figure pipelines end to end")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p = command("reproduce", cmd_reproduce, "run the five figure pipelines end to end")
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
     p.add_argument(
-        "--full", action="store_const", const=True,
+        "--full", type=_bool, nargs="?", const=True, default=False,
         help="paper-scale driven grids (hours) instead of the coarse smoke grids",
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    try:  # the type converters (_parse_floats, _gamma_arg) raise ConfigError
-        args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(_with_config(argv))
         return args.func(args)
     except (ConfigError, DataFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

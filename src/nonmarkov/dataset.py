@@ -88,6 +88,11 @@ class TableSchema:
     def n_features(self) -> int:
         return 3 * len(self.times)
 
+    @property
+    def columns(self) -> list[str]:
+        """The CSV header: target, features, channel parameter, drive."""
+        return ["target"] + self.feature_names + [f"param_{self.param_name}", "param_omega"]
+
 
 @dataclass(frozen=True)
 class DataTable:
@@ -317,11 +322,7 @@ def _meta_line(table: DataTable, seed: int) -> str:
 def save_table(table: DataTable, path, seed: int = DEFAULT_SEED) -> None:
     """CSV with a #meta provenance line, a header, and 17-significant-digit
     numbers for exact round-tripping."""
-    schema = table.schema
-    header = (
-        ["target"] + schema.feature_names + [f"param_{schema.param_name}", "param_omega"]
-    )
-    rows = [_meta_line(table, seed), ",".join(header)]
+    rows = [_meta_line(table, seed), ",".join(table.schema.columns)]
     for i in range(len(table)):
         cells = [_FMT % table.targets[i]]
         cells += [_FMT % x for x in table.features[i]]
@@ -343,20 +344,21 @@ def load_table(path) -> DataTable:
             raise DataFormatError(f"malformed #meta entry {item!r}")
         key, val = item.split("=", 1)
         meta[key] = val
-    for key in ("channel", "measure", "times", "param"):
+    for key in ("channel", "measure", "times", "param", "rows"):
         if key not in meta:
             raise DataFormatError(f"#meta line missing {key!r}")
     try:
         times = tuple(float(t) for t in meta["times"].split(","))
         schema = TableSchema(meta["channel"], meta["measure"], times, meta["param"])
+        n_rows = int(meta["rows"])
     except (ValueError, ConfigError) as exc:
-        raise DataFormatError(f"invalid schema in #meta: {exc}") from exc
+        raise DataFormatError(f"invalid #meta: {exc}") from exc
     header = lines[1].split(",")
-    expected = (
-        ["target"] + schema.feature_names + [f"param_{schema.param_name}", "param_omega"]
-    )
+    expected = schema.columns
     if header != expected:
         raise DataFormatError(f"header {header} does not match schema {expected}")
+    if len(lines) - 2 != n_rows:
+        raise DataFormatError(f"#meta rows={n_rows} but the file holds {len(lines) - 2} rows")
     d = schema.n_features
     feats, targets, params = [], [], []
     for ln in lines[2:]:

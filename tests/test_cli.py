@@ -142,6 +142,24 @@ class TestTrain:
         bad.write_text("\n".join(lines) + "\n")
         assert run("train", "--data", str(bad), "--out", str(tmp_path / "m")) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("count", ["2", "3"])
+    def test_split_without_test_row_is_config_error(self, tmp_path, count):
+        # ceil(0.7 n) = n for n <= 3: no row would be left to test on
+        table = tmp_path / "tiny.csv"
+        assert run("generate", "--channel", "ad", "--count", count, "--out", str(table)) == 0
+        before = sorted(tmp_path.iterdir())
+        assert run("train", "--data", str(table), "--out", str(tmp_path / "m")) == cli.EXIT_CONFIG
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_truncated_table_is_schema_error(self, tmp_path):
+        table = tmp_path / "full.csv"
+        assert run("generate", "--channel", "ad", "--count", "30", "--out", str(table)) == 0
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(table.read_text().splitlines()[: 2 + 3]) + "\n")
+        before = sorted(tmp_path.iterdir())
+        assert run("train", "--data", str(cut), "--out", str(tmp_path / "m")) == cli.EXIT_CONFIG
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_non_convergence_is_numeric_error(self, ad_table, tmp_path, capsys):
         code = run(
             "train", "--data", str(ad_table), "--out", str(tmp_path / "m"),
@@ -279,7 +297,11 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag, values", [("--omegas", "nan"), ("--lambdas", "0.5,inf")])
+    @pytest.mark.parametrize(
+        "flag, values",
+        # an empty list is refused like a non-finite one
+        [("--omegas", "nan"), ("--lambdas", "0.5,inf"), ("--lambdas", ""), ("--omegas", ",")],
+    )
     def test_non_finite_parameters_are_config_errors(self, tmp_path, flag, values):
         out = tmp_path / "m.csv"
         argv = ["sweep", "--kind", "measure", "--channel", "ad", "--out", str(out)]
@@ -425,6 +447,90 @@ class TestOneTargetRoute:
         assert self.sweep_value(tmp_path, row[-2], "0.1") == row[0]
 
 
+class TestConfigFile:
+    """A config file's key=value lines are flags of the same parser: they pass
+    the same checks, and a flag on the command line wins."""
+
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            ("generate", ["channel=ad", "count=abc"]),
+            ("generate", ["channel=driven", "omegas="]),
+            ("generate", ["channel=ad", "tc2=None", "omegas=None"]),  # sidecar of old versions
+            ("sweep", ["kind=measure", "lambdas=0.5", "measure=banana"]),
+            ("sweep", ["kind=measure", "lambdas=0.5", "channel=banana"]),
+            ("sweep", ["kind=sideways", "lambdas=0.5"]),
+            ("evaluate", ["model=m", "data=d", "split=half"]),
+            ("train", ["data=d", "no_scale=ture"]),
+            ("train", ["data=d", "max_iter=1.5"]),
+            ("train", ["data=d", "seed=-1"]),
+            ("generate", ["channel=ad", "config=other.cfg"]),
+            ("generate", ["chan=ad"]),  # keys must spell a flag in full
+            ("generate", ["channel=ad", "count"]),
+            ("generate", ["count=5"]),  # --channel is required from either source
+        ],
+    )
+    def test_bad_entry_is_config_error(self, tmp_path, capsys, command, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [cfg]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("configuration error: ")
+
+    def test_abbreviated_flag_is_config_error(self, tmp_path):
+        code = run("generate", "--chan", "ad", "--out", str(tmp_path / "x.csv"))
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, scaled", [("true", False), ("no", True), ("1", False)])
+    def test_boolean_values(self, ad_table, tmp_path, text, scaled):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no-scale={text}\n")
+        out = tmp_path / "m"
+        assert run("train", "--config", str(cfg), "--data", str(ad_table), "--out", str(out)) == 0
+        assert f"standardized={scaled}" in (tmp_path / "m.report").read_text()
+
+    def test_bare_flag_is_true(self, ad_table, tmp_path):
+        out = tmp_path / "m"
+        assert run("train", "--data", str(ad_table), "--no-scale", "--out", str(out)) == 0
+        assert "standardized=False" in (tmp_path / "m.report").read_text()
+
+    def commands(self, ad_table, model):
+        return {
+            "generate": ["generate", "--channel", "ad", "--measure", "trace",
+                         "--tc", "2.5", "--tc2", "4", "--count", "8"],
+            "train": ["train", "--data", str(ad_table), "--seed", "3", "--gamma", "0.7",
+                      "--no-scale", "--max-iter", "90000"],
+            "evaluate": ["evaluate", "--model", str(model), "--data", str(ad_table),
+                         "--split", "test", "--seed", "7"],
+            "predict": ["predict", "--model", str(model), "--data", str(ad_table)],
+            "predict-features": ["predict", "--model", str(model), "--features", "0.3,0,-0.7"],
+            "sweep": ["sweep", "--kind", "measure", "--lambdas", "0.5,2.5",
+                      "--omegas", "0,0.1"],
+        }
+
+    @pytest.mark.parametrize(
+        "command", ["generate", "train", "evaluate", "predict", "predict-features", "sweep"]
+    )
+    def test_sidecar_reruns_byte_identical(self, ad_table, trained_model, tmp_path, command):
+        argv = self.commands(ad_table, trained_model)[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(*argv, "--out", str(first)) == 0
+        sidecar = tmp_path / "first.config"
+        assert run(argv[0], "--config", str(sidecar), "--out", str(again)) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert (tmp_path / "again.config").read_text() == sidecar.read_text().replace(
+            f"out={first}", f"out={again}"
+        )
+        assert "None" not in sidecar.read_text()
+        if command == "train":
+            assert (tmp_path / "again.report").read_bytes() == (
+                tmp_path / "first.report"
+            ).read_bytes()
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(
@@ -433,3 +539,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_config_from_process_arguments(self, tmp_path):
+        # main(argv=None) reads sys.argv; a flag overrides the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# pure dephasing\nchannel=pd\nmeasure=trace\ncount=9\n")
+        out = tmp_path / "pd.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonmarkov.cli", "generate", "--config", str(cfg),
+             "--count", "4", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = dataset.load_table(out)
+        assert table.schema.channel == "pd" and len(table) == 4

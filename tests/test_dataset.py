@@ -296,6 +296,35 @@ class TestTableIO:
         with pytest.raises(DataFormatError):
             dataset.load_table(truncated)
 
+    def test_header_is_schema_columns(self, tmp_path):
+        table = dataset.generate_driven_ad((3.0, 6.0), n_lambda=1, omegas=[0.0])
+        path = tmp_path / "t.csv"
+        dataset.save_table(table, path)
+        header = path.read_text().splitlines()[1]
+        assert header == "target,ox_t1,oy_t1,oz_t1,ox_t2,oy_t2,oz_t2,param_lambda,param_omega"
+        assert header.split(",") == table.schema.columns
+
+    @pytest.mark.parametrize("keep", [0, 3, 29])
+    def test_rows_short_of_meta_rejected(self, tmp_path, keep):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate_pure_ad("trace", count=30), path)
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(path.read_text().splitlines()[: 2 + keep]) + "\n")
+        with pytest.raises(DataFormatError, match="rows=30"):
+            dataset.load_table(cut)
+
+    @pytest.mark.parametrize("rows", [None, "x", "4"])
+    def test_meta_rows_key_required_and_checked(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate_pure_ad("trace", count=3), path)
+        lines = path.read_text().splitlines()
+        meta = [item for item in lines[0].split() if not item.startswith("rows=")]
+        lines[0] = " ".join(meta + ([] if rows is None else [f"rows={rows}"]))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError):
+            dataset.load_table(bad)
+
     def test_missing_meta_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("target,ox_t1\n0,1\n")
