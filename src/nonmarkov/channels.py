@@ -20,14 +20,16 @@ an orthonormal Hermitian operator basis), evaluated at any set of times with
 no time step.  Where L is defective or nearly so (the exceptional points
 omega = 0, lambda = 2 gamma0 N, and their neighbourhood), each cluster of
 coalescing eigenvalues enters as an invariant-subspace block instead, with
-the Taylor series of its nilpotent part.  One evaluation (_evolve) takes
-several (state, times) requests, for instance the Bell pair on the measure
-grid and |+> at the tomography times, from one mode build.  Every driven
-result passes four guards: the spectral form must reproduce the initial
-operators at t = 0 (RECONSTRUCTION_TOL); the top Fock level must stay below
-LEAK_TOL (fock_ladder retries a larger n_fock) and the trace within
-TRACE_DRIFT_TOL of 1, both checked at least every GUARD_STEP up to the last
-time any request asks for; and the reduced states must be valid density
+the Taylor series of its nilpotent part.  One mode build (_evolver) serves
+several states and any number of calls at arbitrary times within its
+horizon, for instance the Bell pair on the measure's coarse grid and at its
+refinements, and |+> at the tomography times; _evolve takes a fixed list of
+(state, times) requests.  Every driven result passes four guards: the
+spectral form must reproduce the initial operators at t = 0
+(RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
+(fock_ladder retries a larger n_fock) and the trace within TRACE_DRIFT_TOL
+of 1, both checked at least every GUARD_STEP over the whole horizon before
+any state is assembled; and the reduced states must be valid density
 matrices.  DrivenAmplitudeDamping.bloch_plus and measures.driven_entanglement
 go through the Fock ladder; the bare driven_ad_evolve does not.
 
@@ -383,7 +385,8 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, t_max: float):
 
 
 def _trajectories(modes, times) -> np.ndarray:
-    """(len(times), 3, 6) rows of _spectral_modes at every time; times is a
+    """(len(times), 3, k) rows of _spectral_modes at every time (k = 6, or
+    fewer where the caller kept only some rows of each operator); times is a
     TimeGrid or a sequence of times >= 0.
 
     Within one mode chain f_k(s + d) = sum_q f_q(s) f_(k-q)(d), which for
@@ -402,7 +405,7 @@ def _trajectories(modes, times) -> np.ndarray:
     factorial = np.array([math.factorial(p) for p in power.tolist()], dtype=float)
     table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / factorial)
     amps_t = amps.T
-    out = np.empty((len(starts), len(offsets), 18), dtype=complex)
+    out = np.empty((len(starts), len(offsets), len(amps)), dtype=complex)
     for i, s in enumerate(starts):
         scale = np.exp(w * s)
         coef = amps_t * scale[:, None]
@@ -410,11 +413,21 @@ def _trajectories(modes, times) -> np.ndarray:
             src = np.flatnonzero(power >= q)
             coef[src - q] += amps_t[src] * (scale[src] * s**q / math.factorial(q))[:, None]
         out[i] = table @ coef
-    out = out.reshape(-1, 18)[:count]
+    out = out.reshape(-1, len(amps))[:count]
     # exp(L 0) is the identity; the spectral sum matches it only to rounding,
     # which the square roots in the concurrence would amplify to ~1e-8
     out[(starts[:, None] + offsets).reshape(-1)[:count] == 0] = start_rows
-    return out.reshape(-1, 3, 6)
+    return out.reshape(count, 3, len(amps) // 3)
+
+
+def _last_time(times) -> float:
+    """The last of times (a TimeGrid or a 1-D sequence of times >= 0; 0.0 if empty)."""
+    if isinstance(times, TimeGrid):
+        return times.t_max
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(times >= 0):
+        raise ConfigError("times must be a TimeGrid or a 1-D sequence of values >= 0")
+    return float(times.max(initial=0.0))
 
 
 def _check_physical(top: np.ndarray, trace: np.ndarray, what: str) -> None:
@@ -429,67 +442,65 @@ def _check_physical(top: np.ndarray, trace: np.ndarray, what: str) -> None:
         raise NumericError(f"{what}: trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:g}")
 
 
-def _evolve(channel: DrivenAmplitudeDamping, requests) -> list:
-    """Evolve system states rho (x) |0><0| and trace out the pseudomode: one
-    batch of reduced states per request (rho, times, context), times a
-    TimeGrid or a sequence of times >= 0 (empty: no states, guards only).
+def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
+    """Guarded evolution of system states rho (x) |0><0| on [0, t_max]: one
+    evaluate(times) per (rho, context) in states, which returns the reduced
+    states at times (a TimeGrid or a sequence of times in [0, t_max]).
 
     Each rho is a qubit state (2 x 2) or an untouched ancilla followed by the
     qubit (4 x 4); by linearity its trajectory combines the three operator
     trajectories of _spectral_modes, with |g><e| taken as the adjoint of
-    |e><g|.  The requests share one mode build and one guard grid over
-    [0, t_max], t_max the last time of any request: every rho passes the leak
-    and drift checks at samples no further apart than GUARD_STEP over all of
-    it (a request's TimeGrid that fine and that long is itself the guard
-    grid), and the density checks at its own times, under its context name.
+    |e><g|.  One mode build serves every state and every call.  Before any
+    evaluator is returned, every rho passes the leak and drift checks at
+    samples no further apart than GUARD_STEP over all of [0, t_max], from the
+    top-level and trace rows alone, so a truncation that leaks costs no
+    state.  Each call validates the density of the states it returns, under
+    the state's context name.
     """
-    ends = []
-    for _, times, _ in requests:
-        if isinstance(times, TimeGrid):
-            ends.append(times.t_max)
-            continue
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or not np.all(times >= 0):
-            raise ConfigError("times must be a TimeGrid or a 1-D sequence of values >= 0")
-        ends.append(float(times.max(initial=0.0)))
-    t_max = max(ends)
     modes = _spectral_modes(channel, t_max)
-    trajectories = [_trajectories(modes, times) for _, times, _ in requests]
+    w, power, amps, start_rows = modes
     checks = max(1, math.ceil(t_max * channel.gamma0 / GUARD_STEP - 1e-9))
-    guard = next(
-        (
-            rows
-            for (_, times, _), rows in zip(requests, trajectories)
-            if isinstance(times, TimeGrid) and times.t_max == t_max and times.n_steps >= checks
-        ),
-        None,
-    )
-    if guard is None:
-        guard = _trajectories(modes, TimeGrid(t_max, checks))
+    kept = np.array([4, 5, 10, 11, 16, 17])  # top level and trace of each operator
+    guard = _trajectories((w, power, amps[kept], start_rows[kept]), TimeGrid(t_max, checks))
 
-    def qubit_sum(q, k):  # sum_ab q_ab (guard row k of |a><b|) for Hermitian q
-        return (q[0, 0] * guard[:, 0, k] + q[1, 1] * guard[:, 2, k]).real + 2.0 * (
-            q[0, 1] * guard[:, 1, k]
-        ).real
-
-    out = []
-    for (rho, _, what), rows in zip(requests, trajectories):
-        m = rows.shape[0]
-        r_ee, r_eg, r_gg = (rows[:, j, :4].reshape(m, 2, 2) for j in range(3))
-        maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
+    def evaluator(rho, what):
         k = rho.shape[0] // 2
         r4 = rho.reshape(k, 2, k, 2)  # ancilla, qubit, ancilla, qubit
-        qubit = np.einsum("xaxb->ab", r4)
-        _check_physical(qubit_sum(qubit, 4), qubit_sum(qubit, 5), what)
-        state = np.zeros((m, k, 2, k, 2), dtype=complex)
-        for (x, a, y, b), c in np.ndenumerate(r4):
-            if c != 0:
-                state[:, x, :, y, :] += c * maps[a][b]
-        state = state.reshape(m, 2 * k, 2 * k)
-        state += qmath.dag(state)  # scrub 1e-16 asymmetry
-        state *= 0.5
-        out.append(qmath.validate_density(state, what) if m else state)
-    return out
+        q = np.einsum("xaxb->ab", r4)
+        # sum_ab q_ab (guard rows of |a><b|) for the Hermitian qubit part q
+        rows = (q[0, 0] * guard[:, 0] + q[1, 1] * guard[:, 2]).real
+        rows += 2.0 * (q[0, 1] * guard[:, 1]).real
+        _check_physical(rows[:, 0], rows[:, 1], what)
+
+        def evaluate(times) -> np.ndarray:
+            if _last_time(times) > t_max:
+                raise ConfigError(f"{what}: times past the guarded horizon {t_max}")
+            traj = _trajectories(modes, times)
+            m = traj.shape[0]
+            r_ee, r_eg, r_gg = (traj[:, j, :4].reshape(m, 2, 2) for j in range(3))
+            maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
+            state = np.zeros((m, k, 2, k, 2), dtype=complex)
+            for (x, a, y, b), c in np.ndenumerate(r4):
+                if c != 0:
+                    state[:, x, :, y, :] += c * maps[a][b]
+            state = state.reshape(m, 2 * k, 2 * k)
+            state += qmath.dag(state)  # scrub 1e-16 asymmetry
+            state *= 0.5
+            return qmath.validate_density(state, what) if m else state
+
+        return evaluate
+
+    return [evaluator(rho, what) for rho, what in states]
+
+
+def _evolve(channel: DrivenAmplitudeDamping, requests) -> list:
+    """One batch of reduced states per request (rho, times, context), times a
+    TimeGrid or a sequence of times >= 0 (empty: no states, guards only):
+    the evaluators of _evolver, guarded over [0, t_max], t_max the last time
+    of any request."""
+    t_max = max(_last_time(times) for _, times, _ in requests)
+    evaluators = _evolver(channel, [(rho, what) for rho, _, what in requests], t_max)
+    return [evaluate(times) for evaluate, (_, times, _) in zip(evaluators, requests)]
 
 
 def fock_ladder(attempt, channel: DrivenAmplitudeDamping):

@@ -7,8 +7,10 @@ initial value O_x(0) = 1), concatenated over the tomography times; each
 channel supplies them (bloch_plus), in closed form for the undriven ones.
 Targets are the non-Markovianity measures up to the horizon in #meta:
 exact revival-peak sums for the undriven channels, and for the driven one
-the concurrence sum on the default grid, which measures.driven_entanglement
-returns together with the row's features from one propagator build.
+the concurrence sum on the default coarse grid refined at its turning
+points, which measures.driven_entanglement returns together with the row's
+features from one propagator build; a driven table's #meta also records
+the largest stated grid error of its targets.
 measure_value gives the same target for a single channel.  Parameter grids
 realize the published sample counts: value = start + i * step.
 """
@@ -102,6 +104,7 @@ class DataTable:
     features: np.ndarray  # (n, 3 * len(times))
     targets: np.ndarray  # (n,)
     params: np.ndarray  # (n, 2): channel parameter, drive strength
+    grid_errors: np.ndarray | None = None  # (n,): stated target grid errors (driven rows)
 
     def __post_init__(self):
         n = len(self.targets)
@@ -112,6 +115,8 @@ class DataTable:
             )
         if self.params.shape != (n, 2):
             raise ConfigError(f"params block {self.params.shape} must be ({n}, 2)")
+        if self.grid_errors is not None and self.grid_errors.shape != (n,):
+            raise ConfigError(f"grid errors {self.grid_errors.shape} must be ({n},)")
         finite = np.isfinite(self.features).all() and np.isfinite(self.targets).all()
         if n and (not finite or self.targets.min() < 0):
             raise ConfigError("features and targets must be finite, targets non-negative")
@@ -126,6 +131,7 @@ class DataTable:
             self.features[indices].copy(),
             self.targets[indices].copy(),
             self.params[indices].copy(),
+            None if self.grid_errors is None else self.grid_errors[indices].copy(),
         )
 
 
@@ -186,8 +192,8 @@ def generate_driven_ad(
     """Driven AD table: n_lambda rows per drive strength, entanglement targets.
 
     Each (lambda, omega) pair costs one measures.driven_entanglement call on
-    the default grid: the Bell pair supplies the target, |+> at the
-    tomography times the features.
+    the default coarse grid: the Bell pair supplies the target and its grid
+    error, |+> at the tomography times the features.
     """
     times = tuple(float(t) for t in times)
     schema = TableSchema("driven", "entanglement", times, "lambda")
@@ -197,15 +203,16 @@ def generate_driven_ad(
     feats = np.empty((n, schema.n_features))
     targets = np.empty(n)
     params = np.empty((n, 2))
+    grid_errors = np.empty(n)
     i = 0
     for om in omegas:
         for lam in lams:
             ch = DrivenAmplitudeDamping(float(lam), float(om), n_fock=n_fock)
             result, feats[i] = measures.driven_entanglement(ch, times=times)
-            targets[i] = result.value
+            targets[i], grid_errors[i] = result.value, result.grid_error
             params[i] = (lam, om)
             i += 1
-    return DataTable(schema, feats, targets, params)
+    return DataTable(schema, feats, targets, params, grid_errors)
 
 
 def select_times(table: DataTable, times) -> DataTable:
@@ -223,6 +230,7 @@ def select_times(table: DataTable, times) -> DataTable:
         table.features[:, cols].copy(),
         table.targets.copy(),
         table.params.copy(),
+        table.grid_errors,
     )
 
 
@@ -316,6 +324,8 @@ def _meta_line(table: DataTable, seed: int) -> str:
         ("seed", str(seed)),
         ("version", __version__),
     ]
+    if table.grid_errors is not None:  # how well the worst target is resolved
+        items.append(("grid_error", _FMT % table.grid_errors.max(initial=0.0)))
     return "#meta " + " ".join(f"{k}={v}" for k, v in items)
 
 

@@ -268,6 +268,26 @@ class TestTableIO:
         meta = path.read_text().splitlines()[0].split()
         assert "horizon=20" in meta and measures.DEFAULT_T_MAX == 20.0
 
+    def test_meta_records_driven_grid_error(self, tmp_path):
+        # the largest stated error of the rows a driven table holds, also
+        # after filter_omega; pure targets are exact and record none
+        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.0, 0.05))
+        errors = [
+            measures.n_entanglement(DrivenAmplitudeDamping(lam, om)).grid_error
+            for lam, om in table.params
+        ]
+        assert np.array_equal(table.grid_errors, errors)
+        assert max(errors) > max(errors[2:]) > 0.0  # zero drive resolves worst
+
+        def meta(tab):
+            dataset.save_table(tab, tmp_path / "t.csv")
+            line = (tmp_path / "t.csv").read_text().splitlines()[0]
+            return dict(item.split("=", 1) for item in line.split()[1:])
+
+        assert float(meta(table)["grid_error"]) == max(errors)
+        assert float(meta(dataset.filter_omega(table, 0.05))["grid_error"]) == max(errors[2:])
+        assert "grid_error" not in meta(dataset.generate_pure_ad("entanglement", count=3))
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         table = dataset.generate_pure_pd("trace", count=5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

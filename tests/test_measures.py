@@ -107,8 +107,9 @@ class TestAccumulate:
         value, grid_error = measures.positive_increments([1.0, 0.4, 0.7, 0.2])
         assert value == pytest.approx(0.3, abs=1e-15)
         assert grid_error == pytest.approx(0.375, abs=1e-15)
-        # flat stretches (sudden death) are not turning samples
+        # flat stretches and minima at exactly 0 (sudden death) miss nothing
         assert measures.positive_increments([0.5, 0.0, 0.0, 0.2])[1] == 0.0
+        assert measures.positive_increments([0.5, 0.0, 0.2]) == (0.2, 0.0)
 
     def test_matches_scalar_loop_oracle(self):
         ch = PhaseDamping(0.5)
@@ -196,6 +197,34 @@ class TestMeasureValues:
             e = measures.n_entanglement(AmplitudeDamping(lam)).value
             assert abs(d - e) < 1e-8
 
+    def test_leaking_attempt_assembles_no_states(self, monkeypatch):
+        # the guards of the n_fock = 8 attempt run before any state is
+        # assembled, from the top-level and trace rows alone
+        attempts, events = [], []
+        modes, trajectories = channels._spectral_modes, channels._trajectories
+        validate = qmath.validate_density
+
+        def spectral_modes(ch, t_max):
+            attempts.append(ch.n_fock)
+            return modes(ch, t_max)
+
+        def traced(modes, times):
+            rows = trajectories(modes, times)
+            events.append((attempts[-1], "rows", rows.shape[2]))
+            return rows
+
+        def validating(rho, what="state"):
+            events.append((attempts[-1], "states", len(rho)))
+            return validate(rho, what)
+
+        monkeypatch.setattr(channels, "_spectral_modes", spectral_modes)
+        monkeypatch.setattr(channels, "_trajectories", traced)
+        monkeypatch.setattr(qmath, "validate_density", validating)
+        measures.driven_entanglement(DrivenAmplitudeDamping(0.1, 0.5), times=(3.0,))
+        assert attempts == [8, 12]
+        assert [e for e in events if e[0] == 8] == [(8, "rows", 2)]
+        assert (12, "states", measures.DEFAULT_N_STEPS + 1) in events
+
     def test_driven_measure_climbs_fock_ladder(self):
         # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
         # route retries at 12 and gives the table row's target bit for bit
@@ -227,19 +256,49 @@ class TestDrivenGridError:
         "lam, omega", [(0.3, 0.0), (0.6, 0.15), (0.1, 0.5), (1.0, 0.05), (0.2, 0.02)]
     )
     def test_bounds_an_eightfold_finer_grid(self, lam, omega):
+        # the coarse grid eight times finer, refined the same way; a finer
+        # grid still would sum rounding noise of the concurrence where C is
+        # flat (2.9e-8 at (0.2, 0.02) on 160 000 intervals)
         ch = DrivenAmplitudeDamping(lam, omega)
         res = measures.n_entanglement(ch)
-        fine = measures.n_entanglement(ch, TimeGrid(20.0, 160_000))
+        fine = measures.n_entanglement(ch, TimeGrid(20.0, 8 * measures.DEFAULT_N_STEPS))
         assert abs(fine.value - res.value) <= res.grid_error + 1e-8
 
     def test_bounds_and_tracks_the_exact_zero_drive_measure(self):
-        # at omega = 0 the concurrence is |G(t)|: the grid misses half of
-        # |C[k+1] - C[k-1]| at each cusp, two thirds of grid_error
+        # at omega = 0 the concurrence is |G(t)|, whose cusps the refinement
+        # brackets down to a few 1e-6 of time
         for lam in np.linspace(0.1, 2.9, 15):
             res = measures.n_entanglement(DrivenAmplitudeDamping(lam, 0.0))
             gap = abs(measures.revival_measure(AmplitudeDamping(lam)).value - res.value)
             assert gap <= res.grid_error + 1e-8
-            assert gap >= 0.5 * res.grid_error - 1e-8
+            assert gap <= 1e-6
+
+    @pytest.mark.parametrize("lam, omega", [(0.3, 0.0), (0.6, 0.15), (0.2, 0.02)])
+    def test_refinement_only_adds(self, lam, omega):
+        # the positive variation of a series cannot fall when samples are added
+        ch = DrivenAmplitudeDamping(lam, omega)
+        grid = measures.default_grid()
+        coarse = measures.positive_increments(qmath.concurrence(bell_states(ch, grid)))[0]
+        res = measures.n_entanglement(ch)
+        assert res.value >= coarse
+        assert res.value - coarse > 1e-10  # the refinement found something
+
+    @pytest.mark.parametrize("lam, omega", [(0.15, 0.2), (2.9, 0.5), (0.6, 0.15)])
+    def test_noise_and_sudden_death_are_not_refined(self, lam, omega, monkeypatch):
+        # (0.15, 0.2): flat, noisy stretches; (2.9, 0.5): C dies at exactly 0;
+        # (0.6, 0.15): a few smooth turns, each refined REFINE_ROUNDS deep
+        states = []
+        concurrence = qmath.concurrence
+
+        def counting(rho):
+            states.append(len(rho))
+            return concurrence(rho)
+
+        monkeypatch.setattr(qmath, "concurrence", counting)
+        measures.n_entanglement(DrivenAmplitudeDamping(lam, omega))
+        coarse = measures.DEFAULT_N_STEPS + 1
+        assert states[0] == coarse
+        assert coarse <= sum(states) <= coarse + 64
 
 
 @settings(max_examples=60, deadline=None)
