@@ -23,10 +23,9 @@ coalescing eigenvalues enters as an invariant-subspace block instead, with
 the Taylor series of its nilpotent part.  One mode build (_evolver) serves
 several states and any number of calls at arbitrary times within its
 horizon, for instance the Bell pair on the measure's coarse grid and at its
-refinements, and |+> at the tomography times; _evolve takes a fixed list of
-(state, times) requests.  Every driven result passes four guards: the
-spectral form must reproduce the initial operators at t = 0
-(RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
+refinements, and |+> at the tomography times.  Every driven result passes
+four guards: the spectral form must reproduce the initial operators at
+t = 0 (RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
 (fock_ladder retries a larger n_fock) and the trace within TRACE_DRIFT_TOL
 of 1, both checked at least every GUARD_STEP over the whole horizon before
 any state is assembled; and the reduced states must be valid density
@@ -141,8 +140,10 @@ class DrivenAmplitudeDamping:
     def bloch_plus(self, times) -> np.ndarray:
         """(O_x, O_y, O_z) of the evolved |+>, one row per time (a TimeGrid
         or a sequence), through the Fock ladder."""
-        request = (qmath.ket2dm(qmath.KET_PLUS), times, "driven evolution (plus)")
-        return qmath.bloch_vector(fock_ladder(lambda ch: _evolve(ch, [request])[0], self))
+        state = (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)")
+        horizon = _last_time(times)
+        plus = fock_ladder(lambda ch: _evolver(ch, [state], horizon)[0](times), self)
+        return qmath.bloch_vector(plus)
 
 
 Channel = PhaseDamping | AmplitudeDamping | DrivenAmplitudeDamping
@@ -493,16 +494,6 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     return [evaluator(rho, what) for rho, what in states]
 
 
-def _evolve(channel: DrivenAmplitudeDamping, requests) -> list:
-    """One batch of reduced states per request (rho, times, context), times a
-    TimeGrid or a sequence of times >= 0 (empty: no states, guards only):
-    the evaluators of _evolver, guarded over [0, t_max], t_max the last time
-    of any request."""
-    t_max = max(_last_time(times) for _, times, _ in requests)
-    evaluators = _evolver(channel, [(rho, what) for rho, _, what in requests], t_max)
-    return [evaluate(times) for evaluate, (_, times, _) in zip(evaluators, requests)]
-
-
 def fock_ladder(attempt, channel: DrivenAmplitudeDamping):
     """attempt(channel), retried at n_fock + 4 and n_fock + 8 on a truncation leak.
 
@@ -549,5 +540,5 @@ def driven_ad_evolve(
     if np.abs(pm - vacuum(n)).max() > 1e-9:
         raise ConfigError("pseudomode factor of rho0 is not the Fock vacuum")
     rho_sys = qmath.partial_trace(rho0, [d_sys, n], keep=[0])
-    return _evolve(channel, [(rho_sys, times, "driven_ad_evolve")])[0]
+    return _evolver(channel, [(rho_sys, "driven_ad_evolve")], _last_time(times))[0](times)
 

@@ -104,7 +104,9 @@ class DataTable:
     features: np.ndarray  # (n, 3 * len(times))
     targets: np.ndarray  # (n,)
     params: np.ndarray  # (n, 2): channel parameter, drive strength
-    grid_errors: np.ndarray | None = None  # (n,): stated target grid errors (driven rows)
+    # (n,): stated target grid errors (driven rows); #meta keeps only the
+    # largest, so a loaded table states that bound for every row
+    grid_errors: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.targets)
@@ -361,8 +363,11 @@ def load_table(path) -> DataTable:
         times = tuple(float(t) for t in meta["times"].split(","))
         schema = TableSchema(meta["channel"], meta["measure"], times, meta["param"])
         n_rows = int(meta["rows"])
+        grid_error = float(meta["grid_error"]) if "grid_error" in meta else None
     except (ValueError, ConfigError) as exc:
         raise DataFormatError(f"invalid #meta: {exc}") from exc
+    if grid_error is not None and not (np.isfinite(grid_error) and grid_error >= 0.0):
+        raise DataFormatError(f"#meta grid_error={grid_error} must be finite and >= 0")
     header = lines[1].split(",")
     expected = schema.columns
     if header != expected:
@@ -387,4 +392,5 @@ def load_table(path) -> DataTable:
         np.array(feats, dtype=float).reshape(len(targets), d),
         np.array(targets, dtype=float),
         np.array(params, dtype=float).reshape(len(targets), 2),
+        None if grid_error is None else np.full(len(targets), grid_error),
     )

@@ -14,9 +14,10 @@ rises of the Bell-pair concurrence C(t) between its turning points
 same propagator).  The propagator evaluates any time exactly, so C is
 sampled on a coarse grid and then refined, in a few vectorised rounds, only
 at the interior turning points; the stated grid_error is the bound of the
-final brackets.  Turns whose error is below the concurrence rounding floor
-(CONCURRENCE_FLOOR) are not refined: that floor is stated, not chased.  The
-driven trace-distance measure is not evaluated.
+final brackets.  Turns whose error is below REFINE_FLOOR, which rounding
+noise of the concurrence alone cannot reach, are not refined: the rounding
+floor (CONCURRENCE_FLOOR) is stated, not chased.  The driven trace-distance
+measure is not evaluated.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ DEFAULT_N_STEPS = 1000  # the driven measure's coarse grid
 REFINE_ROUNDS = 4  # refinement rounds at the turning points of the driven concurrence
 REFINE_SPLIT = 8  # each interval next to a turning point splits into this many
 CONCURRENCE_FLOOR = 1e-8  # rounding floor of qmath.concurrence near rank-deficient states
+# twice the largest error contribution 0.75 |C[k+1] - C[k-1]| that two samples
+# each off by CONCURRENCE_FLOOR can fake: smaller turns are not refined
+REFINE_FLOOR = 3 * CONCURRENCE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,9 @@ def _bell_concurrence(evaluate, grid: TimeGrid) -> np.ndarray:
     order.
 
     Each round takes every turning sample k of _turns whose error
-    contribution is at least CONCURRENCE_FLOOR (below it the turn may be
-    rounding noise) and splits both intervals next to k into REFINE_SPLIT,
+    contribution is at least REFINE_FLOOR (below it the turn may be rounding
+    noise, which splitting would only sample more often) and splits both
+    intervals next to k into REFINE_SPLIT,
     so the bracket around the turning point, and its error contribution,
     shrinks by REFINE_SPLIT per round.
     """
@@ -119,7 +124,7 @@ def _bell_concurrence(evaluate, grid: TimeGrid) -> np.ndarray:
     steps = np.arange(1, REFINE_SPLIT) / REFINE_SPLIT
     for _ in range(REFINE_ROUNDS):
         turning, error = _turns(values)
-        k = np.flatnonzero(turning & (error >= CONCURRENCE_FLOOR))  # turns at samples k + 1
+        k = np.flatnonzero(turning & (error >= REFINE_FLOOR))  # turns at samples k + 1
         if not k.size:
             break
         left = np.unique(np.concatenate([k, k + 1]))  # split [t_i, t_(i+1)] for i in left
@@ -148,8 +153,8 @@ def driven_entanglement(
     grid_error are positive_increments of the concurrence on the merged
     samples, so grid_error bounds what the final brackets miss.  The value
     also carries a rounding floor of about CONCURRENCE_FLOOR (qmath.concurrence
-    loses about half its digits near rank-deficient states): turns below it
-    are not refined, and their share stays in grid_error.
+    loses about half its digits near rank-deficient states): turns below
+    REFINE_FLOOR are not refined, and their share stays in grid_error.
     """
     grid = grid or default_grid()
     times = tuple(float(t) for t in times)

@@ -325,15 +325,20 @@ class TestDrivenEvolve:
 
 class TestDrivenBellAndPlus:
     """The Bell pair on a grid and |+> at a few times from one laddered
-    evaluation, the requests of measures.driven_entanglement."""
+    evaluation, the states of measures.driven_entanglement."""
 
     @staticmethod
     def bell_and_plus(channel, grid, times):
-        requests = [
-            (qmath.ket2dm(qmath.KET_BELL), grid, "bell"),
-            (qmath.ket2dm(qmath.KET_PLUS), times, "plus"),
+        states = [
+            (qmath.ket2dm(qmath.KET_BELL), "bell"),
+            (qmath.ket2dm(qmath.KET_PLUS), "plus"),
         ]
-        return channels.fock_ladder(lambda ch: channels._evolve(ch, requests), channel)
+
+        def attempt(ch):
+            bell, plus = channels._evolver(ch, states, grid.t_max)
+            return bell(grid), plus(times)
+
+        return channels.fock_ladder(attempt, channel)
 
     def test_matches_contract_paths(self):
         ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)
@@ -356,10 +361,18 @@ class TestDrivenBellAndPlus:
         _, none = self.bell_and_plus(ch, TimeGrid(0.5, 100), ())
         assert none.shape == (0, 2, 2)
         # (the ground state stays in the vacuum at zero drive; |+> leaks)
-        requests = [
-            (qmath.ket2dm(qmath.KET_G), TimeGrid(5.0, 5000), "ground"),
-            (qmath.ket2dm(qmath.KET_PLUS), (), "plus"),
+        states = [
+            (qmath.ket2dm(qmath.KET_G), "ground"),
+            (qmath.ket2dm(qmath.KET_PLUS), "plus"),
         ]
         leaky = DrivenAmplitudeDamping(0.5, 0.0, n_fock=2)
         with pytest.raises(TruncationLeakError, match="plus"):
-            channels._evolve(leaky, requests)
+            channels._evolver(leaky, states, 5.0)
+
+    def test_evaluator_serves_only_its_guarded_horizon(self):
+        ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)
+        (plus,) = channels._evolver(ch, [(qmath.ket2dm(qmath.KET_PLUS), "plus")], 2.0)
+        assert np.abs(plus((0.5, 2.0)) - plus(TimeGrid(2.0, 4))[[1, 4]]).max() < 1e-12
+        for bad in ((2.5,), TimeGrid(3.0, 6), (float("nan"),)):
+            with pytest.raises(ConfigError):
+                plus(bad)

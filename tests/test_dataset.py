@@ -288,6 +288,25 @@ class TestTableIO:
         assert float(meta(dataset.filter_omega(table, 0.05))["grid_error"]) == max(errors[2:])
         assert "grid_error" not in meta(dataset.generate_pure_ad("entanglement", count=3))
 
+    def test_driven_grid_error_survives_round_trip(self, tmp_path):
+        # #meta holds the largest error, which a loaded table states for
+        # every row; saving it again gives the same file
+        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.05,))
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        dataset.save_table(table, p1)
+        back = dataset.load_table(p1)
+        assert np.array_equal(back.grid_errors, np.full(2, table.grid_errors.max()))
+        dataset.save_table(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        pure = tmp_path / "pure.csv"
+        dataset.save_table(dataset.generate_pure_ad("entanglement", count=3), pure)
+        assert dataset.load_table(pure).grid_errors is None
+        stated = f"grid_error={table.grid_errors.max():.17g}"
+        for bad in ("-1e-9", "nan", "inf", "x"):
+            p2.write_text(p1.read_text().replace(stated, f"grid_error={bad}"))
+            with pytest.raises(DataFormatError, match="#meta"):
+                dataset.load_table(p2)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         table = dataset.generate_pure_pd("trace", count=5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

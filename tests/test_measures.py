@@ -52,8 +52,10 @@ def eigen_route_concurrence(channel, grid):
 def bell_states(channel, grid):
     """Reduced Bell-pair states of the driven channel on the grid, through
     the Fock ladder."""
-    request = (qmath.ket2dm(qmath.KET_BELL), grid, "bell")
-    return channels.fock_ladder(lambda ch: channels._evolve(ch, [request])[0], channel)
+    state = (qmath.ket2dm(qmath.KET_BELL), "bell")
+    return channels.fock_ladder(
+        lambda ch: channels._evolver(ch, [state], grid.t_max)[0](grid), channel
+    )
 
 
 class TestSeries:
@@ -113,7 +115,7 @@ class TestAccumulate:
 
     def test_matches_scalar_loop_oracle(self):
         ch = PhaseDamping(0.5)
-        series = oracles.trace_distance_series(ch, measures.default_grid())
+        series = oracles.trace_distance_series(ch, TimeGrid(20.0, 20000))
         got = measures.positive_increments(series)[0]
         want = oracles.positive_increment_sum(series.tolist())
         assert got == pytest.approx(want, abs=1e-12)
@@ -134,7 +136,7 @@ class TestMeasureValues:
         res = measures.n_entanglement(ch)
         assert res.value > 0.0
         assert res.value == pytest.approx(oracles.revival_peak_sum(ch, 20.0), abs=1e-12)
-        grid = measures.default_grid()
+        grid = TimeGrid(20.0, 20000)
         grid_sum = oracles.positive_increment_sum(
             np.sqrt(oracles.ad_survival(grid.values, 0.1)).tolist()
         )
@@ -229,9 +231,9 @@ class TestMeasureValues:
         # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
         # route retries at 12 and gives the table row's target bit for bit
         ch = DrivenAmplitudeDamping(0.1, 0.5)
-        bell = (qmath.ket2dm(qmath.KET_BELL), measures.default_grid(), "bell")
+        bell = (qmath.ket2dm(qmath.KET_BELL), "bell")
         with pytest.raises(TruncationLeakError):
-            channels._evolve(ch, [bell])
+            channels._evolver(ch, [bell], measures.DEFAULT_T_MAX)
         res = measures.n_entanglement(ch)
         assert res.tail_bound is None and res.grid_error >= 0.0
         table = dataset.generate_driven_ad((3.0,), n_lambda=1, omegas=(0.5,))
@@ -256,12 +258,9 @@ class TestDrivenGridError:
         "lam, omega", [(0.3, 0.0), (0.6, 0.15), (0.1, 0.5), (1.0, 0.05), (0.2, 0.02)]
     )
     def test_bounds_an_eightfold_finer_grid(self, lam, omega):
-        # the coarse grid eight times finer, refined the same way; a finer
-        # grid still would sum rounding noise of the concurrence where C is
-        # flat (2.9e-8 at (0.2, 0.02) on 160 000 intervals)
         ch = DrivenAmplitudeDamping(lam, omega)
         res = measures.n_entanglement(ch)
-        fine = measures.n_entanglement(ch, TimeGrid(20.0, 8 * measures.DEFAULT_N_STEPS))
+        fine = measures.n_entanglement(ch, TimeGrid(20.0, 160_000))
         assert abs(fine.value - res.value) <= res.grid_error + 1e-8
 
     def test_bounds_and_tracks_the_exact_zero_drive_measure(self):

@@ -156,8 +156,9 @@ class TestConcurrence:
         batch = np.stack([oracles.random_density(4, rng) for _ in range(200)])
         assert np.array_equal(qmath.concurrence(batch), oracles.matmul_concurrence(batch))
         ch = channels.DrivenAmplitudeDamping(0.6, 0.15)
-        request = (qmath.ket2dm(qmath.KET_BELL), channels.TimeGrid(20.0, 20000), "bell")
-        bell = channels.fock_ladder(lambda c: channels._evolve(c, [request])[0], ch)
+        grid = channels.TimeGrid(20.0, 20000)
+        state = (qmath.ket2dm(qmath.KET_BELL), "bell")
+        bell = channels.fock_ladder(lambda c: channels._evolver(c, [state], 20.0)[0](grid), ch)
         assert np.array_equal(qmath.concurrence(bell), oracles.matmul_concurrence(bell))
 
     def test_wrong_dimension(self):
