@@ -115,9 +115,8 @@ def _bell_concurrence(evaluate, grid: TimeGrid) -> np.ndarray:
     Each round takes every turning sample k of _turns whose error
     contribution is at least REFINE_FLOOR (below it the turn may be rounding
     noise, which splitting would only sample more often) and splits both
-    intervals next to k into REFINE_SPLIT,
-    so the bracket around the turning point, and its error contribution,
-    shrinks by REFINE_SPLIT per round.
+    intervals next to k into REFINE_SPLIT, so the bracket around the turning
+    point, and its error contribution, shrinks by REFINE_SPLIT per round.
     """
     times = grid.values
     values = qmath.concurrence(evaluate(grid))
