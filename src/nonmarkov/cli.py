@@ -188,9 +188,11 @@ def cmd_train(args) -> int:
             f"gap m_up - m_low {model.gap:.6e} >= tol {_FMT % config.tol}"
         )
     svr.save_model(model, out)
-    x_train = model.scaler.transform(train.features)
-    kkt = float(svr.kkt_violations(model, x_train, train.targets, config).max())
-    mae_train = svr.mae(svr.predict(model, train.features), train.targets)
+    # one pass of the stored support vectors over the training rows serves
+    # both the KKT certificate and the training error
+    f_train = svr.decision_function(model, model.scaler.transform(train.features))
+    kkt = float(svr.kkt_violations(model, f_train, train.targets, config).max())
+    mae_train = svr.mae(f_train, train.targets)
     mae_test = svr.mae(svr.predict(model, test.features), test.targets)
     report = [
         f"nonmarkov train report (version {__version__})",
@@ -200,6 +202,7 @@ def cmd_train(args) -> int:
         f"tol={_FMT % config.tol} gamma={_FMT % model.kernel_gamma}",
         f"standardized={not args.no_scale}",
         f"iterations={model.n_iter}",
+        f"kernel_rows={model.kernel_rows}",
         f"support_vectors={len(model.dual_coefs)}",
         f"gap={model.gap:.6e}",
         f"dual_objective={_FMT % model.dual_objective}",

@@ -11,9 +11,15 @@ rule.  The working set is chosen by second-order information (Fan, Chen &
 Lin, "Working set selection using second order information for training
 SVM", JMLR 6 (2005); the LIBSVM default, Chang & Lin, ACM TIST 2 (2011)):
 i maximally violates from I_up, and j in I_low maximizes the gain
-b^2 / (K_ii + K_jj - 2 K_ij) of the two-variable step.  The full Gram matrix
-is cached (paper-scale problems stay below ~7000 x 7000); fit reports the
-final gap m - M and the dual objective it reached.
+b^2 / (K_ii + K_jj - 2 K_ij) of the two-variable step.
+
+Kernel rows are built on first use and kept, as LIBSVM computes kernel
+columns on demand (Chang & Lin 2011, section 5): SMO reads only the rows of
+the points that enter a working set, often a small share of the l x l Gram
+matrix, and no row is built twice.  K_tt = 1, the exact RBF diagonal, and the
+decision values behind the intercept come from the rows of the nonzero
+coefficients.  fit reports the final gap m - M, the dual objective it reached
+and the number of kernel rows it built.
 """
 
 from __future__ import annotations
@@ -104,10 +110,12 @@ class SvrModel:
     converged: bool = True
     n_iter: int = 0
     # set by fit, not serialized: the training-row index of each support
-    # vector, the final m_up - m_low and the dual objective reached
+    # vector, the final m_up - m_low, the dual objective reached and the
+    # number of kernel rows built
     support_indices: np.ndarray | None = field(default=None, compare=False)
     gap: float | None = field(default=None, compare=False)
     dual_objective: float | None = field(default=None, compare=False)
+    kernel_rows: int | None = field(default=None, compare=False)
 
 
 def fit(
@@ -132,8 +140,29 @@ def fit(
     if scaler is None:
         scaler = Scaler.identity(x.shape[1])
     gamma = resolve_gamma(config.kernel_gamma, x)
-    kern = rbf_gram(x, x, gamma)
     c, eps, tol = config.C, config.epsilon, config.tol
+
+    # Kernel rows on first use.  -gamma |x_s - x_t|^2 over all s is one
+    # matrix-vector product, (2 gamma x_s, -gamma |x_s|^2, 1) . (x_t, 1,
+    # -gamma |x_t|^2), then clamped at 0 and exponentiated.  The k-th row
+    # built goes to store[k]: the store's pages past the last row built are
+    # never written, so they take no memory.
+    sq = -gamma * (x * x).sum(axis=1)
+    lhs = np.column_stack([2.0 * gamma * x, sq, np.ones(l)])
+    rhs = np.column_stack([x, np.ones(l), sq])
+    store = np.empty((l, l))
+    rows = [None] * l  # training index -> its row in store, once built
+    built = []  # training index of each row of store
+
+    def row(t):
+        r = rows[t]
+        if r is None:
+            r = rows[t] = store[len(built)]
+            np.matmul(lhs, rhs[t], out=r)
+            np.minimum(r, 0.0, out=r)
+            np.exp(r, out=r)
+            built.append(t)
+        return r
 
     # a = (alpha, alpha*) in [0, C]^{2l}; minimize 1/2 a^T Q a + p^T a with
     # Q = [[K, -K], [-K, K]], p = (eps - y, eps + y), subject to z^T a = 0.
@@ -146,7 +175,6 @@ def fit(
     up = np.stack([crit[0], np.full(l, -np.inf)])  # alpha < C; alpha* > 0
     low = np.stack([np.full(l, np.inf), crit[1]])  # alpha > 0; alpha* < C
     flat_a, flat_crit, flat_up, flat_low = a.ravel(), crit.ravel(), up.ravel(), low.ravel()
-    diag = kern.diagonal().copy()
     quad = np.empty(l)
     score = np.empty((2, l))
 
@@ -163,12 +191,12 @@ def fit(
             break
 
         # second-order choice of j (Fan, Chen & Lin 2005): over I_low with
-        # b_t = m_up - crit_t > 0, maximize b_t^2 / (K_ii + K_tt - 2 K_it)
+        # b_t = m_up - crit_t > 0, maximize b_t^2 / (K_ii + K_tt - 2 K_it),
+        # where K_ii = K_tt = 1
         ri, ti = divmod(i, l)
-        ki = kern[ti]
+        ki = row(ti)
         np.multiply(ki, -2.0, out=quad)
-        quad += diag
-        quad += diag[ti]
+        quad += 2.0
         np.maximum(quad, 1e-12, out=quad)
         np.subtract(m_up, low, out=score)
         np.maximum(score, 0.0, out=score)
@@ -176,7 +204,7 @@ def fit(
         score /= quad
         j = int(np.argmax(score))
         rj, tj = divmod(j, l)
-        kj = kern[tj]
+        kj = row(tj)
 
         zi, zj = 1.0 - 2.0 * ri, 1.0 - 2.0 * rj
         gi, gj = -zi * flat_crit[i], -zj * flat_crit[j]
@@ -217,7 +245,12 @@ def fit(
     grad_plus_p = np.stack([eps - y - crit[0], eps + y + crit[1]])
     dual_objective = -0.5 * float(flat_a @ grad_plus_p.ravel())
     beta = a[0] - a[1]
-    f0 = kern @ beta
+    # f0 = K beta.  A coefficient moves off zero only in a working set, so
+    # its row is stored; row(t) builds any that is not rather than assume
+    # it.  Stored rows of zero coefficients add exact zeros.
+    for t in np.flatnonzero(beta):
+        row(t)
+    f0 = beta[built] @ store[: len(built)]
     intercept = _intercept(beta, y, f0, c, eps)
     keep = np.flatnonzero(np.abs(beta) > SUPPORT_TOL)
     return SvrModel(
@@ -231,6 +264,7 @@ def fit(
         support_indices=keep,
         gap=float(gap),
         dual_objective=dual_objective,
+        kernel_rows=len(built),
     )
 
 
@@ -291,19 +325,25 @@ def mae(predictions, truths) -> float:
 
 
 def kkt_violations(
-    model: SvrModel, x_std: np.ndarray, y: np.ndarray, config: SvrConfig
+    model: SvrModel, decision: np.ndarray, y: np.ndarray, config: SvrConfig
 ) -> np.ndarray:
     """Per-point epsilon-KKT violation magnitudes of a fitted model.
 
     beta = 0 requires |r| <= eps; |beta| = C requires r sign(beta) >= eps;
-    free requires r = eps sign(beta), with r = y - f(x).  x_std and y are
-    the training rows of the model returned by fit, in the order fit saw them.
+    free requires r = eps sign(beta), with r = y - f(x).  y are the training
+    targets of the model returned by fit, in the order fit saw them, and
+    decision is decision_function(model, x_std) on the matching standardized
+    rows: the stored support vectors evaluated afresh, never the kernel rows
+    of the fit, so the residuals certify the model as saved.
     """
     if model.support_indices is None:
         raise ConfigError("KKT residuals need the model returned by fit, not a loaded one")
+    decision = np.asarray(decision, dtype=float)
+    if decision.shape != np.shape(y):
+        raise ConfigError(f"shape mismatch {decision.shape} vs {np.shape(y)}")
     beta = np.zeros(len(y))
     beta[model.support_indices] = model.dual_coefs
-    resid = y - decision_function(model, x_std)
+    resid = y - decision
     eps, c = config.epsilon, config.C
     viol = np.empty(len(y))
     zero = np.abs(beta) <= SUPPORT_TOL

@@ -187,7 +187,8 @@ def test_criterion_7_solver_correctness(pure_pipelines, driven_pipelines):
 
     worst_kkt = 0.0
     for run in list(pure_pipelines.values()) + list(driven_pipelines.values()):
-        viol = svr.kkt_violations(run["model"], run["x_train"], run["y_train"], CONFIG)
+        decision = svr.decision_function(run["model"], run["x_train"])
+        viol = svr.kkt_violations(run["model"], decision, run["y_train"], CONFIG)
         worst_kkt = max(worst_kkt, float(viol.max()))
     assert worst_kkt <= CONFIG.tol
     print(

@@ -119,6 +119,14 @@ class TestTrain:
             "ad.model", "ad.model.config", "ad.model.report"
         ]
 
+    def test_report_states_kernel_rows(self, trained_model):
+        report = dict(
+            field.split("=", 1)
+            for line in open(str(trained_model) + ".report").read().splitlines()[1:]
+            for field in line.split(" ")
+        )
+        assert 0 < int(report["kernel_rows"]) <= int(report["rows_train"])
+
     @pytest.mark.parametrize("target", ["nan", "inf"])
     def test_non_finite_target_is_schema_error(self, ad_table, tmp_path, target):
         lines = ad_table.read_text().splitlines()

@@ -104,7 +104,7 @@ class TestFit:
         x, y = smooth_problem(4)
         config = svr.SvrConfig()
         model = svr.fit(x, y, config)
-        assert svr.kkt_violations(model, x, y, config).max() <= config.tol
+        assert svr.kkt_violations(model, svr.decision_function(model, x), y, config).max() <= config.tol
 
     def test_matches_projected_gradient_oracle(self):
         config = svr.SvrConfig(tol=1e-8, kernel_gamma=0.7)
@@ -146,9 +146,23 @@ class TestFit:
         config = svr.SvrConfig(epsilon=0.3, C=0.1, tol=1e-6)
         model = svr.fit(x, y, config)
         assert model.converged
-        assert svr.kkt_violations(model, x, y, config).max() <= config.tol
+        assert svr.kkt_violations(model, svr.decision_function(model, x), y, config).max() <= config.tol
         with pytest.raises(ConfigError):
-            svr.kkt_violations(replace(model, support_indices=None), x, y, config)
+            svr.kkt_violations(
+                replace(model, support_indices=None), svr.decision_function(model, x), y, config
+            )
+
+    def test_partly_built_kernel_is_exact(self):
+        # a wide tube leaves most points inside it, so SMO reads only the rows
+        # of a few; a stale or missing row would show in the certificate and
+        # in the dual objective against a directly built kernel
+        x, y = smooth_problem(9, n=200)
+        config = svr.SvrConfig(epsilon=0.1, tol=1e-6)
+        model = svr.fit(x, y, config)
+        assert model.converged and model.kernel_rows < len(y)
+        assert svr.kkt_violations(model, svr.decision_function(model, x), y, config).max() <= config.tol
+        want = oracles.dual_objective(model, x, y, config)
+        assert abs(model.dual_objective - want) <= 1e-10 * abs(want)
 
     def test_non_convergence_is_flagged(self):
         x, y = smooth_problem(8)
