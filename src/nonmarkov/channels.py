@@ -2,16 +2,19 @@
 
 Each channel class answers for its own physics: the Bloch vector of the
 evolved |+> (bloch_plus, the tomography features) and, for the two undriven
-channels, the coherence factor that scales the off-diagonals (coherence,
-rates; closed_form = True).  Phase damping dephases with
-Lambda(nu) = exp(-nu) [cos(mu nu) + sin(mu nu)/mu],  mu = sqrt((4 tau)^2 - 1),
-at dimensionless time nu, so |+> goes to (Lambda, 0, 0).  Undriven amplitude
-damping scales coherences with the signed amplitude
-G(t) = exp(-lambda t/2) [cos(d t/2) + (lambda/d) sin(d t/2)],
-d = sqrt(2 gamma0 lambda - lambda^2), and the excited population with
-P_t = G^2, so |+> goes to (G, 0, G^2 - 1).  The driven case has no closed
-form (closed_form = False) and is solved as a qubit coupled to a damped
-pseudomode oscillator,
+channels, the coherence factor that scales the off-diagonals (coherence;
+closed_form = True).  Both undriven coherences are one damped oscillation,
+exp(-a t) [cos(w t) + (a/w) sin(w t)] (_oscillation), and each class states
+only its rates (a, w^2).  Phase damping dephases with Lambda(nu), a = 1 and
+w^2 = (4 tau)^2 - 1 at dimensionless time nu, so |+> goes to (Lambda, 0, 0).
+Undriven amplitude damping scales coherences with the signed amplitude G(t),
+a = lambda/2 and w^2 = (2 gamma0 lambda - lambda^2)/4, and the excited
+population with P_t = G^2, so |+> goes to (G, 0, G^2 - 1).  Where w^2 < 0
+the hyperbolic rewrite keeps every output manifestly real, and the
+degenerate points 4 tau = 1 and lambda = 2 gamma0 take the analytic limit.
+
+The driven case has no closed form (closed_form = False) and is solved as a
+qubit coupled to a damped pseudomode oscillator,
 d rho/dt = -i[H, rho] + lambda (2 b rho b+ - b+b rho - rho b+b),
 H = Omega (s+ + s-) + sqrt(lambda gamma0 / 2) (s+ b + b+ s-),
 in a frame rotating with the drive.  The generator is time independent, so
@@ -30,11 +33,7 @@ t = 0 (RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
 of 1, both checked at least every GUARD_STEP over the whole horizon before
 any state is assembled; and the reduced states must be valid density
 matrices.  DrivenAmplitudeDamping.bloch_plus and measures.driven_entanglement
-go through the Fock ladder; the bare driven_ad_evolve does not.
-
-Parameter regimes where mu or d would be imaginary are evaluated with the
-hyperbolic rewrites so every output is manifestly real; the degenerate points
-4 tau = 1 and lambda = 2 gamma0 use the analytic limits.
+go through the Fock ladder.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ LEAK_TOL = 1e-6
 TRACE_DRIFT_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-10  # spectral trajectory vs initial operators at t = 0
 GUARD_STEP = 1e-3  # largest spacing of the leak and drift checks (units 1/gamma0)
-_DEGENERATE_TOL = 1e-6  # switch to series limit when |mu| or |d| falls below
+_DEGENERATE_TOL = 1e-6  # switch to the limit w -> 0 when |w| falls below
 _CHUNK = 256  # times per block of a TimeGrid: the exp(w t) table is 256 x D^2
 _CLUSTER_TOL = 1e-2  # eigenvalues this close may share a nearly defective block
 _DEPENDENT_TOL = 1e-3  # ... when their unit eigenvectors' least singular value is below
@@ -75,12 +74,12 @@ class PhaseDamping:
 
     @property
     def rates(self) -> tuple[float, float]:
-        """(a, w^2) of Lambda(nu) = exp(-a nu) [cos(w nu) + (a/w) sin(w nu)]."""
+        """(a, w^2) = (1, (4 tau)^2 - 1) of Lambda(nu)."""
         return 1.0, (4.0 * self.tau) ** 2 - 1.0
 
     def coherence(self, nu):
         """Dephasing factor Lambda(nu)."""
-        return pd_lambda(nu, self.tau)
+        return _oscillation(nu, *self.rates)
 
     def bloch_plus(self, times) -> np.ndarray:
         """(O_x, O_y, O_z) = (Lambda, 0, 0) of the evolved |+>, one row per time."""
@@ -104,12 +103,13 @@ class AmplitudeDamping:
 
     @property
     def rates(self) -> tuple[float, float]:
-        """(a, w^2) = (lambda/2, d^2/4) of G(t) = exp(-a t) [cos(w t) + (a/w) sin(w t)]."""
+        """(a, w^2) = (lambda/2, (2 gamma0 lambda - lambda^2)/4) of G(t)."""
         return self.lam / 2.0, (2.0 * self.gamma0 * self.lam - self.lam**2) / 4.0
 
     def coherence(self, t):
-        """Signed excited-state amplitude G(t)."""
-        return ad_amplitude(t, self.lam, self.gamma0)
+        """Signed excited-state amplitude G(t); P_t = G^2, and G goes negative
+        past its zeros in the strong-coupling regime."""
+        return _oscillation(t, *self.rates)
 
     def bloch_plus(self, times) -> np.ndarray:
         """(O_x, O_y, O_z) = (G, 0, P_t - 1) of the evolved |+>, one row per time."""
@@ -157,8 +157,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise ConfigError(f"t_max must be >= 0, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ConfigError(f"t_max must be finite and >= 0, got {self.t_max}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ConfigError(f"n_steps must be an integer >= 1, got {self.n_steps}")
 
@@ -171,48 +171,23 @@ class TimeGrid:
         return self.t_max / self.n_steps
 
 
-def pd_lambda(nu, tau: float):
-    """Dephasing factor Lambda(nu) for memory parameter tau."""
-    nu = np.asarray(nu, dtype=float)
-    if np.any(nu < 0):
-        raise ConfigError("nu must be >= 0")
-    if not tau > 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    mu_sq = (4.0 * tau) ** 2 - 1.0
-    env = np.exp(-nu)
-    if abs(mu_sq) < _DEGENERATE_TOL**2:
-        out = env * (1.0 + nu)
-    elif mu_sq > 0:
-        mu = math.sqrt(mu_sq)
-        out = env * (np.cos(mu * nu) + np.sin(mu * nu) / mu)
-    else:
-        mu = math.sqrt(-mu_sq)
-        out = env * (np.cosh(mu * nu) + np.sinh(mu * nu) / mu)
-    return float(out) if out.ndim == 0 else out
-
-
-def ad_amplitude(t, lam: float, gamma0: float = 1.0):
-    """Signed excited-state amplitude G(t) of the undriven AD channel.
-
-    G(t) = exp(-lam t/2) [cos(d t/2) + (lam/d) sin(d t/2)]; populations decay
-    with P_t = G^2 and coherences scale with G itself, which goes negative
-    past its zeros in the strong-coupling regime.
-    """
+def _oscillation(t, a: float, w2: float):
+    """exp(-a t) [cos(w t) + (a/w) sin(w t)], w = sqrt(w2), at times t >= 0:
+    the coherence of both undriven channels, given their rates.  For w2 < 0
+    the hyperbolic rewrite with sqrt(-w2) keeps the value manifestly real;
+    where |w2| < _DEGENERATE_TOL^2 the limit exp(-a t) (1 + a t) is taken."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ConfigError("t must be >= 0")
-    if not (lam > 0 and gamma0 > 0):
-        raise ConfigError(f"need lambda > 0 and gamma0 > 0, got {lam}, {gamma0}")
-    d_sq = 2.0 * gamma0 * lam - lam**2
-    env = np.exp(-lam * t / 2.0)
-    if abs(d_sq) < _DEGENERATE_TOL**2:
-        amp = 1.0 + lam * t / 2.0
-    elif d_sq > 0:
-        d = math.sqrt(d_sq)
-        amp = np.cos(d * t / 2.0) + (lam / d) * np.sin(d * t / 2.0)
+    if not (t >= 0).all():
+        raise ConfigError("times must be >= 0")
+    env = np.exp(-a * t)
+    if abs(w2) < _DEGENERATE_TOL**2:
+        amp = 1.0 + a * t
+    elif w2 > 0:
+        w = math.sqrt(w2)
+        amp = np.cos(w * t) + (a / w) * np.sin(w * t)
     else:
-        d = math.sqrt(-d_sq)
-        amp = np.cosh(d * t / 2.0) + (lam / d) * np.sinh(d * t / 2.0)
+        w = math.sqrt(-w2)
+        amp = np.cosh(w * t) + (a / w) * np.sinh(w * t)
     out = env * amp
     return float(out) if out.ndim == 0 else out
 
@@ -222,13 +197,6 @@ def _lowering(n: int) -> np.ndarray:
     for i in range(n - 1):
         b[i, i + 1] = math.sqrt(i + 1)
     return b
-
-
-def vacuum(n: int) -> np.ndarray:
-    """Fock-vacuum projector |0><0| of an n-level pseudomode."""
-    vac = np.zeros((n, n), dtype=complex)
-    vac[0, 0] = 1.0
-    return vac
 
 
 def _liouvillian(channel: DrivenAmplitudeDamping) -> np.ndarray:
@@ -509,36 +477,4 @@ def fock_ladder(attempt, channel: DrivenAmplitudeDamping):
         except TruncationLeakError as exc:
             last = exc
     raise last
-
-
-def driven_ad_evolve(
-    rho0: np.ndarray,
-    times,
-    channel: DrivenAmplitudeDamping,
-    system_dims: tuple[int, ...] = (2,),
-) -> np.ndarray:
-    """Propagate the pseudomode master equation and trace out the pseudomode.
-
-    rho0 lives on (system factors) x pseudomode with the pseudomode in the
-    Fock vacuum; system_dims is (2,) for the open qubit alone or (2, 2) for an
-    untouched ancilla qubit followed by the open qubit.  times is a TimeGrid
-    or a sequence of times >= 0.  Returns the reduced system state at every
-    time, shape (len(times), d_sys, d_sys).  No Fock ladder: a truncation
-    leak raises (see fock_ladder).
-    """
-    system_dims = tuple(int(d) for d in system_dims)
-    if system_dims not in ((2,), (2, 2)):
-        raise ConfigError(f"system_dims must be (2,) or (2, 2), got {system_dims}")
-    n = channel.n_fock
-    d_sys = int(np.prod(system_dims))
-    qmath.validate_density(rho0, "driven_ad_evolve input")
-    if rho0.shape != (d_sys * n, d_sys * n):
-        raise ConfigError(
-            f"rho0 has shape {rho0.shape}, expected {(d_sys * n, d_sys * n)}"
-        )
-    pm = qmath.partial_trace(rho0, [d_sys, n], keep=[1])
-    if np.abs(pm - vacuum(n)).max() > 1e-9:
-        raise ConfigError("pseudomode factor of rho0 is not the Fock vacuum")
-    rho_sys = qmath.partial_trace(rho0, [d_sys, n], keep=[0])
-    return _evolver(channel, [(rho_sys, "driven_ad_evolve")], _last_time(times))[0](times)
 

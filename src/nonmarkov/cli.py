@@ -353,7 +353,7 @@ def cmd_reproduce(args) -> int:
     tgrid = channels.TimeGrid(5.0, 500)
     lines = ["param_lambda,t,ox"]
     for lam in fig1_lams:
-        ox = channels.ad_amplitude(tgrid.values, lam)  # O_x of evolved |+>
+        ox = channels.AmplitudeDamping(lam).coherence(tgrid.values)  # O_x of evolved |+>
         for t, v in zip(tgrid.values, ox):
             lines.append(",".join([_FMT % lam, _FMT % t, _FMT % v]))
     with open(path("fig1_ox.csv"), "w", encoding="utf-8") as fh:

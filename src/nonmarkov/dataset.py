@@ -119,9 +119,11 @@ class DataTable:
             raise ConfigError(f"params block {self.params.shape} must be ({n}, 2)")
         if self.grid_errors is not None and self.grid_errors.shape != (n,):
             raise ConfigError(f"grid errors {self.grid_errors.shape} must be ({n},)")
-        finite = np.isfinite(self.features).all() and np.isfinite(self.targets).all()
+        finite = all(np.isfinite(a).all() for a in (self.features, self.targets, self.params))
         if n and (not finite or self.targets.min() < 0):
-            raise ConfigError("features and targets must be finite, targets non-negative")
+            raise ConfigError(
+                "features, targets and parameters must be finite, targets non-negative"
+            )
 
     def __len__(self) -> int:
         return len(self.targets)

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra and the two state-distance functionals.
+"""Dense complex linear algebra and the one entanglement functional, the
+Wootters concurrence.
 
 States are plain complex ndarrays. Anything returned as a density matrix can
 be checked with `validate_density`, which enforces Hermiticity and unit trace
@@ -19,16 +20,11 @@ TRACE_TOL = 1e-10
 PSD_TOL = -1e-9
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-# Basis convention: index 0 = excited |e>, index 1 = ground |g>, so that the
-# excited state is the +1 eigenstate of SIGMA_Z and rho[0, 0] is the excited
-# population.
-KET_E = np.array([1.0, 0.0], dtype=complex)
-KET_G = np.array([0.0, 1.0], dtype=complex)
+# Basis convention: index 0 = excited |e>, index 1 = ground |g>, so that
+# rho[0, 0] is the excited population and O_z = rho[0, 0] - rho[1, 1].
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 # (|ee> + |gg>)/sqrt(2) in the 4-dim ancilla (x) system space.
 KET_BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -54,45 +50,6 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     oy = -2.0 * rho[..., 0, 1].imag
     oz = (rho[..., 0, 0] - rho[..., 1, 1]).real
     return np.stack([ox, oy, oz], axis=-1)
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all factors not listed in `keep` (indices into `dims`).
-
-    Kept factors stay in their original order.  The product of `dims` must
-    match the matrix dimension; anything else is an error, never a reshape.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    keep = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ConfigError("partial_trace expects a square matrix")
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise ConfigError(
-            f"factor dims {dims} do not multiply to matrix dim {rho.shape[0]}"
-        )
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise ConfigError(f"keep={keep} is not a non-empty subset of 0..{n - 1}")
-
-    resh = rho.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) if i in keep else row[i] for i in range(n)]
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    spec = "".join(row) + "".join(col) + "->" + "".join(out)
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return np.einsum(spec, resh).reshape(d_keep, d_keep)
-
-
-def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float | np.ndarray:
-    """D = (1/2) Tr|rho1 - rho2| via eigenvalues of the Hermitian difference."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape != rho2.shape:
-        raise ConfigError(f"dimension mismatch {rho1.shape} vs {rho2.shape}")
-    w = np.linalg.eigvalsh(rho1 - rho2)
-    d = 0.5 * np.abs(w).sum(axis=-1)
-    return float(d) if d.ndim == 0 else d
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:

@@ -50,15 +50,15 @@ class SvrConfig:
     def __post_init__(self):
         if not self.C > 0:
             raise ConfigError(f"C must be > 0, got {self.C}")
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if isinstance(self.kernel_gamma, str):
             if self.kernel_gamma != "scale":
                 raise ConfigError("kernel_gamma must be positive or 'scale'")
-        elif not self.kernel_gamma > 0:
-            raise ConfigError(f"kernel_gamma must be > 0, got {self.kernel_gamma}")
+        elif not (np.isfinite(self.kernel_gamma) and self.kernel_gamma > 0):
+            raise ConfigError(f"kernel_gamma must be finite and > 0, got {self.kernel_gamma}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
 

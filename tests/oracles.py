@@ -5,9 +5,10 @@ package code it checks: concurrence via the square-root decomposition instead
 of the eigenvalues of rho * rho_tilde, the SVR dual via projected gradient
 instead of SMO (and its objective with a kernel from pairwise differences
 instead of svr.rbf_gram's expansion), the RBF Gram as one plain expression
-instead of svr.rbf_gram's in-place build, partial trace via explicit index loops
-instead of einsum, measure accumulation via a scalar loop instead of
-vectorized diffs, the undriven channels as Kraus maps on density matrices instead of the closed
+instead of svr.rbf_gram's in-place build, measure accumulation via a scalar
+loop instead of vectorized diffs, the trace distance of two evolved states
+from the eigenvalues of their difference instead of |coherence|, the
+undriven channels as Kraus maps on density matrices instead of the closed
 forms of their coherence factor, their measures as grid sums of sampled
 series and as |coherence| read off at the revival peaks instead of the
 geometric peak sum, and the driven channel via scipy's expm of a separately
@@ -21,6 +22,12 @@ import scipy.linalg
 
 from nonmarkov import channels, qmath
 from nonmarkov.errors import ConfigError
+
+# index 0 = excited |e>, index 1 = ground |g>, as in the package
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+KET_E = np.array([1.0, 0.0], dtype=complex)
+KET_G = np.array([0.0, 1.0], dtype=complex)
+KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 SY2 = np.array(
     [
@@ -59,35 +66,14 @@ def wootters_concurrence(rho):
     return max(0.0, 2.0 * lam.max() - lam.sum())
 
 
-def loop_partial_trace(rho, dims, keep):
-    """Partial trace by explicit index contraction loops."""
-    dims = list(dims)
-    keep = sorted(keep)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    out = np.zeros((d_keep, d_keep), dtype=complex)
-
-    def unravel(flat):
-        idx = []
-        for d in reversed(dims):
-            idx.append(flat % d)
-            flat //= d
-        return list(reversed(idx))
-
-    def ravel_keep(idx):
-        flat = 0
-        for i in keep:
-            flat = flat * dims[i] + idx[i]
-        return flat
-
-    n = int(np.prod(dims))
-    for r in range(n):
-        ri = unravel(r)
-        for c in range(n):
-            ci = unravel(c)
-            if all(ri[i] == ci[i] for i in traced):
-                out[ravel_keep(ri), ravel_keep(ci)] += rho[r, c]
-    return out
+def trace_distance(rho1, rho2):
+    """D = (1/2) Tr|rho1 - rho2| via eigenvalues of the Hermitian difference."""
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho2 = np.asarray(rho2, dtype=complex)
+    if rho1.shape != rho2.shape:
+        raise ConfigError(f"dimension mismatch {rho1.shape} vs {rho2.shape}")
+    d = 0.5 * np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def positive_increment_sum(values):
@@ -182,7 +168,7 @@ def ad_closed_form(rho0, t, lam, gamma0=1.0):
 
 def ad_survival(t, lam, gamma0=1.0):
     """Excited-state survival probability P_t = G(t)^2."""
-    out = np.asarray(channels.ad_amplitude(t, lam, gamma0)) ** 2
+    out = np.asarray(channels.AmplitudeDamping(lam, gamma0).coherence(t)) ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,9 +178,9 @@ def pd_apply(rho, nu, tau):
     rho = qmath.validate_density(rho, "pd_apply input")
     if rho.shape != (2, 2):
         raise ConfigError(f"pd_apply needs a single-qubit state, got {rho.shape}")
-    lam_nu = channels.pd_lambda(float(nu), tau)
+    lam_nu = channels.PhaseDamping(tau).coherence(float(nu))
     m1 = math.sqrt((1.0 + lam_nu) / 2.0) * qmath.IDENTITY_2
-    m2 = math.sqrt(max(0.0, (1.0 - lam_nu) / 2.0)) * qmath.SIGMA_Z
+    m2 = math.sqrt(max(0.0, (1.0 - lam_nu) / 2.0)) * SIGMA_Z
     out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
     return qmath.validate_density(out, "pd_apply output")
 
@@ -212,7 +198,7 @@ def ad_apply(rho, t, lam, gamma0=1.0):
     rho = qmath.validate_density(rho, "ad_apply input")
     if rho.shape != (2, 2):
         raise ConfigError(f"ad_apply needs a single-qubit state, got {rho.shape}")
-    m1, m2 = ad_kraus(channels.ad_amplitude(float(t), lam, gamma0))
+    m1, m2 = ad_kraus(channels.AmplitudeDamping(lam, gamma0).coherence(float(t)))
     out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
     return qmath.validate_density(out, "ad_apply output")
 

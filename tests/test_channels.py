@@ -26,10 +26,11 @@ def bisect(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def vacuum(n):
-    v = np.zeros((n, n), dtype=complex)
-    v[0, 0] = 1.0
-    return v
+def evolve(channel, rho_sys, times):
+    """Reduced states of rho_sys (x) |0><0| at times, from one guarded
+    evolver with no Fock ladder: a truncation leak raises."""
+    horizon = channels._last_time(times)
+    return channels._evolver(channel, [(rho_sys, "evolve")], horizon)[0](times)
 
 
 class TestChannelSpecs:
@@ -59,36 +60,40 @@ class TestTimeGrid:
             TimeGrid(-1.0, 10)
         with pytest.raises(ConfigError):
             TimeGrid(1.0, 0)
+        for t_max in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TimeGrid(t_max, 10)
 
 
 class TestPdLambda:
     def test_initial_value(self):
         for tau in (0.1, 0.25, 0.5, 2.0):
-            assert channels.pd_lambda(0.0, tau) == pytest.approx(1.0)
+            assert PhaseDamping(tau).coherence(0.0) == pytest.approx(1.0)
 
     def test_first_zero_at_tau_half(self):
         # tan(sqrt(3) nu) = -sqrt(3) -> nu = 2 pi / (3 sqrt(3))
-        nu_zero = bisect(lambda nu: channels.pd_lambda(nu, 0.5), 0.5, 2.0)
+        nu_zero = bisect(lambda nu: PhaseDamping(0.5).coherence(nu), 0.5, 2.0)
         assert nu_zero == pytest.approx(2.0 * math.pi / (3.0 * math.sqrt(3.0)), abs=1e-9)
-        assert abs(channels.pd_lambda(nu_zero, 0.5)) < 1e-12
+        assert abs(PhaseDamping(0.5).coherence(nu_zero)) < 1e-12
 
     def test_markovian_regime_positive_and_decreasing(self):
         nu = np.linspace(0.0, 20.0, 4001)
-        lam = channels.pd_lambda(nu, 0.2)
+        lam = PhaseDamping(0.2).coherence(nu)
         assert lam.min() > 0.0
         assert np.all(np.diff(lam) <= 0.0)
 
     def test_continuity_at_boundary(self):
         nu = np.linspace(0.0, 10.0, 101)
-        below = channels.pd_lambda(nu, 0.25 - 1e-6)
-        above = channels.pd_lambda(nu, 0.25 + 1e-6)
+        below = PhaseDamping(0.25 - 1e-6).coherence(nu)
+        above = PhaseDamping(0.25 + 1e-6).coherence(nu)
         assert np.abs(np.abs(below) - np.abs(above)).max() < 1e-4
 
     def test_domain_errors(self):
+        for nu in (-0.1, float("nan"), [0.0, -1e-3]):
+            with pytest.raises(ConfigError):
+                PhaseDamping(0.5).coherence(nu)
         with pytest.raises(ConfigError):
-            channels.pd_lambda(-0.1, 0.5)
-        with pytest.raises(ConfigError):
-            channels.pd_lambda(1.0, 0.0)
+            PhaseDamping(0.0)
 
 
 class TestPdApply:
@@ -103,7 +108,7 @@ class TestPdApply:
             rho = oracles.random_density(2, rng)
             nu, tau = rng.uniform(0.0, 5.0), rng.uniform(0.15, 0.8)
             got = oracles.pd_apply(rho, nu, tau)
-            lam = channels.pd_lambda(nu, tau)
+            lam = PhaseDamping(tau).coherence(nu)
             want = rho.copy()
             want[0, 1] *= lam
             want[1, 0] *= lam
@@ -112,7 +117,7 @@ class TestPdApply:
     def test_plus_state_x_expectation(self):
         rho = oracles.pd_apply(qmath.ket2dm(qmath.KET_PLUS), 1.3, 0.5)
         ox = float(np.trace(rho @ qmath.SIGMA_X).real)
-        assert ox == pytest.approx(channels.pd_lambda(1.3, 0.5), abs=1e-14)
+        assert ox == pytest.approx(PhaseDamping(0.5).coherence(1.3), abs=1e-14)
 
     def test_zero_time_is_identity(self):
         rho = oracles.random_density(2, np.random.default_rng(1))
@@ -123,9 +128,9 @@ class TestPdApply:
         for _ in range(5):
             rho = oracles.random_density(4, rng)
             nu, tau = rng.uniform(0.0, 4.0), rng.uniform(0.15, 0.8)
-            lam = channels.pd_lambda(nu, tau)
+            lam = PhaseDamping(tau).coherence(nu)
             m1 = math.sqrt((1 + lam) / 2) * np.kron(np.eye(2), qmath.IDENTITY_2)
-            m2 = math.sqrt((1 - lam) / 2) * np.kron(np.eye(2), qmath.SIGMA_Z)
+            m2 = math.sqrt((1 - lam) / 2) * np.kron(np.eye(2), oracles.SIGMA_Z)
             out = m1 @ rho @ m1.conj().T + m2 @ rho @ m2.conj().T
             qmath.validate_density(out)
 
@@ -137,7 +142,7 @@ class TestAdAmplitude:
 
     def test_first_zero_resonant(self):
         # lam = gamma0 -> d = gamma0, zero at t = (2/d)(pi - arctan(d/lam))
-        t_zero = bisect(lambda t: channels.ad_amplitude(t, 1.0), 1.0, 6.0)
+        t_zero = bisect(AmplitudeDamping(1.0).coherence, 1.0, 6.0)
         want = 2.0 * (math.pi - math.atan(1.0))
         assert t_zero == pytest.approx(want, abs=1e-9)
         assert oracles.ad_survival(t_zero, 1.0) < 1e-20
@@ -156,13 +161,13 @@ class TestAdAmplitude:
     def test_survival_is_square_of_amplitude(self):
         t = np.linspace(0.0, 10.0, 51)
         for lam in (0.4, 2.0, 2.7):
-            g = channels.ad_amplitude(t, lam)
+            g = AmplitudeDamping(lam).coherence(t)
             assert np.abs(oracles.ad_survival(t, lam) - g**2).max() < 1e-15
 
 
 class TestAdApply:
     def test_ground_state_fixed(self):
-        rho = qmath.ket2dm(qmath.KET_G)
+        rho = qmath.ket2dm(oracles.KET_G)
         for t in (0.0, 1.0, 10.0):
             assert np.abs(oracles.ad_apply(rho, t, 0.5) - rho).max() < 1e-14
 
@@ -173,7 +178,7 @@ class TestAdApply:
     def test_excited_state_at_survival_036(self):
         # monotone regime: invert P_t = 0.36 and check the populations
         t36 = bisect(lambda t: oracles.ad_survival(t, 3.0) - 0.36, 0.0, 5.0)
-        out = oracles.ad_apply(qmath.ket2dm(qmath.KET_E), t36, 3.0)
+        out = oracles.ad_apply(qmath.ket2dm(oracles.KET_E), t36, 3.0)
         assert np.abs(out - np.diag([0.36, 0.64])).max() < 1e-9
 
     def test_kraus_matches_entrywise_formula(self):
@@ -196,7 +201,7 @@ class TestAdApply:
         for _ in range(5):
             rho = oracles.random_density(4, rng)
             t, lam = rng.uniform(0.0, 6.0), rng.uniform(0.1, 3.0)
-            m1, m2 = oracles.ad_kraus(channels.ad_amplitude(t, lam))
+            m1, m2 = oracles.ad_kraus(AmplitudeDamping(lam).coherence(t))
             k1, k2 = np.kron(np.eye(2), m1), np.kron(np.eye(2), m2)
             qmath.validate_density(k1 @ rho @ k1.conj().T + k2 @ rho @ k2.conj().T)
 
@@ -205,21 +210,19 @@ class TestDrivenEvolve:
     def test_undriven_matches_closed_form(self):
         ch = DrivenAmplitudeDamping(lam=1.0, omega=0.0)
         grid = TimeGrid(5.0, 5000)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
-        out = channels.driven_ad_evolve(rho0, grid, ch)
         plus = qmath.ket2dm(qmath.KET_PLUS)
+        out = evolve(ch, plus, grid)
         want = np.stack([oracles.ad_closed_form(plus, t, 1.0) for t in grid.values])
         assert np.abs(out - want).max() < 1e-6
 
     def test_undriven_bell_concurrence_matches_kraus_oracle(self):
         ch = DrivenAmplitudeDamping(lam=0.8, omega=0.0)
         grid = TimeGrid(6.0, 1200)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_BELL), vacuum(8))
-        joint = channels.driven_ad_evolve(rho0, grid, ch, (2, 2))
         bell = qmath.ket2dm(qmath.KET_BELL)
+        joint = evolve(ch, bell, grid)
         for i in (0, 300, 600, 1200):
             t = grid.values[i]
-            m1, m2 = oracles.ad_kraus(channels.ad_amplitude(t, 0.8))
+            m1, m2 = oracles.ad_kraus(AmplitudeDamping(0.8).coherence(t))
             k1, k2 = np.kron(np.eye(2), m1), np.kron(np.eye(2), m2)
             want = k1 @ bell @ k1.conj().T + k2 @ bell @ k2.conj().T
             assert np.abs(joint[i] - want).max() < 1e-6
@@ -227,8 +230,7 @@ class TestDrivenEvolve:
 
     def test_zero_length_grid_returns_input(self):
         ch = DrivenAmplitudeDamping(lam=0.5, omega=0.3)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
-        out = channels.driven_ad_evolve(rho0, TimeGrid(0.0, 1), ch)
+        out = evolve(ch, qmath.ket2dm(qmath.KET_PLUS), TimeGrid(0.0, 1))
         assert out.shape == (2, 2, 2)
         assert np.abs(out[0] - qmath.ket2dm(qmath.KET_PLUS)).max() < 1e-14
 
@@ -251,7 +253,7 @@ class TestDrivenEvolve:
         rho_sys = oracles.random_density(d, np.random.default_rng(7))
         ch = DrivenAmplitudeDamping(lam, omega, n_fock=n_fock)
         times = (0.0, 0.7, 3.0, 20.0)
-        got = channels.driven_ad_evolve(np.kron(rho_sys, vacuum(n_fock)), times, ch, dims)
+        got = evolve(ch, rho_sys, times)
         want = oracles.pseudomode_expm_evolve(rho_sys, times, lam, omega, n_fock)
         assert np.abs(got - want).max() < 1e-10
 
@@ -261,9 +263,9 @@ class TestDrivenEvolve:
         # (2, 0) is an exceptional point, whose block modes are t^k exp(mu t)
         ch = DrivenAmplitudeDamping(lam, omega)
         grid = TimeGrid(3.0, 600)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
-        blocked = channels.driven_ad_evolve(rho0, grid, ch)
-        direct = channels.driven_ad_evolve(rho0, grid.values, ch)
+        plus = qmath.ket2dm(qmath.KET_PLUS)
+        blocked = evolve(ch, plus, grid)
+        direct = evolve(ch, plus, grid.values)
         assert blocked.shape == direct.shape == (601, 2, 2)
         assert np.abs(blocked - direct).max() < 1e-12
 
@@ -278,17 +280,15 @@ class TestDrivenEvolve:
 
         monkeypatch.setattr(np.linalg, "eig", corrupted)
         ch = DrivenAmplitudeDamping(lam=0.5, omega=0.3)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
         with pytest.raises(NumericError, match="t = 0"):
-            channels.driven_ad_evolve(rho0, TimeGrid(1.0, 10), ch)
+            evolve(ch, qmath.ket2dm(qmath.KET_PLUS), TimeGrid(1.0, 10))
 
     def test_exceptional_point_matches_closed_form(self):
-        # lambda = 2 gamma0 is the critical coupling, where ad_amplitude uses
+        # lambda = 2 gamma0 is the critical coupling, where the coherence takes
         # its analytic limit (1 + lambda t / 2) exp(-lambda t / 2)
         grid = TimeGrid(20.0, 20000)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
-        out = channels.driven_ad_evolve(rho0, grid, DrivenAmplitudeDamping(2.0, 0.0))
-        g = channels.ad_amplitude(grid.values, 2.0)
+        out = evolve(DrivenAmplitudeDamping(2.0, 0.0), qmath.ket2dm(qmath.KET_PLUS), grid)
+        g = AmplitudeDamping(2.0).coherence(grid.values)
         want = 0.5 * np.stack([g**2, g, g, 2.0 - g**2], axis=-1).reshape(-1, 2, 2)
         assert np.abs(out - want).max() < 1e-10
 
@@ -303,24 +303,14 @@ class TestDrivenEvolve:
         modes = channels._spectral_modes(ch, t_zero)
         rows = channels._trajectories(modes, (0.0, t_zero))
         assert np.abs(rows[:, :, 4]).max() < 1e-12  # empty at both samples
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(2))
         with pytest.raises(TruncationLeakError):
-            channels.driven_ad_evolve(rho0, (0.0, t_zero), ch)
+            evolve(ch, qmath.ket2dm(qmath.KET_PLUS), (0.0, t_zero))
 
     def test_truncation_leak_raises(self):
         ch = DrivenAmplitudeDamping(lam=0.1, omega=0.5, n_fock=2)
         grid = TimeGrid(5.0, 500)
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(2))
         with pytest.raises(TruncationLeakError):
-            channels.driven_ad_evolve(rho0, grid, ch)
-
-    def test_rejects_non_vacuum_pseudomode(self):
-        ch = DrivenAmplitudeDamping(lam=0.5, omega=0.1)
-        excited = np.zeros((8, 8), dtype=complex)
-        excited[1, 1] = 1.0
-        rho0 = np.kron(qmath.ket2dm(qmath.KET_PLUS), excited)
-        with pytest.raises(ConfigError):
-            channels.driven_ad_evolve(rho0, TimeGrid(1.0, 100), ch)
+            evolve(ch, qmath.ket2dm(qmath.KET_PLUS), grid)
 
 
 class TestDrivenBellAndPlus:
@@ -345,10 +335,8 @@ class TestDrivenBellAndPlus:
         grid = TimeGrid(4.0, 800)
         idx = [0, 150, 600, 800]
         bell, plus = self.bell_and_plus(ch, grid, grid.values[idx])
-        rho_b = np.kron(qmath.ket2dm(qmath.KET_BELL), vacuum(8))
-        want_bell = channels.driven_ad_evolve(rho_b, grid, ch, (2, 2))
-        rho_p = np.kron(qmath.ket2dm(qmath.KET_PLUS), vacuum(8))
-        want_plus = channels.driven_ad_evolve(rho_p, grid, ch, (2,))
+        want_bell = evolve(ch, qmath.ket2dm(qmath.KET_BELL), grid)
+        want_plus = evolve(ch, qmath.ket2dm(qmath.KET_PLUS), grid)
         assert np.array_equal(bell, want_bell)
         assert np.abs(plus - want_plus[idx]).max() < 1e-12
 
@@ -362,7 +350,7 @@ class TestDrivenBellAndPlus:
         assert none.shape == (0, 2, 2)
         # (the ground state stays in the vacuum at zero drive; |+> leaks)
         states = [
-            (qmath.ket2dm(qmath.KET_G), "ground"),
+            (qmath.ket2dm(oracles.KET_G), "ground"),
             (qmath.ket2dm(qmath.KET_PLUS), "plus"),
         ]
         leaky = DrivenAmplitudeDamping(0.5, 0.0, n_fock=2)

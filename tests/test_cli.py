@@ -129,13 +129,25 @@ class TestTrain:
 
     @pytest.mark.parametrize("target", ["nan", "inf"])
     def test_non_finite_target_is_schema_error(self, ad_table, tmp_path, target):
+        # the target cell of one row, then its param_lambda cell
         lines = ad_table.read_text().splitlines()
-        lines[5] = ",".join([target] + lines[5].split(",")[1:])
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        for column in (0, lines[1].split(",").index("param_lambda")):
+            cells = lines[5].split(",")
+            cells[column] = target
+            bad.write_text("\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n")
+            out = tmp_path / "m"
+            assert run("train", "--data", str(bad), "--out", str(out)) == cli.EXIT_CONFIG
+            assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--epsilon", "nan"), ("--epsilon", "inf"), ("--gamma", "inf")]
+    )
+    def test_non_finite_hyperparameter_is_config_error(self, ad_table, tmp_path, flag, value):
         out = tmp_path / "m"
-        assert run("train", "--data", str(bad), "--out", str(out)) == cli.EXIT_CONFIG
-        assert list(tmp_path.iterdir()) == [bad]
+        code = run("train", "--data", str(ad_table), "--out", str(out), flag, value)
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
     def test_same_seed_reproduces_model_bytes(self, ad_table, tmp_path):
         p1, p2 = tmp_path / "m1", tmp_path / "m2"
@@ -317,6 +329,17 @@ class TestSweep:
         assert run(*argv, flag, values) == cli.EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("channel, params", [("ad", "--lambdas"), ("pd", "--taus")])
+    @pytest.mark.parametrize("tmax", ["nan", "inf"])
+    def test_non_finite_tmax_is_config_error(self, tmp_path, tmax, channel, params):
+        out = tmp_path / "ox.csv"
+        code = run(
+            "sweep", "--kind", "ox", "--channel", channel, params, "0.5",
+            "--tmax", tmax, "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
     def test_ox_curves_separated_by_critical_coupling(self, tmp_path):
         # at t = 1/gamma0 every lambda < 2 curve sits above the lambda = 2
         # one, every lambda > 2 curve below
@@ -373,6 +396,21 @@ class TestReproduce:
         summary = (outdir / "summary.txt").read_text()
         assert summary.count("fig2") == 4 and summary.count("fig5") == 4
         assert run("reproduce", "--out", str(outdir)) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("lam", ["0.5", "2"])  # oscillating, critical
+    def test_fig1_is_the_ox_sweep(self, outdir, tmp_path, lam):
+        # figure 1's O_x curve of one coupling is the ox sweep's, byte for byte
+        sweep = tmp_path / "ox.csv"
+        assert run(
+            "sweep", "--kind", "ox", "--channel", "ad", "--lambdas", lam,
+            "--tmax", "5", "--points", "501", "--out", str(sweep),
+        ) == 0
+        rows = [ln.split(",") for ln in sweep.read_text().splitlines()[1:]]
+        want = [",".join([p, t, ox]) for p, _, t, ox, _, _ in rows]
+        fig1 = (outdir / "fig1_ox.csv").read_text().splitlines()
+        assert fig1[0] == "param_lambda,t,ox"
+        assert [ln for ln in fig1[1:] if ln.split(",")[0] == lam] == want
+        assert len(want) == 501
 
     def test_driven_figures_read_one_table(self, outdir, tmp_path):
         # figures 3 and 4 take their driven rows from the figure-5 table; they

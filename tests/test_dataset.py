@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonmarkov import channels, dataset, measures, qmath
+from nonmarkov import dataset, measures, qmath
 from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDamping
 from nonmarkov.errors import ConfigError, DataFormatError
 
@@ -39,13 +39,13 @@ class TestFeaturesAt:
     def test_ad_features_formula(self):
         lam, t = 0.7, 3.0
         feats = dataset.features_at(AmplitudeDamping(lam), (t,))
-        g = channels.ad_amplitude(t, lam)
+        g = AmplitudeDamping(lam).coherence(t)
         assert np.abs(feats - [g, 0.0, g * g - 1.0]).max() < 1e-12
 
     def test_pd_features_formula(self):
         tau, nu = 0.5, 3.0
         feats = dataset.features_at(PhaseDamping(tau), (nu,))
-        assert np.abs(feats - [channels.pd_lambda(nu, tau), 0.0, 0.0]).max() < 1e-12
+        assert np.abs(feats - [PhaseDamping(tau).coherence(nu), 0.0, 0.0]).max() < 1e-12
 
     @pytest.mark.parametrize("ch", [AmplitudeDamping(0.37), AmplitudeDamping(2.6), PhaseDamping(0.41)])
     def test_closed_form_features_match_kraus_oracle(self, ch):
@@ -65,7 +65,7 @@ class TestFeaturesAt:
     def test_driven_features_reduce_to_closed_form(self):
         lam = 0.8
         feats = dataset.features_at(DrivenAmplitudeDamping(lam, 0.0), (1.0, 2.0))
-        g1, g2 = channels.ad_amplitude(1.0, lam), channels.ad_amplitude(2.0, lam)
+        g1, g2 = AmplitudeDamping(lam).coherence([1.0, 2.0])
         want = [g1, 0.0, g1 * g1 - 1.0, g2, 0.0, g2 * g2 - 1.0]
         assert np.abs(feats - want).max() < 1e-6
 
@@ -222,6 +222,14 @@ class TestDataTable:
     def test_rejects_non_finite_features(self):
         with pytest.raises(ConfigError):
             toy_table([[1.0, 0.0, np.nan], [0.5, 0.0, 0.0]], [0.1, 0.2])
+
+    @pytest.mark.parametrize("param", [np.nan, np.inf])
+    def test_rejects_non_finite_params(self, param):
+        table = toy_table([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [0.1, 0.2])
+        params = table.params.copy()
+        params[1, 0] = param
+        with pytest.raises(ConfigError):
+            dataset.DataTable(table.schema, table.features, table.targets, params)
 
 
 class TestSplit:

