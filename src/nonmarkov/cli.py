@@ -125,26 +125,12 @@ def _write_resolved(args: argparse.Namespace, path) -> None:
 # ---------------------------------------------------------------- generate
 
 
-def _generate_table(args) -> dataset.DataTable:
-    times = (args.tc,) if args.tc2 is None else (args.tc, args.tc2)
-    count = args.count
-    if args.channel == "ad":
-        count = dataset.PURE_AD_COUNT if count is None else count
-        return dataset.generate_pure_ad(args.measure, times, count)
-    if args.channel == "pd":
-        count = dataset.PURE_PD_COUNT if count is None else count
-        return dataset.generate_pure_pd(args.measure, times, count)
-    if args.measure != "entanglement":
-        raise ConfigError("the driven channel supports only --measure entanglement")
-    n_lambda = dataset.DRIVEN_LAMBDA_COUNT if count is None else count
-    return dataset.generate_driven_ad(times, n_lambda, args.omegas)
-
-
 def cmd_generate(args) -> int:
     if args.tc is None:
-        args.tc = dataset.PURE_PD_TIME if args.channel == "pd" else dataset.PURE_AD_TIME
+        args.tc = dataset.KINDS[args.channel].time
     out = _fresh(args.out, ".config")
-    table = _generate_table(args)
+    times = (args.tc,) if args.tc2 is None else (args.tc, args.tc2)
+    table = dataset.generate(args.channel, args.measure, times, args.count, args.omegas)
     dataset.save_table(table, out, seed=args.seed)
     _write_resolved(args, out + ".config")
     t = table.targets
@@ -163,7 +149,7 @@ def _train_pipeline(table, config, seed, standardize):
     if len(test) == 0:
         raise ConfigError(f"a {len(table)}-row table leaves no row to test on after the split")
     if standardize:
-        scaler = dataset.scaler_fit(train, strict=False)
+        scaler = dataset.scaler_fit(train)
     else:
         scaler = dataset.Scaler.identity(table.schema.n_features)
     x_train = scaler.transform(train.features)
@@ -190,7 +176,7 @@ def cmd_train(args) -> int:
     svr.save_model(model, out)
     # one pass of the stored support vectors over the training rows serves
     # both the KKT certificate and the training error
-    f_train = svr.decision_function(model, model.scaler.transform(train.features))
+    f_train = svr.predict(model, train.features)
     kkt = float(svr.kkt_violations(model, f_train, train.targets, config).max())
     mae_train = svr.mae(f_train, train.targets)
     mae_test = svr.mae(svr.predict(model, test.features), test.targets)
@@ -308,7 +294,7 @@ def cmd_sweep(args) -> int:
         for om in args.omegas:
             for p in grid_params:
                 ch = _sweep_channel(args.channel, p, om)
-                obs = dataset.features_at(ch, tgrid.values).reshape(-1, 3)
+                obs = ch.bloch_plus(tgrid.values)
                 for t, (ox, oy, oz) in zip(tgrid.values, obs):
                     lines.append(
                         ",".join(
@@ -340,12 +326,22 @@ def cmd_reproduce(args) -> int:
     os.makedirs(outdir)
     seed = args.seed
     full = args.full
-    n_driven = dataset.DRIVEN_LAMBDA_COUNT if full else REPRODUCE_SMOKE_LAMBDAS
+    n_driven = None if full else REPRODUCE_SMOKE_LAMBDAS  # None: the paper's grid
     config = svr.SvrConfig()
     summary = [f"nonmarkov reproduce (version {__version__}, full={full}, seed={seed})"]
 
     def path(name):
         return os.path.join(outdir, name)
+
+    def regression(figure, tag, table):
+        """Save the table, train on it, save the model, report its test MAE."""
+        dataset.save_table(table, path(f"{figure}_{tag}.csv"), seed=seed)
+        model, train, test = _train_pipeline(table, config, seed, True)
+        svr.save_model(model, path(f"{figure}_{tag}.model"))
+        err = svr.mae(svr.predict(model, test.features), test.targets)
+        summary.append(f"{figure} {tag}: test_mae={err:.6e}")
+        print(f"  {tag}: test MAE {err:.3e}")
+        return model
 
     # Expectation-value dynamics for a spread of couplings (separation curve).
     print("[1/5] expectation-value trajectories")
@@ -361,27 +357,17 @@ def cmd_reproduce(args) -> int:
 
     # Pure-channel regression, one pipeline per (channel, measure).
     print("[2/5] pure-channel regression")
-    pure_models = {}
-    for ch_kind in ("ad", "pd"):
-        for meas in ("trace", "entanglement"):
-            tag = f"{ch_kind}_{meas}"
-            if ch_kind == "ad":
-                table = dataset.generate_pure_ad(meas)
-            else:
-                table = dataset.generate_pure_pd(meas)
-            dataset.save_table(table, path(f"fig2_{tag}.csv"), seed=seed)
-            model, train, test = _train_pipeline(table, config, seed, True)
-            svr.save_model(model, path(f"fig2_{tag}.model"))
-            err = svr.mae(svr.predict(model, test.features), test.targets)
-            pure_models[tag] = model
-            summary.append(f"fig2 {tag}: test_mae={err:.6e}")
-            print(f"  {tag}: test MAE {err:.3e}")
+    pure_models = {
+        f"{kind}_{meas}": regression("fig2", f"{kind}_{meas}", dataset.generate(kind, meas))
+        for kind in ("ad", "pd")
+        for meas in ("trace", "entanglement")
+    }
 
     # Mismatch degradation: pure-AD model against driven data.  Every driven
     # pair is computed once: figures 3 to 5 read their rows from this table,
     # whose drive grid holds every nonzero drive strength they use.
     print("[3/5] mismatch degradation")
-    superset = dataset.generate_driven_ad((3.0, 5.0, 6.0, 10.0), n_driven)
+    superset = dataset.generate("driven", times=(3.0, 5.0, 6.0, 10.0), count=n_driven)
     model_ad_ent = pure_models["ad_entanglement"]
     at_tc3 = dataset.select_times(superset, (3.0,))
     for om in (0.01, 0.05, 0.09, 0.20):
@@ -394,7 +380,7 @@ def cmd_reproduce(args) -> int:
     # Measure versus coupling for several drive strengths.
     print("[4/5] measure-vs-coupling sweep")
     lines = ["param_lambda,param_omega,value"]
-    for lam in dataset.lambda_grid(n_driven, span=2.9):
+    for lam in dataset.param_grid("driven", n_driven):
         value = dataset.measure_value(channels.AmplitudeDamping(float(lam)), "entanglement")
         lines.append(",".join([_FMT % lam, _FMT % 0.0, _FMT % value]))
     for om in (0.05, 0.1, 0.2, 0.3, 0.5):
@@ -412,13 +398,7 @@ def cmd_reproduce(args) -> int:
         ("tc3_6", (3.0, 6.0)),
         ("tc5_10", (5.0, 10.0)),
     ):
-        table = dataset.select_times(superset, times)
-        dataset.save_table(table, path(f"fig5_{tag}.csv"), seed=seed)
-        model, train, test = _train_pipeline(table, config, seed, True)
-        svr.save_model(model, path(f"fig5_{tag}.model"))
-        err = svr.mae(svr.predict(model, test.features), test.targets)
-        summary.append(f"fig5 {tag}: test_mae={err:.6e}")
-        print(f"  {tag}: test MAE {err:.3e}")
+        regression("fig5", tag, dataset.select_times(superset, times))
 
     with open(path("summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary) + "\n")

@@ -1,18 +1,21 @@
 """Dataset generation: parameter sweeps, tomography features at fixed times,
 measure targets, standardization, splitting, and CSV persistence.
 
-Features are the Pauli expectation values O_k = Tr[sigma_k rho(t)] of the
-state evolved from |+> (the +1 eigenstate of sigma_x, inferred from the
-initial value O_x(0) = 1), concatenated over the tomography times; each
-channel supplies them (bloch_plus), in closed form for the undriven ones.
-Targets are the non-Markovianity measures up to the horizon in #meta:
-exact revival-peak sums for the undriven channels, and for the driven one
-the concurrence sum on the default coarse grid refined at its turning
-points, which measures.driven_entanglement returns together with the row's
-features from one propagator build; a driven table's #meta also records
-the largest stated grid error of its targets.
-measure_value gives the same target for a single channel.  Parameter grids
-realize the published sample counts: value = start + i * step.
+One generator builds every table.  KINDS holds, per channel kind, the name
+of its parameter, the span of its grid from 0.1, the paper's grid size and
+the default tomography time; generate takes a row per parameter value (per
+drive strength and coupling for the driven kind).  Features are the Pauli
+expectation values O_k = Tr[sigma_k rho(t)] of the state evolved from |+>
+(the +1 eigenstate of sigma_x, inferred from the initial value O_x(0) = 1),
+concatenated over the tomography times; each channel supplies them
+(bloch_plus), in closed form for the undriven ones.  Targets are the
+non-Markovianity measures up to the horizon in #meta: exact revival-peak
+sums for the undriven channels, and for the driven one the concurrence sum
+on the default coarse grid refined at its turning points, which
+measures.driven_entanglement returns together with the row's features from
+one propagator build; a driven table's #meta also records the largest
+stated grid error of its targets.  measure_value gives the same target for
+a single channel.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channels, measures
+from . import measures
 from .channels import AmplitudeDamping, Channel, DrivenAmplitudeDamping, PhaseDamping
 from .errors import ConfigError, DataFormatError
 
@@ -30,32 +33,39 @@ FEATURE_INITIAL_STATE = "+x"  # recorded in metadata; see ledger
 DEFAULT_SEED = 7
 DEFAULT_TRAIN_FRACTION = 0.7
 
-PURE_AD_COUNT = 2900  # lambda/gamma0 from 0.1, step 1e-3
-PURE_PD_COUNT = 4000  # tau from 0.1, step 1e-4
-DRIVEN_LAMBDA_COUNT = 290  # lambda/gamma0 from 0.1, step 1e-2
-PURE_AD_TIME = 3.0  # default tomography time t_c (units 1/gamma0)
-# Default nu_c for PD: the dephasing factor must stay injective in tau over
-# the whole grid, which holds for nu <= ~2 but folds at nu = 3 (tau ~ 0.399);
-# see ledger for the time-unit reading behind 1.5.
-PURE_PD_TIME = 1.5
-
 _FMT = "%.17g"
 
 
-def lambda_grid(count: int = PURE_AD_COUNT, span: float = 2.9) -> np.ndarray:
-    """count values 0.1 + i * (span/count); the paper grids are count=2900
-    (step 1e-3) and count=290 (step 1e-2) over [0.1, 3.0)."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    return 0.1 + np.arange(count) * (span / count)
+@dataclass(frozen=True)
+class Kind:
+    """What a table of one channel kind is built from."""
+
+    param: str  # the channel parameter's name, param_<param> in the header
+    span: float  # the grid covers [0.1, 0.1 + span)
+    count: int  # the paper's grid size; step span / count
+    time: float  # default tomography time
 
 
-def tau_grid(count: int = PURE_PD_COUNT, span: float = 0.4) -> np.ndarray:
-    """count values 0.1 + i * (span/count); the paper grid is count=4000
-    (step 1e-4) over [0.1, 0.5)."""
+# PD time is nu: the dephasing factor stays injective in tau over the grid
+# for nu <= ~2 but folds at nu = 3 (tau ~ 0.399); see ledger for the
+# time-unit reading behind 1.5.  AD times are in units of 1/gamma0.
+KINDS = {
+    "ad": Kind("lambda", 2.9, 2900, 3.0),  # lambda/gamma0, step 1e-3
+    "pd": Kind("tau", 0.4, 4000, 1.5),  # step 1e-4
+    "driven": Kind("lambda", 2.9, 290, 3.0),  # step 1e-2, per drive strength
+}
+
+
+def param_grid(kind: str, count: int | None = None) -> np.ndarray:
+    """count values 0.1 + i * (span/count) of the kind's parameter; the
+    default count is the paper's."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    spec = KINDS[kind]
+    count = spec.count if count is None else count
     if count < 1:
         raise ConfigError("count must be >= 1")
-    return 0.1 + np.arange(count) * (span / count)
+    return 0.1 + np.arange(count) * (spec.span / count)
 
 
 def omega_grid() -> np.ndarray:
@@ -67,18 +77,23 @@ def omega_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class TableSchema:
-    channel: str  # 'pd' | 'ad' | 'driven'
+    channel: str  # a key of KINDS
     measure: str  # 'trace' | 'entanglement'
     times: tuple[float, ...]
-    param_name: str  # 'tau' | 'lambda'
 
     def __post_init__(self):
-        if self.channel not in ("pd", "ad", "driven"):
+        if self.channel not in KINDS:
             raise ConfigError(f"unknown channel kind {self.channel!r}")
         if self.measure not in ("trace", "entanglement"):
             raise ConfigError(f"unknown measure kind {self.measure!r}")
+        if self.channel == "driven" and self.measure != "entanglement":
+            raise ConfigError("the driven channel supports only the entanglement measure")
         if not self.times or any(t < 0 for t in self.times):
             raise ConfigError("tomography times must be non-negative and non-empty")
+
+    @property
+    def param_name(self) -> str:
+        return KINDS[self.channel].param
 
     @property
     def feature_names(self) -> list[str]:
@@ -139,14 +154,6 @@ class DataTable:
         )
 
 
-def features_at(channel: Channel, times) -> np.ndarray:
-    """Pauli expectations of the evolved |+> state, concatenated over times."""
-    times = tuple(float(t) for t in times)
-    if not times or any(t < 0 for t in times):
-        raise ConfigError("times must be non-empty and non-negative")
-    return channel.bloch_plus(times).reshape(-1)
-
-
 def measure_value(channel: Channel, measure: str) -> float:
     """The target of one channel on the default horizon (measures.n_*, the
     same value as its table row).  The trace measure of the driven channel is
@@ -156,67 +163,39 @@ def measure_value(channel: Channel, measure: str) -> float:
     return measures.n_entanglement(channel).value
 
 
-def _pure_table(schema: TableSchema, params: np.ndarray, make_channel) -> DataTable:
-    """One row per parameter value of an undriven channel."""
-    feats = np.empty((len(params), schema.n_features))
-    targets = np.empty(len(params))
-    for i, p in enumerate(params):
-        ch = make_channel(float(p))
-        feats[i] = features_at(ch, schema.times)
-        targets[i] = measure_value(ch, schema.measure)
-    return DataTable(schema, feats, targets, np.column_stack([params, np.zeros(len(params))]))
-
-
-def generate_pure_ad(
-    measure: str = "entanglement",
-    times=(PURE_AD_TIME,),
-    count: int = PURE_AD_COUNT,
+def generate(
+    kind: str, measure: str = "entanglement", times=None, count: int | None = None, omegas=None
 ) -> DataTable:
-    """Undriven AD table: one row per lambda on the uniform grid."""
-    schema = TableSchema("ad", measure, tuple(float(t) for t in times), "lambda")
-    return _pure_table(schema, lambda_grid(count), AmplitudeDamping)
-
-
-def generate_pure_pd(
-    measure: str = "entanglement",
-    times=(PURE_PD_TIME,),
-    count: int = PURE_PD_COUNT,
-) -> DataTable:
-    """PD table: one row per tau on the uniform grid; times are in nu."""
-    schema = TableSchema("pd", measure, tuple(float(t) for t in times), "tau")
-    return _pure_table(schema, tau_grid(count), PhaseDamping)
-
-
-def generate_driven_ad(
-    times=(PURE_AD_TIME,),
-    n_lambda: int = DRIVEN_LAMBDA_COUNT,
-    omegas=None,
-    n_fock: int = channels.DEFAULT_N_FOCK,
-) -> DataTable:
-    """Driven AD table: n_lambda rows per drive strength, entanglement targets.
-
-    Each (lambda, omega) pair costs one measures.driven_entanglement call on
-    the default coarse grid: the Bell pair supplies the target and its grid
-    error, |+> at the tomography times the features.
-    """
-    times = tuple(float(t) for t in times)
-    schema = TableSchema("driven", "entanglement", times, "lambda")
-    lams = lambda_grid(n_lambda, span=2.9)
-    omegas = omega_grid() if omegas is None else np.asarray(omegas, dtype=float)
-    n = len(omegas) * len(lams)
-    feats = np.empty((n, schema.n_features))
-    targets = np.empty(n)
-    params = np.empty((n, 2))
-    grid_errors = np.empty(n)
-    i = 0
-    for om in omegas:
-        for lam in lams:
-            ch = DrivenAmplitudeDamping(float(lam), float(om), n_fock=n_fock)
-            result, feats[i] = measures.driven_entanglement(ch, times=times)
+    """The table of a channel kind: a row per value of param_grid(kind,
+    count), for the driven kind per drive strength too (default omega_grid()),
+    at the tomography times (default the kind's).  A driven row costs one
+    measures.driven_entanglement call: the Bell pair supplies the target and
+    its grid error, |+> at the times the features."""
+    params = param_grid(kind, count)
+    times = (KINDS[kind].time,) if times is None else tuple(float(t) for t in times)
+    schema = TableSchema(kind, measure, times)
+    driven = kind == "driven"
+    if omegas is None:
+        omegas = omega_grid() if driven else (0.0,)
+    elif not driven:
+        raise ConfigError(f"the {kind} channel has no drive; omit the drive strengths")
+    pairs = [(float(p), float(om)) for om in omegas for p in params]
+    feats = np.empty((len(pairs), schema.n_features))
+    targets = np.empty(len(pairs))
+    grid_errors = np.empty(len(pairs))
+    for i, (p, om) in enumerate(pairs):
+        if driven:
+            result, feats[i] = measures.driven_entanglement(
+                DrivenAmplitudeDamping(p, om), times=times
+            )
             targets[i], grid_errors[i] = result.value, result.grid_error
-            params[i] = (lam, om)
-            i += 1
-    return DataTable(schema, feats, targets, params, grid_errors)
+        else:
+            ch = AmplitudeDamping(p) if kind == "ad" else PhaseDamping(p)
+            feats[i] = ch.bloch_plus(times).reshape(-1)
+            targets[i] = measure_value(ch, measure)
+    return DataTable(
+        schema, feats, targets, np.array(pairs).reshape(-1, 2), grid_errors if driven else None
+    )
 
 
 def select_times(table: DataTable, times) -> DataTable:
@@ -275,22 +254,17 @@ class Scaler:
         return cls(np.zeros(n_features), np.ones(n_features))
 
 
-def scaler_fit(table: DataTable, strict: bool = True) -> Scaler:
+def scaler_fit(table: DataTable) -> Scaler:
     """Fit means and population standard deviations on (training) rows.
 
-    With strict=True a zero-variance column is an error.  The training
-    pipeline passes strict=False, which centers constant columns and records
-    s_k = 1 for them (pure-channel tables have identically-zero O_y / O_z
-    columns; see ledger).
+    A constant column is centred and recorded with s_k = 1 (pure-channel
+    tables have identically-zero O_y / O_z columns; see ledger).
     """
     if len(table) < 2:
         raise ConfigError("need at least 2 rows to fit a scaler")
     mean = table.features.mean(axis=0)
     var = table.features.var(axis=0)
     zero = var < 1e-30
-    if strict and zero.any():
-        names = [n for n, z in zip(table.schema.feature_names, zero) if z]
-        raise ConfigError(f"zero-variance feature column(s): {names}")
     scale = np.sqrt(var)
     scale[zero] = 1.0
     return Scaler(mean, scale)
@@ -363,11 +337,15 @@ def load_table(path) -> DataTable:
             raise DataFormatError(f"#meta line missing {key!r}")
     try:
         times = tuple(float(t) for t in meta["times"].split(","))
-        schema = TableSchema(meta["channel"], meta["measure"], times, meta["param"])
+        schema = TableSchema(meta["channel"], meta["measure"], times)
         n_rows = int(meta["rows"])
         grid_error = float(meta["grid_error"]) if "grid_error" in meta else None
     except (ValueError, ConfigError) as exc:
         raise DataFormatError(f"invalid #meta: {exc}") from exc
+    if meta["param"] != schema.param_name:
+        raise DataFormatError(
+            f"#meta param={meta['param']} but a {schema.channel} table is in {schema.param_name}"
+        )
     if grid_error is not None and not (np.isfinite(grid_error) and grid_error >= 0.0):
         raise DataFormatError(f"#meta grid_error={grid_error} must be finite and >= 0")
     header = lines[1].split(",")

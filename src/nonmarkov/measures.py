@@ -64,8 +64,8 @@ def revival_measure(channel: Channel, horizon: float = DEFAULT_T_MAX) -> Measure
     """Exact positive variation of |coherence| of an undriven channel: the
     K = floor(horizon w / pi) peaks give q (1 - q^K) / (1 - q), plus |coherence(horizon)|
     past the zero z_K = (pi - atan(w/a) + K pi) / w; 0 for w^2 <= 0."""
-    if not horizon >= 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
     a, w2 = channel.rates
     if w2 <= 0.0:
         return MeasureResult(0.0, 0.0, horizon, 0.0)

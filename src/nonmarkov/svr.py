@@ -59,8 +59,8 @@ class SvrConfig:
                 raise ConfigError("kernel_gamma must be positive or 'scale'")
         elif not (np.isfinite(self.kernel_gamma) and self.kernel_gamma > 0):
             raise ConfigError(f"kernel_gamma must be finite and > 0, got {self.kernel_gamma}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 def resolve_gamma(config_gamma, features: np.ndarray) -> float:
@@ -294,25 +294,16 @@ def _intercept(beta, y, f0, c, eps) -> float:
     return float((lo + hi) / 2.0)
 
 
-def decision_function(model: SvrModel, x_std: np.ndarray) -> np.ndarray:
-    """Kernel expansion on already-standardized features."""
-    x_std = np.atleast_2d(np.asarray(x_std, dtype=float))
-    if len(model.dual_coefs) == 0:
-        return np.full(x_std.shape[0], model.intercept)
-    if x_std.shape[1] != model.support_vectors.shape[1]:
-        raise ConfigError(
-            f"feature length {x_std.shape[1]} does not match model "
-            f"({model.support_vectors.shape[1]})"
-        )
-    return rbf_gram(x_std, model.support_vectors, model.kernel_gamma) @ model.dual_coefs + model.intercept
-
-
 def predict(model: SvrModel, features: np.ndarray):
     """Apply the stored scaler, then the kernel expansion."""
     features = np.asarray(features, dtype=float)
-    single = features.ndim == 1
-    out = decision_function(model, model.scaler.transform(np.atleast_2d(features)))
-    return float(out[0]) if single else out
+    x_std = model.scaler.transform(np.atleast_2d(features))
+    if len(model.dual_coefs) == 0:
+        out = np.full(len(x_std), model.intercept)
+    else:
+        kernel = rbf_gram(x_std, model.support_vectors, model.kernel_gamma)
+        out = kernel @ model.dual_coefs + model.intercept
+    return float(out[0]) if features.ndim == 1 else out
 
 
 def mae(predictions, truths) -> float:
@@ -332,9 +323,9 @@ def kkt_violations(
     beta = 0 requires |r| <= eps; |beta| = C requires r sign(beta) >= eps;
     free requires r = eps sign(beta), with r = y - f(x).  y are the training
     targets of the model returned by fit, in the order fit saw them, and
-    decision is decision_function(model, x_std) on the matching standardized
-    rows: the stored support vectors evaluated afresh, never the kernel rows
-    of the fit, so the residuals certify the model as saved.
+    decision is predict(model, features) on the matching raw rows: the
+    stored support vectors evaluated afresh, never the kernel rows of the
+    fit, so the residuals certify the model as saved.
     """
     if model.support_indices is None:
         raise ConfigError("KKT residuals need the model returned by fit, not a loaded one")

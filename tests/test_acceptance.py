@@ -19,7 +19,7 @@ from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDa
 import oracles
 
 FULL = os.environ.get("NONMARKOV_ACCEPT_FULL", "") == "1"
-N_DRIVEN = dataset.DRIVEN_LAMBDA_COUNT if FULL else 29
+N_DRIVEN = dataset.KINDS["driven"].count if FULL else 29
 SEED = dataset.DEFAULT_SEED
 CONFIG = svr.SvrConfig()
 
@@ -27,7 +27,7 @@ CONFIG = svr.SvrConfig()
 def _pipeline(table, standardize=True):
     train, test = dataset.split(table, seed=SEED)
     if standardize:
-        scaler = dataset.scaler_fit(train, strict=False)
+        scaler = dataset.scaler_fit(train)
     else:
         scaler = dataset.Scaler.identity(table.schema.n_features)
     x_train = scaler.transform(train.features)
@@ -36,7 +36,7 @@ def _pipeline(table, standardize=True):
     err = svr.mae(svr.predict(model, test.features), test.targets)
     return {
         "model": model,
-        "x_train": x_train,
+        "features_train": train.features,
         "y_train": train.targets,
         "table": table,
         "mae": err,
@@ -46,16 +46,16 @@ def _pipeline(table, standardize=True):
 @pytest.fixture(scope="session")
 def pure_pipelines():
     out = {}
-    for ch, gen in (("ad", dataset.generate_pure_ad), ("pd", dataset.generate_pure_pd)):
+    for ch in ("ad", "pd"):
         for meas in ("trace", "entanglement"):
-            out[(ch, meas)] = _pipeline(gen(meas))
+            out[(ch, meas)] = _pipeline(dataset.generate(ch, meas))
     return out
 
 
 @pytest.fixture(scope="session")
 def driven_superset():
     t0 = time.time()
-    table = dataset.generate_driven_ad((3.0, 5.0, 6.0, 10.0), n_lambda=N_DRIVEN)
+    table = dataset.generate("driven", times=(3.0, 5.0, 6.0, 10.0), count=N_DRIVEN)
     print(
         f"\n[setup] driven superset: {len(table)} rows "
         f"({'full' if FULL else 'smoke'} grid) in {time.time() - t0:.0f} s"
@@ -185,7 +185,7 @@ def test_criterion_7_solver_correctness(pure_pipelines, driven_pipelines):
 
     worst_kkt = 0.0
     for run in list(pure_pipelines.values()) + list(driven_pipelines.values()):
-        decision = svr.decision_function(run["model"], run["x_train"])
+        decision = svr.predict(run["model"], run["features_train"])
         viol = svr.kkt_violations(run["model"], decision, run["y_train"], CONFIG)
         worst_kkt = max(worst_kkt, float(viol.max()))
     assert worst_kkt <= CONFIG.tol

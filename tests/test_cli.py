@@ -60,6 +60,25 @@ class TestGenerate:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("channel", ["ad", "pd"])
+    def test_drive_of_undriven_channel_is_config_error(self, tmp_path, channel):
+        # a drive the table would not use is refused, not recorded in .config
+        out = tmp_path / "x.csv"
+        code = run(
+            "generate", "--channel", channel, "--count", "3", "--omegas", "0.3", "--out", str(out)
+        )
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists() and not (tmp_path / "x.csv.config").exists()
+
+    def test_driven_trace_is_config_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run(
+            "generate", "--channel", "driven", "--measure", "trace", "--count", "1",
+            "--omegas", "0", "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists() and not (tmp_path / "x.csv.config").exists()
+
     def test_missing_channel_is_config_error(self, tmp_path):
         code = run("generate", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_CONFIG
@@ -112,7 +131,7 @@ class TestTrain:
         assert "seed=7" in open(str(trained_model) + ".config").read()
         # the model embeds the scaler of its training split; no sidecar file
         train, _ = dataset.split(dataset.load_table(ad_table), seed=7)
-        scaler = dataset.scaler_fit(train, strict=False)
+        scaler = dataset.scaler_fit(train)
         assert np.array_equal(model.scaler.mean, scaler.mean)
         assert np.array_equal(model.scaler.scale, scaler.scale)
         assert sorted(p.name for p in trained_model.parent.iterdir()) == [
@@ -368,16 +387,15 @@ class TestReproduce:
     def outdir(self, tmp_path_factory):
         # shrink every pipeline so the orchestration itself can be exercised;
         # the drive grid keeps the nonzero drives of figures 3 and 4
-        gen_ad, gen_pd = dataset.generate_pure_ad, dataset.generate_pure_pd
+        generate = dataset.generate
+
+        def small(kind, *args, **kwargs):  # 40-row pure tables
+            if kind != "driven":
+                kwargs["count"] = 40
+            return generate(kind, *args, **kwargs)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                dataset, "generate_pure_ad", lambda meas, times=(3.0,): gen_ad(meas, times, 40)
-            )
-            mp.setattr(
-                dataset,
-                "generate_pure_pd",
-                lambda meas, times=(dataset.PURE_PD_TIME,): gen_pd(meas, times, 40),
-            )
+            mp.setattr(dataset, "generate", small)
             mp.setattr(
                 dataset, "omega_grid", lambda: np.array([0.01, 0.05, 0.09, 0.1, 0.2, 0.3, 0.5])
             )
@@ -453,7 +471,7 @@ class TestRefuseBeforeWork:
     def test_existing_sidecar_refuses_before_work(
         self, ad_table, trained_model, tmp_path, monkeypatch, command, sidecar
     ):
-        for name in ("generate_pure_ad", "load_table", "measure_value"):  # work fails loudly
+        for name in ("generate", "load_table", "measure_value"):  # work fails loudly
             monkeypatch.setattr(dataset, name, lambda *a, **k: pytest.fail("work started"))
         monkeypatch.setattr(svr, "load_model", lambda *a, **k: pytest.fail("work started"))
         out = tmp_path / "out"

@@ -10,17 +10,35 @@ import oracles
 
 class TestGrids:
     def test_lambda_grid_counts(self):
-        grid = dataset.lambda_grid()
+        grid = dataset.param_grid("ad")
         assert len(grid) == 2900
         assert grid[0] == pytest.approx(0.1)
         assert grid[1] - grid[0] == pytest.approx(1e-3)
         assert grid[-1] < 3.0
 
     def test_tau_grid_counts(self):
-        grid = dataset.tau_grid()
+        grid = dataset.param_grid("pd")
         assert len(grid) == 4000
         assert grid[1] - grid[0] == pytest.approx(1e-4)
         assert grid[-1] < 0.5
+
+    @pytest.mark.parametrize(
+        "kind, count, step, end",
+        [("ad", 2900, 1e-3, 3.0), ("pd", 4000, 1e-4, 0.5), ("driven", 290, 1e-2, 3.0)],
+    )
+    def test_paper_grid_of_each_kind(self, kind, count, step, end):
+        grid = dataset.param_grid(kind)
+        assert len(grid) == count == dataset.KINDS[kind].count
+        assert grid[0] == 0.1 and grid[1] - grid[0] == pytest.approx(step)
+        assert grid[-1] == pytest.approx(end - step)
+        # any count spans the same [0.1, end)
+        assert dataset.param_grid(kind, 7) == pytest.approx(0.1 + np.arange(7) * (end - 0.1) / 7)
+
+    def test_grid_rejects_bad_kind_and_count(self):
+        with pytest.raises(ConfigError):
+            dataset.param_grid("bogus")
+        with pytest.raises(ConfigError):
+            dataset.param_grid("ad", 0)
 
     def test_omega_grid_enumeration(self):
         grid = dataset.omega_grid()
@@ -30,21 +48,26 @@ class TestGrids:
         assert len(np.unique(grid)) == 23
 
 
+def features_at(ch, times):
+    """A table row's features: the Bloch vectors of the evolved |+>, concatenated."""
+    return ch.bloch_plus(times).reshape(-1)
+
+
 class TestFeaturesAt:
     def test_time_zero_is_plus_state(self):
         for ch in (PhaseDamping(0.3), AmplitudeDamping(1.2)):
-            feats = dataset.features_at(ch, (0.0,))
+            feats = features_at(ch, (0.0,))
             assert np.abs(feats - [1.0, 0.0, 0.0]).max() < 1e-12
 
     def test_ad_features_formula(self):
         lam, t = 0.7, 3.0
-        feats = dataset.features_at(AmplitudeDamping(lam), (t,))
+        feats = features_at(AmplitudeDamping(lam), (t,))
         g = AmplitudeDamping(lam).coherence(t)
         assert np.abs(feats - [g, 0.0, g * g - 1.0]).max() < 1e-12
 
     def test_pd_features_formula(self):
         tau, nu = 0.5, 3.0
-        feats = dataset.features_at(PhaseDamping(tau), (nu,))
+        feats = features_at(PhaseDamping(tau), (nu,))
         assert np.abs(feats - [PhaseDamping(tau).coherence(nu), 0.0, 0.0]).max() < 1e-12
 
     @pytest.mark.parametrize("ch", [AmplitudeDamping(0.37), AmplitudeDamping(2.6), PhaseDamping(0.41)])
@@ -60,28 +83,30 @@ class TestFeaturesAt:
             else:
                 rho = oracles.ad_apply(plus, t, ch.lam)
             want += [np.trace(qmath.SIGMA_X @ rho).real, 0.0, (rho[0, 0] - rho[1, 1]).real]
-        assert np.abs(dataset.features_at(ch, times) - want).max() <= 4e-16
+        assert np.abs(features_at(ch, times) - want).max() <= 4e-16
 
     def test_driven_features_reduce_to_closed_form(self):
         lam = 0.8
-        feats = dataset.features_at(DrivenAmplitudeDamping(lam, 0.0), (1.0, 2.0))
+        feats = features_at(DrivenAmplitudeDamping(lam, 0.0), (1.0, 2.0))
         g1, g2 = AmplitudeDamping(lam).coherence([1.0, 2.0])
         want = [g1, 0.0, g1 * g1 - 1.0, g2, 0.0, g2 * g2 - 1.0]
         assert np.abs(feats - want).max() < 1e-6
 
     def test_rejects_bad_times(self):
         with pytest.raises(ConfigError):
-            dataset.features_at(AmplitudeDamping(1.0), ())
+            dataset.generate("ad", times=(), count=2)
         with pytest.raises(ConfigError):
-            dataset.features_at(AmplitudeDamping(1.0), (-1.0,))
+            dataset.generate("ad", times=(-1.0,), count=2)
+        with pytest.raises(ConfigError):
+            features_at(AmplitudeDamping(1.0), (-1.0,))
 
 
 class TestGeneratePure:
     def test_ad_table(self):
-        table = dataset.generate_pure_ad("entanglement", count=30)
+        table = dataset.generate("ad", "entanglement", count=30)
         assert len(table) == 30
         lams = table.params[:, 0]
-        assert np.allclose(lams, dataset.lambda_grid(30))
+        assert np.array_equal(lams, dataset.param_grid("ad", 30))
         # weak-coupling rows are Markovian
         for i in np.flatnonzero(lams >= 2.0):
             assert table.targets[i] <= 1e-8
@@ -90,7 +115,7 @@ class TestGeneratePure:
         assert np.all(np.abs(table.features) <= 1.0 + 1e-12)
 
     def test_pd_table(self):
-        table = dataset.generate_pure_pd("trace", count=25)
+        table = dataset.generate("pd", "trace", count=25)
         assert len(table) == 25
         taus = table.params[:, 0]
         for i in np.flatnonzero(taus <= 0.25):
@@ -101,21 +126,36 @@ class TestGeneratePure:
         assert table.targets[-1] == want
 
     def test_regeneration_is_identical(self):
-        a = dataset.generate_pure_ad("trace", count=10)
-        b = dataset.generate_pure_ad("trace", count=10)
+        a = dataset.generate("ad", "trace", count=10)
+        b = dataset.generate("ad", "trace", count=10)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.targets, b.targets)
 
     def test_injectivity_window(self):
         # at t_c = 1/gamma0 the O_x feature is strictly monotone in lambda
-        table = dataset.generate_pure_ad("trace", times=(1.0,), count=2900)
+        table = dataset.generate("ad", "trace", times=(1.0,))
         ox = table.features[:, 0]
         assert np.all(np.diff(ox) < 0.0)
 
 
+class TestGenerate:
+    @pytest.mark.parametrize(
+        "kind, omegas, time, column",
+        [("ad", None, 3.0, "param_lambda"), ("pd", None, 1.5, "param_tau"),
+         ("driven", (0.0,), 3.0, "param_lambda")],
+    )
+    def test_kind_defaults(self, kind, omegas, time, column):
+        # the default tomography time and the parameter column come from KINDS
+        table = dataset.generate(kind, count=2, omegas=omegas)
+        assert table.schema.times == (time,) == (dataset.KINDS[kind].time,)
+        assert table.schema.columns[-2:] == [column, "param_omega"]
+        assert np.array_equal(table.params[:, 0], dataset.param_grid(kind, 2))
+        assert np.array_equal(table.params[:, 1], [0.0, 0.0])
+
+
 class TestGenerateDriven:
     def test_tiny_table_and_measure_consistency(self):
-        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.05,))
+        table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.05,))
         assert len(table) == 2
         assert table.schema.times == (3.0,)
         assert np.all(table.targets >= 0.0)
@@ -125,31 +165,31 @@ class TestGenerateDriven:
         assert full.grid_error >= 0.0
         assert table.targets[0] == full.value == dataset.measure_value(ch, "entanglement")
         # features at a time evaluated alone match the grid-free |+> route
-        want = dataset.features_at(ch, (3.0,))
+        want = features_at(ch, (3.0,))
         assert np.abs(table.features[0] - want).max() < 1e-12
         with pytest.raises(ConfigError):
-            dataset.generate_driven_ad((3.0, 20.5), n_lambda=1, omegas=(0.05,))
+            dataset.generate("driven", times=(3.0, 20.5), count=1, omegas=(0.05,))
 
     def test_rows_are_omega_major(self):
-        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.1, 0.2))
+        table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.1, 0.2))
         assert np.allclose(table.params[:, 1], [0.1, 0.1, 0.2, 0.2])
         assert np.all(np.abs(table.features) <= 1.0 + 1e-9)
 
     def test_regeneration_is_identical(self):
-        a = dataset.generate_driven_ad((3.0,), n_lambda=1, omegas=(0.15,))
-        b = dataset.generate_driven_ad((3.0,), n_lambda=1, omegas=(0.15,))
+        a = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.15,))
+        b = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.15,))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.targets, b.targets)
 
     def test_truncation_ladder_handles_strong_drive(self):
         # lambda = 0.1, omega = 0.5 trips the n_fock = 8 guard; the ladder
         # retries at a larger Fock space instead of failing
-        table = dataset.generate_driven_ad((3.0,), n_lambda=1, omegas=(0.5,))
+        table = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.5,))
         assert len(table) == 1
         assert np.isfinite(table.features).all()
 
     def test_select_times(self):
-        table = dataset.generate_driven_ad((3.0, 5.0), n_lambda=1, omegas=(0.1,))
+        table = dataset.generate("driven", times=(3.0, 5.0), count=1, omegas=(0.1,))
         sub = dataset.select_times(table, (5.0,))
         assert sub.schema.times == (5.0,)
         assert np.array_equal(sub.features, table.features[:, 3:6])
@@ -158,7 +198,7 @@ class TestGenerateDriven:
             dataset.select_times(table, (4.0,))
 
     def test_filter_omega(self):
-        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.1, 0.2))
+        table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.1, 0.2))
         sub = dataset.filter_omega(table, 0.2)
         assert len(sub) == 2
         assert np.all(sub.params[:, 1] == 0.2)
@@ -170,17 +210,12 @@ def toy_table(features, targets=None):
     features = np.asarray(features, dtype=float)
     n, d = features.shape
     assert d % 3 == 0
-    schema = dataset.TableSchema("ad", "trace", tuple(3.0 + i for i in range(d // 3)), "lambda")
+    schema = dataset.TableSchema("ad", "trace", tuple(3.0 + i for i in range(d // 3)))
     targets = np.zeros(n) if targets is None else np.asarray(targets, dtype=float)
     return dataset.DataTable(schema, features, targets, np.zeros((n, 2)))
 
 
 class TestScaler:
-    def test_zero_variance_rejected_in_strict_mode(self):
-        table = toy_table([[1.0, 2.0, 5.0], [1.0, 3.0, 5.0]])
-        with pytest.raises(ConfigError):
-            dataset.scaler_fit(table)
-
     def test_two_point_standardization(self):
         table = toy_table([[1.0, 0.0, 1.0], [3.0, 1.0, 2.0]])
         scaler = dataset.scaler_fit(table)
@@ -197,9 +232,9 @@ class TestScaler:
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-10
 
-    def test_non_strict_mode_passes_constant_columns(self):
+    def test_constant_columns_are_centred_with_unit_scale(self):
         table = toy_table([[1.0, 2.0, 5.0], [1.0, 3.0, 5.0]])
-        scaler = dataset.scaler_fit(table, strict=False)
+        scaler = dataset.scaler_fit(table)
         assert scaler.scale[0] == 1.0 and scaler.scale[2] == 1.0
         out = scaler.transform(table.features)
         assert np.allclose(out[:, 0], 0.0)
@@ -261,7 +296,7 @@ class TestSplit:
 
 class TestTableIO:
     def test_roundtrip_exact(self, tmp_path):
-        table = dataset.generate_pure_ad("entanglement", count=7)
+        table = dataset.generate("ad", "entanglement", count=7)
         path = tmp_path / "t.csv"
         dataset.save_table(table, path, seed=11)
         back = dataset.load_table(path)
@@ -272,14 +307,14 @@ class TestTableIO:
 
     def test_meta_records_horizon(self, tmp_path):
         path = tmp_path / "t.csv"
-        dataset.save_table(dataset.generate_pure_pd("trace", count=3), path)
+        dataset.save_table(dataset.generate("pd", "trace", count=3), path)
         meta = path.read_text().splitlines()[0].split()
         assert "horizon=20" in meta and measures.DEFAULT_T_MAX == 20.0
 
     def test_meta_records_driven_grid_error(self, tmp_path):
         # the largest stated error of the rows a driven table holds, also
         # after filter_omega; pure targets are exact and record none
-        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.0, 0.05))
+        table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.0, 0.05))
         errors = [
             measures.n_entanglement(DrivenAmplitudeDamping(lam, om)).grid_error
             for lam, om in table.params
@@ -294,12 +329,12 @@ class TestTableIO:
 
         assert float(meta(table)["grid_error"]) == max(errors)
         assert float(meta(dataset.filter_omega(table, 0.05))["grid_error"]) == max(errors[2:])
-        assert "grid_error" not in meta(dataset.generate_pure_ad("entanglement", count=3))
+        assert "grid_error" not in meta(dataset.generate("ad", "entanglement", count=3))
 
     def test_driven_grid_error_survives_round_trip(self, tmp_path):
         # #meta holds the largest error, which a loaded table states for
         # every row; saving it again gives the same file
-        table = dataset.generate_driven_ad((3.0,), n_lambda=2, omegas=(0.05,))
+        table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.05,))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dataset.save_table(table, p1)
         back = dataset.load_table(p1)
@@ -307,7 +342,7 @@ class TestTableIO:
         dataset.save_table(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
         pure = tmp_path / "pure.csv"
-        dataset.save_table(dataset.generate_pure_ad("entanglement", count=3), pure)
+        dataset.save_table(dataset.generate("ad", "entanglement", count=3), pure)
         assert dataset.load_table(pure).grid_errors is None
         stated = f"grid_error={table.grid_errors.max():.17g}"
         for bad in ("-1e-9", "nan", "inf", "x"):
@@ -315,15 +350,32 @@ class TestTableIO:
             with pytest.raises(DataFormatError, match="#meta"):
                 dataset.load_table(p2)
 
+    def test_meta_param_must_match_channel(self, tmp_path):
+        # a PD table is in tau: #meta param=lambda with a matching header is
+        # refused, not loaded as a table of lambda
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate("pd", "trace", count=3), path)
+        text = path.read_text().replace(" param=tau ", " param=lambda ")
+        path.write_text(text.replace("param_tau", "param_lambda"))
+        with pytest.raises(DataFormatError, match="param=lambda"):
+            dataset.load_table(path)
+
+    def test_driven_trace_table_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate("driven", count=1, omegas=(0.0,)), path)
+        path.write_text(path.read_text().replace(" measure=entanglement ", " measure=trace "))
+        with pytest.raises(DataFormatError, match="entanglement"):
+            dataset.load_table(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
-        table = dataset.generate_pure_pd("trace", count=5)
+        table = dataset.generate("pd", "trace", count=5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dataset.save_table(table, p1)
         dataset.save_table(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_corrupt_header_rejected(self, tmp_path):
-        table = dataset.generate_pure_ad("trace", count=3)
+        table = dataset.generate("ad", "trace", count=3)
         path = tmp_path / "t.csv"
         dataset.save_table(table, path)
         lines = path.read_text().splitlines()
@@ -334,7 +386,7 @@ class TestTableIO:
             dataset.load_table(bad)
 
     def test_truncated_row_rejected(self, tmp_path):
-        table = dataset.generate_pure_ad("trace", count=3)
+        table = dataset.generate("ad", "trace", count=3)
         path = tmp_path / "t.csv"
         dataset.save_table(table, path)
         text = path.read_text()
@@ -344,7 +396,7 @@ class TestTableIO:
             dataset.load_table(truncated)
 
     def test_header_is_schema_columns(self, tmp_path):
-        table = dataset.generate_driven_ad((3.0, 6.0), n_lambda=1, omegas=[0.0])
+        table = dataset.generate("driven", times=(3.0, 6.0), count=1, omegas=[0.0])
         path = tmp_path / "t.csv"
         dataset.save_table(table, path)
         header = path.read_text().splitlines()[1]
@@ -354,7 +406,7 @@ class TestTableIO:
     @pytest.mark.parametrize("keep", [0, 3, 29])
     def test_rows_short_of_meta_rejected(self, tmp_path, keep):
         path = tmp_path / "t.csv"
-        dataset.save_table(dataset.generate_pure_ad("trace", count=30), path)
+        dataset.save_table(dataset.generate("ad", "trace", count=30), path)
         cut = tmp_path / "cut.csv"
         cut.write_text("\n".join(path.read_text().splitlines()[: 2 + keep]) + "\n")
         with pytest.raises(DataFormatError, match="rows=30"):
@@ -363,7 +415,7 @@ class TestTableIO:
     @pytest.mark.parametrize("rows", [None, "x", "4"])
     def test_meta_rows_key_required_and_checked(self, tmp_path, rows):
         path = tmp_path / "t.csv"
-        dataset.save_table(dataset.generate_pure_ad("trace", count=3), path)
+        dataset.save_table(dataset.generate("ad", "trace", count=3), path)
         lines = path.read_text().splitlines()
         meta = [item for item in lines[0].split() if not item.startswith("rows=")]
         lines[0] = " ".join(meta + ([] if rows is None else [f"rows={rows}"]))

@@ -169,6 +169,12 @@ class TestMeasureValues:
             with pytest.raises(ConfigError):
                 measures.revival_measure(PhaseDamping(0.45), bad)
 
+    @pytest.mark.parametrize("horizon", [float("inf"), -float("inf")])
+    def test_infinite_horizon_is_config_error(self, horizon):
+        # the peak count floor(horizon w / pi) has no value at inf
+        with pytest.raises(ConfigError, match="finite"):
+            measures.revival_measure(PhaseDamping(0.5), horizon)
+
     def test_pd_threshold_dichotomy(self):
         for tau in np.arange(0.10, 0.245, 0.02):
             assert measures.n_trace_distance(PhaseDamping(tau)).value <= 1e-8
@@ -234,7 +240,7 @@ class TestMeasureValues:
             channels._evolver(ch, [bell], measures.DEFAULT_T_MAX)
         res = measures.n_entanglement(ch)
         assert res.tail_bound is None and res.grid_error >= 0.0
-        table = dataset.generate_driven_ad((3.0,), n_lambda=1, omegas=(0.5,))
+        table = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.5,))
         assert table.params[0, 0] == 0.1 and res.value == table.targets[0]
         assert dataset.measure_value(ch, "entanglement") == res.value
 

@@ -29,6 +29,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             svr.SvrConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 0])
+    def test_max_iter_is_a_positive_integer(self, value):
+        # nan never meets n_iter >= max_iter, so the fit would have no budget
+        with pytest.raises(ConfigError):
+            svr.SvrConfig(max_iter=value)
+
     def test_infinite_cost_is_the_hard_margin(self):
         assert svr.SvrConfig(C=np.inf).C == np.inf
 
@@ -117,7 +123,7 @@ class TestFit:
         x, y = smooth_problem(4)
         config = svr.SvrConfig()
         model = svr.fit(x, y, config)
-        assert svr.kkt_violations(model, svr.decision_function(model, x), y, config).max() <= config.tol
+        assert svr.kkt_violations(model, svr.predict(model, x), y, config).max() <= config.tol
 
     def test_matches_projected_gradient_oracle(self):
         config = svr.SvrConfig(tol=1e-8, kernel_gamma=0.7)
@@ -159,10 +165,10 @@ class TestFit:
         config = svr.SvrConfig(epsilon=0.3, C=0.1, tol=1e-6)
         model = svr.fit(x, y, config)
         assert model.converged
-        assert svr.kkt_violations(model, svr.decision_function(model, x), y, config).max() <= config.tol
+        assert svr.kkt_violations(model, svr.predict(model, x), y, config).max() <= config.tol
         with pytest.raises(ConfigError):
             svr.kkt_violations(
-                replace(model, support_indices=None), svr.decision_function(model, x), y, config
+                replace(model, support_indices=None), svr.predict(model, x), y, config
             )
 
     def test_partly_built_kernel_is_exact(self):
@@ -173,7 +179,7 @@ class TestFit:
         config = svr.SvrConfig(epsilon=0.1, tol=1e-6)
         model = svr.fit(x, y, config)
         assert model.converged and model.kernel_rows < len(y)
-        assert svr.kkt_violations(model, svr.decision_function(model, x), y, config).max() <= config.tol
+        assert svr.kkt_violations(model, svr.predict(model, x), y, config).max() <= config.tol
         want = oracles.dual_objective(model, x, y, config)
         assert abs(model.dual_objective - want) <= 1e-10 * abs(want)
 
@@ -198,9 +204,9 @@ class TestFit:
         # moving gamma by one or two ULP must not move the pure AD test MAE by
         # more than 1%: a fit stopped at tol = 1e-3 far from the optimum did
         # (5.8% spread at split seed 7 with maximal-violating-pair selection)
-        table = dataset.generate_pure_ad("entanglement")
+        table = dataset.generate("ad", "entanglement")
         train, test = dataset.split(table, seed=dataset.DEFAULT_SEED)
-        scaler = dataset.scaler_fit(train, strict=False)
+        scaler = dataset.scaler_fit(train)
         x = scaler.transform(train.features)
         gamma = svr.resolve_gamma("scale", x)
         gammas = [gamma, np.nextafter(gamma, 0.0), np.nextafter(gamma, np.inf)]
@@ -237,7 +243,8 @@ class TestPredict:
         x, y = smooth_problem(10)
         scaler = dataset.Scaler(x.mean(axis=0), x.std(axis=0))
         model = svr.fit(scaler.transform(x), y, svr.SvrConfig(), scaler)
-        direct = svr.decision_function(model, scaler.transform(x))
+        kernel = svr.rbf_gram(scaler.transform(x), model.support_vectors, model.kernel_gamma)
+        direct = kernel @ model.dual_coefs + model.intercept
         assert np.abs(svr.predict(model, x) - direct).max() < 1e-14
 
     def test_length_mismatch(self):
