@@ -8,20 +8,22 @@ exp(-a t) [cos(w t) + (a/w) sin(w t)] (_oscillation), and each class states
 only its rates (a, w^2).  Phase damping dephases with Lambda(nu), a = 1 and
 w^2 = (4 tau)^2 - 1 at dimensionless time nu, so |+> goes to (Lambda, 0, 0).
 Undriven amplitude damping scales coherences with the signed amplitude G(t),
-a = lambda/2 and w^2 = (2 gamma0 lambda - lambda^2)/4, and the excited
-population with P_t = G^2, so |+> goes to (G, 0, G^2 - 1).  Where w^2 < 0
-the hyperbolic rewrite keeps every output manifestly real, and the
-degenerate points 4 tau = 1 and lambda = 2 gamma0 take the analytic limit.
+a = lambda/2 and w^2 = (2 lambda - lambda^2)/4, and the excited population
+with P_t = G^2, so |+> goes to (G, 0, G^2 - 1); lambda is in units of the
+coupling gamma0 and t in units of 1/gamma0, for both amplitude-damping
+channels.  Where w^2 < 0 the hyperbolic rewrite keeps every output
+manifestly real, and the degenerate points 4 tau = 1 and lambda = 2 take the
+analytic limit.
 
 The driven case has no closed form (closed_form = False) and is solved as a
 qubit coupled to a damped pseudomode oscillator,
 d rho/dt = -i[H, rho] + lambda (2 b rho b+ - b+b rho - rho b+b),
-H = Omega (s+ + s-) + sqrt(lambda gamma0 / 2) (s+ b + b+ s-),
+H = Omega (s+ + s-) + sqrt(lambda / 2) (s+ b + b+ s-),
 in a frame rotating with the drive.  The generator is time independent, so
 the propagator exp(L t) is exact by eigendecomposition of L (a real matrix in
 an orthonormal Hermitian operator basis), evaluated at any set of times with
 no time step.  Where L is defective or nearly so (the exceptional points
-omega = 0, lambda = 2 gamma0 N, and their neighbourhood), each cluster of
+omega = 0, lambda = 2N, and their neighbourhood), each cluster of
 coalescing eigenvalues enters as an invariant-subspace block instead, with
 the Taylor series of its nilpotent part.  One mode build (_evolver) serves
 several states and any number of calls at arbitrary times within its
@@ -69,8 +71,8 @@ class PhaseDamping:
     closed_form: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -92,19 +94,16 @@ class AmplitudeDamping:
     """Lorentzian-reservoir decay with width lam (> 0), in units of gamma0."""
 
     lam: float
-    gamma0: float = 1.0
     closed_form: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be > 0, got {self.lam}")
-        if not self.gamma0 > 0:
-            raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
 
     @property
     def rates(self) -> tuple[float, float]:
-        """(a, w^2) = (lambda/2, (2 gamma0 lambda - lambda^2)/4) of G(t)."""
-        return self.lam / 2.0, (2.0 * self.gamma0 * self.lam - self.lam**2) / 4.0
+        """(a, w^2) = (lambda/2, (2 lambda - lambda^2)/4) of G(t)."""
+        return self.lam / 2.0, (2.0 * self.lam - self.lam**2) / 4.0
 
     def coherence(self, t):
         """Signed excited-state amplitude G(t); P_t = G^2, and G goes negative
@@ -123,17 +122,14 @@ class DrivenAmplitudeDamping:
 
     lam: float
     omega: float
-    gamma0: float = 1.0
     n_fock: int = DEFAULT_N_FOCK
     closed_form: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be > 0, got {self.lam}")
-        if self.omega < 0:
-            raise ConfigError(f"omega must be >= 0, got {self.omega}")
-        if not self.gamma0 > 0:
-            raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ConfigError(f"omega must be finite and >= 0, got {self.omega}")
         if int(self.n_fock) != self.n_fock or self.n_fock < 2:
             raise ConfigError(f"n_fock must be an integer >= 2, got {self.n_fock}")
 
@@ -203,10 +199,10 @@ def _liouvillian(channel: DrivenAmplitudeDamping) -> np.ndarray:
     """Generator of the master equation on row-major vectorized operators of
     qubit (x) pseudomode (index a * n_fock + i for qubit a, Fock level i)."""
     n = channel.n_fock
-    lam, g0, om = channel.lam, channel.gamma0, channel.omega
+    lam, om = channel.lam, channel.omega
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |e><g|
     b = _lowering(n)
-    g = math.sqrt(lam * g0 / 2.0)
+    g = math.sqrt(lam / 2.0)
     ham = om * np.kron(qmath.SIGMA_X, np.eye(n, dtype=complex))
     ham = ham + g * (np.kron(sp, b) + np.kron(sp, b).conj().T)
     b_full = np.kron(qmath.IDENTITY_2, b)
@@ -428,7 +424,7 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     """
     modes = _spectral_modes(channel, t_max)
     w, power, amps, start_rows = modes
-    checks = max(1, math.ceil(t_max * channel.gamma0 / GUARD_STEP - 1e-9))
+    checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
     kept = np.array([4, 5, 10, 11, 16, 17])  # top level and trace of each operator
     guard = _trajectories((w, power, amps[kept], start_rows[kept]), TimeGrid(t_max, checks))
 

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, channels, dataset, svr
+from .dataset import FMT
 from .errors import ConfigError, DataFormatError, NumericError
 
 EXIT_OK = 0
@@ -25,7 +26,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_FMT = "%.17g"
 REPRODUCE_SMOKE_LAMBDAS = 29  # coarse coupling grid for the default reproduce run
 
 
@@ -106,6 +106,12 @@ def _fresh(path, *suffixes) -> str:
     return path
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """header, then each row of numbers as one line at 17 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, rows, fmt=FMT, delimiter=",", header=header, comments="")
+
+
 def _write_resolved(args: argparse.Namespace, path) -> None:
     """The options a command ran with, as --config input; unset ones are left
     out."""
@@ -116,7 +122,7 @@ def _write_resolved(args: argparse.Namespace, path) -> None:
         if val is None or key in ("command", "config", "func"):
             continue
         if isinstance(val, tuple):
-            val = ",".join(_FMT % v if isinstance(v, float) else str(v) for v in val)
+            val = ",".join(FMT % v if isinstance(v, float) else str(v) for v in val)
         lines.append(f"{key}={val}")
     with open(_fresh(path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -171,7 +177,7 @@ def cmd_train(args) -> int:
     if not model.converged:
         raise NumericError(
             f"SMO did not converge within {config.max_iter} iterations: "
-            f"gap m_up - m_low {model.gap:.6e} >= tol {_FMT % config.tol}"
+            f"gap m_up - m_low {model.gap:.6e} >= tol {FMT % config.tol}"
         )
     svr.save_model(model, out)
     # one pass of the stored support vectors over the training rows serves
@@ -184,14 +190,14 @@ def cmd_train(args) -> int:
         f"nonmarkov train report (version {__version__})",
         f"data={args.data}",
         f"rows_train={len(train)} rows_test={len(test)} split_seed={args.seed}",
-        f"epsilon={_FMT % config.epsilon} cost={_FMT % config.C} "
-        f"tol={_FMT % config.tol} gamma={_FMT % model.kernel_gamma}",
+        f"epsilon={FMT % config.epsilon} cost={FMT % config.C} "
+        f"tol={FMT % config.tol} gamma={FMT % model.kernel_gamma}",
         f"standardized={not args.no_scale}",
         f"iterations={model.n_iter}",
         f"kernel_rows={model.kernel_rows}",
         f"support_vectors={len(model.dual_coefs)}",
         f"gap={model.gap:.6e}",
-        f"dual_objective={_FMT % model.dual_objective}",
+        f"dual_objective={FMT % model.dual_objective}",
         f"kkt_residual={kkt:.6e}",
         f"mae_train={mae_train:.6e}",
         f"mae_test={mae_test:.6e}",
@@ -220,17 +226,11 @@ def cmd_evaluate(args) -> int:
     err = svr.mae(pred, table.targets)
     max_err = float(np.abs(resid).max())
     order = np.argsort(-table.targets, kind="stable")
-    lines = [
-        f"#meta mae={_FMT % err} max_error={_FMT % max_err} rows={len(table)} "
-        f"split={args.split} seed={args.seed}",
-        "target,prediction,residual",
-    ]
-    for i in order:
-        lines.append(
-            ",".join([_FMT % table.targets[i], _FMT % pred[i], _FMT % resid[i]])
-        )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = (
+        f"#meta mae={FMT % err} max_error={FMT % max_err} rows={len(table)} "
+        f"split={args.split} seed={args.seed}\ntarget,prediction,residual"
+    )
+    _write_csv(out, header, np.column_stack([table.targets, pred, resid])[order])
     _write_resolved(args, out + ".config")
     print(f"wrote {out}: rows={len(table)} mae={err:.6e} max_error={max_err:.6e}")
     return EXIT_OK
@@ -244,18 +244,15 @@ def cmd_predict(args) -> int:
         _fresh(args.out, ".config")
     model = svr.load_model(args.model)
     if args.features is not None:
-        values = [svr.predict(model, np.array(args.features))]
+        values = svr.predict(model, np.array([args.features]))
     else:
-        table = dataset.load_table(args.data)
-        values = list(svr.predict(model, table.features))
-    text = "\n".join(_FMT % v for v in values) + "\n"
-    if args.out is not None:
-        with open(_fresh(args.out), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_resolved(args, args.out + ".config")
-        print(f"wrote {args.out}: {len(values)} prediction(s)")
-    else:
-        sys.stdout.write(text)
+        values = svr.predict(model, dataset.load_table(args.data).features)
+    if args.out is None:
+        np.savetxt(sys.stdout, values, fmt=FMT)
+        return EXIT_OK
+    _write_csv(_fresh(args.out), "", values)
+    _write_resolved(args, args.out + ".config")
+    print(f"wrote {args.out}: {len(values)} prediction(s)")
     return EXIT_OK
 
 
@@ -274,45 +271,31 @@ def cmd_sweep(args) -> int:
     if args.kind == "ox" and args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
     out = _fresh(args.out, ".config")
-    if args.channel == "pd":
-        if args.taus is None:
-            raise ConfigError("PD sweeps need --taus")
-        if any(om != 0.0 for om in args.omegas):
-            raise ConfigError("the PD channel has no drive; omit --omegas")
-        grid_params = args.taus
-        pname = "param_tau"
-    else:
-        if args.lambdas is None:
-            raise ConfigError("AD sweeps need --lambdas")
-        grid_params = args.lambdas
-        pname = "param_lambda"
+    param = dataset.KINDS[args.channel].param  # lambda or tau
+    other = "tau" if param == "lambda" else "lambda"
+    grid_params = getattr(args, param + "s")
+    if grid_params is None or getattr(args, other + "s") is not None:
+        raise ConfigError(f"{args.channel.upper()} sweeps need --{param}s and no --{other}s")
+    if args.channel == "pd" and any(om != 0.0 for om in args.omegas):
+        raise ConfigError("the PD channel has no drive; omit --omegas")
 
-    lines = []
+    pairs = [(p, om) for om in args.omegas for p in grid_params]
     if args.kind == "ox":
-        tgrid = channels.TimeGrid(args.tmax, args.points - 1)
-        lines.append(f"{pname},param_omega,t,ox,oy,oz")
-        for om in args.omegas:
-            for p in grid_params:
-                ch = _sweep_channel(args.channel, p, om)
-                obs = ch.bloch_plus(tgrid.values)
-                for t, (ox, oy, oz) in zip(tgrid.values, obs):
-                    lines.append(
-                        ",".join(
-                            [_FMT % p, _FMT % om, _FMT % t, _FMT % ox, _FMT % oy, _FMT % oz]
-                        )
-                    )
+        t = channels.TimeGrid(args.tmax, args.points - 1).values
+        header = f"param_{param},param_omega,t,ox,oy,oz"
+        obs = [_sweep_channel(args.channel, p, om).bloch_plus(t) for p, om in pairs]
+        rows = np.column_stack(
+            [np.repeat(pairs, len(t), axis=0), np.tile(t, len(pairs)), np.concatenate(obs)]
+        )
     else:
-        lines.append(f"{pname},param_omega,value")
-        for om in args.omegas:
-            for p in grid_params:
-                ch = _sweep_channel(args.channel, p, om)
-                value = dataset.measure_value(ch, args.measure)
-                lines.append(",".join([_FMT % p, _FMT % om, _FMT % value]))
-
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header = f"param_{param},param_omega,value"
+        rows = [
+            (p, om, dataset.measure_value(_sweep_channel(args.channel, p, om), args.measure))
+            for p, om in pairs
+        ]
+    _write_csv(out, header, rows)
     _write_resolved(args, out + ".config")
-    print(f"wrote {out}: {len(lines) - 1} rows")
+    print(f"wrote {out}: {len(rows)} rows")
     return EXIT_OK
 
 
@@ -346,14 +329,12 @@ def cmd_reproduce(args) -> int:
     # Expectation-value dynamics for a spread of couplings (separation curve).
     print("[1/5] expectation-value trajectories")
     fig1_lams = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0)
-    tgrid = channels.TimeGrid(5.0, 500)
-    lines = ["param_lambda,t,ox"]
-    for lam in fig1_lams:
-        ox = channels.AmplitudeDamping(lam).coherence(tgrid.values)  # O_x of evolved |+>
-        for t, v in zip(tgrid.values, ox):
-            lines.append(",".join([_FMT % lam, _FMT % t, _FMT % v]))
-    with open(path("fig1_ox.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    t = channels.TimeGrid(5.0, 500).values
+    ox = [channels.AmplitudeDamping(lam).coherence(t) for lam in fig1_lams]  # O_x of evolved |+>
+    rows = np.column_stack(
+        [np.repeat(fig1_lams, len(t)), np.tile(t, len(fig1_lams)), np.concatenate(ox)]
+    )
+    _write_csv(path("fig1_ox.csv"), "param_lambda,t,ox", rows)
 
     # Pure-channel regression, one pipeline per (channel, measure).
     print("[2/5] pure-channel regression")
@@ -379,16 +360,14 @@ def cmd_reproduce(args) -> int:
 
     # Measure versus coupling for several drive strengths.
     print("[4/5] measure-vs-coupling sweep")
-    lines = ["param_lambda,param_omega,value"]
-    for lam in dataset.param_grid("driven", n_driven):
-        value = dataset.measure_value(channels.AmplitudeDamping(float(lam)), "entanglement")
-        lines.append(",".join([_FMT % lam, _FMT % 0.0, _FMT % value]))
+    rows = [
+        (lam, 0.0, dataset.measure_value(channels.AmplitudeDamping(float(lam)), "entanglement"))
+        for lam in dataset.param_grid("driven", n_driven)
+    ]
     for om in (0.05, 0.1, 0.2, 0.3, 0.5):
-        rows = dataset.filter_omega(superset, om)
-        for lam, value in zip(rows.params[:, 0], rows.targets):
-            lines.append(",".join([_FMT % lam, _FMT % om, _FMT % value]))
-    with open(path("fig4_ne_vs_lambda.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        driven = dataset.filter_omega(superset, om)
+        rows += [(lam, om, value) for lam, value in zip(driven.params[:, 0], driven.targets)]
+    _write_csv(path("fig4_ne_vs_lambda.csv"), "param_lambda,param_omega,value", rows)
 
     # Drive-aware regression with one or two tomography times.
     print("[5/5] drive-aware regression")

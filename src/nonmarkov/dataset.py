@@ -33,7 +33,7 @@ FEATURE_INITIAL_STATE = "+x"  # recorded in metadata; see ledger
 DEFAULT_SEED = 7
 DEFAULT_TRAIN_FRACTION = 0.7
 
-_FMT = "%.17g"
+FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class TableSchema:
             raise ConfigError(f"unknown measure kind {self.measure!r}")
         if self.channel == "driven" and self.measure != "entanglement":
             raise ConfigError("the driven channel supports only the entanglement measure")
-        if not self.times or any(t < 0 for t in self.times):
-            raise ConfigError("tomography times must be non-negative and non-empty")
+        if not self.times or not all(math.isfinite(t) and t >= 0 for t in self.times):
+            raise ConfigError("tomography times must be finite, non-negative and non-empty")
 
     @property
     def param_name(self) -> str:
@@ -292,32 +292,41 @@ def _meta_line(table: DataTable, seed: int) -> str:
     items = [
         ("channel", schema.channel),
         ("measure", schema.measure),
-        ("times", ",".join(_FMT % t for t in schema.times)),
+        ("times", ",".join(FMT % t for t in schema.times)),
         ("initial_state", FEATURE_INITIAL_STATE),
         ("measure_inputs", "bell-phi+" if schema.measure == "entanglement" else "plus-minus-pair"),
-        ("horizon", _FMT % measures.DEFAULT_T_MAX),
+        ("horizon", FMT % measures.DEFAULT_T_MAX),
         ("param", schema.param_name),
         ("rows", str(len(table))),
-        ("omegas", ",".join(_FMT % o for o in omegas)),
+        ("omegas", ",".join(FMT % o for o in omegas)),
         ("seed", str(seed)),
         ("version", __version__),
     ]
     if table.grid_errors is not None:  # how well the worst target is resolved
-        items.append(("grid_error", _FMT % table.grid_errors.max(initial=0.0)))
+        items.append(("grid_error", FMT % table.grid_errors.max(initial=0.0)))
     return "#meta " + " ".join(f"{k}={v}" for k, v in items)
 
 
 def save_table(table: DataTable, path, seed: int = DEFAULT_SEED) -> None:
     """CSV with a #meta provenance line, a header, and 17-significant-digit
     numbers for exact round-tripping."""
-    rows = [_meta_line(table, seed), ",".join(table.schema.columns)]
-    for i in range(len(table)):
-        cells = [_FMT % table.targets[i]]
-        cells += [_FMT % x for x in table.features[i]]
-        cells += [_FMT % table.params[i, 0], _FMT % table.params[i, 1]]
-        rows.append(",".join(cells))
+    block = np.column_stack([table.targets, table.features, table.params])
+    header = _meta_line(table, seed) + "\n" + ",".join(table.schema.columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        np.savetxt(fh, block, fmt=FMT, delimiter=",", header=header, comments="")
+
+
+def read_block(lines: list[str], width: int, delimiter: str | None = None) -> np.ndarray:
+    """The (len(lines), width) array of numbers the lines hold, one row each."""
+    if not lines:
+        return np.empty((0, width))
+    try:  # no comment character: a '#' in a cell is an error, not a comment
+        block = np.loadtxt(lines, delimiter=delimiter, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DataFormatError(f"malformed numeric block: {exc}") from exc
+    if block.shape[1] != width:  # loadtxt takes rows that are all as short or long
+        raise DataFormatError(f"rows have {block.shape[1]} numbers, expected {width}")
+    return block
 
 
 def load_table(path) -> DataTable:
@@ -354,23 +363,12 @@ def load_table(path) -> DataTable:
         raise DataFormatError(f"header {header} does not match schema {expected}")
     if len(lines) - 2 != n_rows:
         raise DataFormatError(f"#meta rows={n_rows} but the file holds {len(lines) - 2} rows")
+    block = read_block(lines[2:], len(expected), ",")
     d = schema.n_features
-    feats, targets, params = [], [], []
-    for ln in lines[2:]:
-        cells = ln.split(",")
-        if len(cells) != len(expected):
-            raise DataFormatError(f"row has {len(cells)} cells, expected {len(expected)}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError as exc:
-            raise DataFormatError(f"non-numeric cell in row: {exc}") from exc
-        targets.append(vals[0])
-        feats.append(vals[1 : 1 + d])
-        params.append(vals[1 + d : 3 + d])
     return DataTable(
         schema,
-        np.array(feats, dtype=float).reshape(len(targets), d),
-        np.array(targets, dtype=float),
-        np.array(params, dtype=float).reshape(len(targets), 2),
-        None if grid_error is None else np.full(len(targets), grid_error),
+        block[:, 1 : 1 + d].copy(),
+        block[:, 0].copy(),
+        block[:, 1 + d :].copy(),
+        None if grid_error is None else np.full(n_rows, grid_error),
     )

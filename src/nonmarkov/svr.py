@@ -28,13 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Scaler
+from .dataset import FMT, Scaler, read_block
 from .errors import ConfigError, DataFormatError
 
 DEFAULT_MAX_ITER = 10_000_000
 SUPPORT_TOL = 1e-12  # dual coefficients at or below this are dropped
 _MODEL_MAGIC = "nonmarkov-svr v1"
-_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -348,16 +347,13 @@ def kkt_violations(
 
 def save_model(model: SvrModel, path) -> None:
     """Versioned plain-text serialization at 17 significant digits."""
-    lines = [f"{_MODEL_MAGIC} gamma {_FMT % model.kernel_gamma}"]
-    lines.append(f"scaler {len(model.scaler.mean)}")
-    for u, s in zip(model.scaler.mean, model.scaler.scale):
-        lines.append(f"{_FMT % u} {_FMT % s}")
-    lines.append(f"intercept {_FMT % model.intercept}")
-    lines.append(f"support_vectors {len(model.dual_coefs)}")
-    for beta, sv in zip(model.dual_coefs, model.support_vectors):
-        lines.append(" ".join([_FMT % beta] + [_FMT % v for v in sv]))
+    scaler = np.column_stack([model.scaler.mean, model.scaler.scale])
+    support = np.column_stack([model.dual_coefs, model.support_vectors])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_MODEL_MAGIC} gamma {FMT % model.kernel_gamma}\nscaler {len(scaler)}\n")
+        np.savetxt(fh, scaler, fmt=FMT)
+        fh.write(f"intercept {FMT % model.intercept}\nsupport_vectors {len(support)}\n")
+        np.savetxt(fh, support, fmt=FMT)
 
 
 def load_model(path) -> SvrModel:
@@ -375,8 +371,8 @@ def load_model(path) -> SvrModel:
         if tag != "scaler":
             raise DataFormatError("expected scaler block")
         d = int(count)
-        pairs = [tuple(float(v) for v in lines[pos + 1 + k].split()) for k in range(d)]
-        scaler = Scaler(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+        pairs = read_block(lines[pos + 1 : pos + 1 + d], 2)
+        scaler = Scaler(pairs[:, 0].copy(), pairs[:, 1].copy())
         pos += 1 + d
         tag, val = lines[pos].split()
         if tag != "intercept":
@@ -387,21 +383,14 @@ def load_model(path) -> SvrModel:
         if tag != "support_vectors":
             raise DataFormatError("expected support_vectors block")
         m = int(count)
-        rows = [
-            np.array([float(v) for v in lines[pos + 1 + k].split()]) for k in range(m)
-        ]
         if pos + 1 + m != len(lines):
             raise DataFormatError("trailing or missing lines in model file")
+        support = read_block(lines[pos + 1 :], 1 + d)
     except DataFormatError:
         raise
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"malformed model file: {exc}") from exc
-    svs = (
-        np.array([r[1:] for r in rows]) if m else np.zeros((0, d))
-    )
-    coefs = np.array([r[0] for r in rows]) if m else np.zeros(0)
-    if m and svs.shape[1] != d:
-        raise DataFormatError("support vector width does not match scaler width")
+    coefs, svs = support[:, 0].copy(), support[:, 1:].copy()
     if not (np.isfinite(coefs).all() and np.isfinite(svs).all() and np.isfinite(intercept)):
         raise DataFormatError("non-finite values in model file")
     if not (np.isfinite(gamma) and gamma > 0):

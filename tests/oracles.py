@@ -108,7 +108,8 @@ def damped_rates(channel):
     the channel parameters."""
     if isinstance(channel, channels.PhaseDamping):
         return 1.0, (4.0 * channel.tau) ** 2 - 1.0
-    return channel.lam / 2.0, (2.0 * channel.gamma0 * channel.lam - channel.lam**2) / 4.0
+    gamma0 = 1.0  # the channels' unit: lambda in gamma0, t in 1/gamma0
+    return channel.lam / 2.0, (2.0 * gamma0 * channel.lam - channel.lam**2) / 4.0
 
 
 def revival_peak_sum(channel, horizon):
@@ -166,9 +167,9 @@ def ad_closed_form(rho0, t, lam, gamma0=1.0):
     return out
 
 
-def ad_survival(t, lam, gamma0=1.0):
+def ad_survival(t, lam):
     """Excited-state survival probability P_t = G(t)^2."""
-    out = np.asarray(channels.AmplitudeDamping(lam, gamma0).coherence(t)) ** 2
+    out = np.asarray(channels.AmplitudeDamping(lam).coherence(t)) ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,13 +193,13 @@ def ad_kraus(g):
     return m1, m2
 
 
-def ad_apply(rho, t, lam, gamma0=1.0):
+def ad_apply(rho, t, lam):
     """Undriven AD map at time t (units of 1/gamma0) as a Kraus sum:
     populations scale with P_t, coherences with the signed amplitude G(t)."""
     rho = qmath.validate_density(rho, "ad_apply input")
     if rho.shape != (2, 2):
         raise ConfigError(f"ad_apply needs a single-qubit state, got {rho.shape}")
-    m1, m2 = ad_kraus(channels.AmplitudeDamping(lam, gamma0).coherence(float(t)))
+    m1, m2 = ad_kraus(channels.AmplitudeDamping(lam).coherence(float(t)))
     out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
     return qmath.validate_density(out, "ad_apply output")
 

@@ -43,6 +43,16 @@ class TestChannelSpecs:
             DrivenAmplitudeDamping(1.0, omega=-0.1)
         with pytest.raises(ConfigError):
             DrivenAmplitudeDamping(1.0, omega=0.1, n_fock=1)
+        # non-finite parameters would overflow or turn to NaN downstream
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="finite"):
+                PhaseDamping(bad)
+            with pytest.raises(ConfigError, match="finite"):
+                AmplitudeDamping(bad)
+            with pytest.raises(ConfigError, match="finite"):
+                DrivenAmplitudeDamping(0.5, bad)
+            with pytest.raises(ConfigError, match="finite"):
+                DrivenAmplitudeDamping(bad, 0.1)
 
     def test_derived_quantities(self):
         assert PhaseDamping(0.5).rates == pytest.approx((1.0, 3.0))

@@ -159,6 +159,14 @@ class TestTrain:
             assert run("train", "--data", str(bad), "--out", str(out)) == cli.EXIT_CONFIG
             assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("times", ["nan", "inf"])
+    def test_non_finite_meta_time_is_schema_error(self, ad_table, tmp_path, times):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(ad_table.read_text().replace(" times=3 ", f" times={times} ", 1))
+        out = tmp_path / "m"
+        assert run("train", "--data", str(bad), "--out", str(out)) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize(
         "flag, value", [("--epsilon", "nan"), ("--epsilon", "inf"), ("--gamma", "inf")]
     )
@@ -250,6 +258,19 @@ class TestPredict:
         want = svr.predict(model, table.features)
         assert np.array_equal(values, want)
         assert (tmp_path / "pred.txt.config").exists()
+
+    def test_empty_table_predicts_nothing(self, ad_table, trained_model, tmp_path, capsys):
+        # a 0-row table gives an empty file and empty stdout, no blank line
+        empty = tmp_path / "empty.csv"
+        meta, header = ad_table.read_text().splitlines()[:2]
+        empty.write_text(meta.replace(" rows=40 ", " rows=0 ") + "\n" + header + "\n")
+        out = tmp_path / "pred.txt"
+        argv = ["predict", "--model", str(trained_model), "--data", str(empty)]
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == b""
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == ""
 
     def test_single_vector(self, trained_model, capsys):
         assert run("predict", "--model", str(trained_model), "--features", "0.5,0,-0.7") == 0
@@ -346,6 +367,19 @@ class TestSweep:
         argv = ["sweep", "--kind", "measure", "--channel", "ad", "--out", str(out)]
         argv += ["--lambdas", "0.5"] if flag == "--omegas" else []
         assert run(*argv, flag, values) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "channel, params",
+        [("ad", ["--lambdas", "0.5", "--taus", "0.3"]), ("ad", ["--taus", "0.3"]),
+         ("pd", ["--taus", "0.3", "--lambdas", "0.5"]), ("pd", ["--lambdas", "0.5"])],
+    )
+    def test_parameter_of_the_other_channel_is_config_error(self, tmp_path, channel, params):
+        # an AD sweep runs over --lambdas and a PD sweep over --taus; the
+        # other channel's list is refused, not ignored
+        out = tmp_path / "m.csv"
+        code = run("sweep", "--kind", "measure", "--channel", channel, *params, "--out", str(out))
+        assert code == cli.EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("channel, params", [("ad", "--lambdas"), ("pd", "--taus")])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nonmarkov import dataset, measures, qmath
 from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDamping
@@ -424,8 +427,67 @@ class TestTableIO:
         with pytest.raises(DataFormatError):
             dataset.load_table(bad)
 
+    @pytest.mark.parametrize("cells", [-1, 1])
+    def test_every_row_one_cell_off_rejected(self, tmp_path, cells):
+        # numpy reads a block whose rows are all one cell short (or long) as
+        # a narrower (or wider) table; the width check refuses it
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate("ad", "trace", count=3), path)
+        lines = path.read_text().splitlines()
+        rows = [",".join(ln.split(",")[:-1] if cells < 0 else [ln, "0"]) for ln in lines[2:]]
+        path.write_text("\n".join(lines[:2] + rows) + "\n")
+        with pytest.raises(DataFormatError, match="expected 6"):
+            dataset.load_table(path)
+
+    @pytest.mark.parametrize("cell", ["x", "", "#1", "1_0"])
+    def test_non_numeric_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate("ad", "trace", count=3), path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError):
+            dataset.load_table(path)
+
+    @pytest.mark.parametrize("times", ["nan", "inf", "3,nan", "-1"])
+    def test_non_finite_or_negative_meta_times_rejected(self, tmp_path, times):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate("ad", "trace", count=3), path)
+        path.write_text(path.read_text().replace(" times=3 ", f" times={times} "))
+        with pytest.raises(DataFormatError, match="finite, non-negative"):
+            dataset.load_table(path)
+
     def test_missing_meta_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("target,ox_t1\n0,1\n")
         with pytest.raises(DataFormatError):
             dataset.load_table(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(6)), elements=finite),
+    times=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=1),
+)
+def test_table_round_trip_is_bit_exact(tmp_path_factory, data, times):
+    # any finite float64 table, -0.0 and subnormals included, reads back bit
+    # for bit; targets must be >= 0
+    data[:, 0] = np.abs(data[:, 0])
+    schema = dataset.TableSchema("ad", "trace", tuple(times))
+    table = dataset.DataTable(schema, data[:, 1:4], data[:, 0], data[:, 4:])
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    dataset.save_table(table, path)
+    # the rows are the per-cell formatting of the columns, in schema order
+    want = [",".join("%.17g" % v for v in row) for row in data]
+    assert path.read_text().splitlines()[2:] == want
+    back = dataset.load_table(path)
+    assert back.schema == schema
+    for got, want in [
+        (back.targets, table.targets), (back.features, table.features), (back.params, table.params)
+    ]:
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()

@@ -24,8 +24,8 @@ def eigen_route_trace_distance(channel, grid):
             r1 = oracles.pd_apply(plus, t, channel.tau)
             r2 = oracles.pd_apply(minus, t, channel.tau)
         else:
-            r1 = oracles.ad_apply(plus, t, channel.lam, channel.gamma0)
-            r2 = oracles.ad_apply(minus, t, channel.lam, channel.gamma0)
+            r1 = oracles.ad_apply(plus, t, channel.lam)
+            r2 = oracles.ad_apply(minus, t, channel.lam)
         out.append(oracles.trace_distance(r1, r2))
     return np.array(out)
 

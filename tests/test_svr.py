@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nonmarkov import dataset, svr
 from nonmarkov.errors import ConfigError, DataFormatError
@@ -300,6 +303,23 @@ class TestModelIO:
         with pytest.raises(DataFormatError):
             svr.load_model(bad)
 
+    @pytest.mark.parametrize("every", [True, False])
+    def test_support_vector_rows_short_rejected(self, tmp_path, every):
+        # numpy reads a block whose rows are all one number short as a
+        # narrower block, which the width check refuses; one short row is a
+        # ragged block
+        x, y = np.random.default_rng(17).standard_normal((12, 2)), np.arange(12.0)
+        model = svr.fit(x, y)
+        path = tmp_path / "model.txt"
+        svr.save_model(model, path)
+        lines = path.read_text().splitlines()
+        start = lines.index(f"support_vectors {len(model.dual_coefs)}") + 1
+        stop = len(lines) if every else start + 1
+        lines[start:stop] = [ln.rsplit(" ", 1)[0] for ln in lines[start:stop]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="expected 3" if every else "malformed"):
+            svr.load_model(path)
+
     @pytest.mark.parametrize(
         "line, value",
         [
@@ -327,3 +347,39 @@ class TestModelIO:
         bad.write_text("\n".join(text) + "\n")
         with pytest.raises(ConfigError):
             svr.load_model(bad)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    m=st.integers(0, 5),
+    data=st.data(),
+)
+def test_model_round_trip_is_bit_exact(tmp_path_factory, d, m, data):
+    # any finite float64 blocks read back bit for bit; the dual coefficients
+    # are made to sum to zero, as load_model checks
+    # bounded so that no sum of coefficients overflows
+    block = data.draw(hnp.arrays(np.float64, (m, 1 + d), elements=st.floats(-1e300, 1e300)))
+    coefs = np.concatenate([block[:, 0], -block[:, 0]])
+    svs = np.concatenate([block[:, 1:], block[:, 1:]])
+    pos = st.floats(min_value=1e-300, max_value=1e300)
+    scaler = dataset.Scaler(
+        data.draw(hnp.arrays(np.float64, d, elements=finite)),
+        data.draw(hnp.arrays(np.float64, d, elements=pos)),
+    )
+    model = svr.SvrModel(svs, coefs, data.draw(finite), data.draw(pos), scaler)
+    path = tmp_path_factory.mktemp("rt") / "model.txt"
+    svr.save_model(model, path)
+    back = svr.load_model(path)
+    for got, want in [
+        (back.support_vectors, svs),
+        (back.dual_coefs, coefs),
+        (back.scaler.mean, scaler.mean),
+        (back.scaler.scale, scaler.scale),
+        (np.float64(back.intercept), np.float64(model.intercept)),
+        (np.float64(back.kernel_gamma), np.float64(model.kernel_gamma)),
+    ]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
