@@ -130,7 +130,7 @@ class DrivenAmplitudeDamping:
             raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
         if not (math.isfinite(self.omega) and self.omega >= 0):
             raise ConfigError(f"omega must be finite and >= 0, got {self.omega}")
-        if int(self.n_fock) != self.n_fock or self.n_fock < 2:
+        if not (isinstance(self.n_fock, (int, np.integer)) and self.n_fock >= 2):
             raise ConfigError(f"n_fock must be an integer >= 2, got {self.n_fock}")
 
     def bloch_plus(self, times) -> np.ndarray:
@@ -155,7 +155,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ConfigError(f"t_max must be finite and >= 0, got {self.t_max}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
             raise ConfigError(f"n_steps must be an integer >= 1, got {self.n_steps}")
 
     @property

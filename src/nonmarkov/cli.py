@@ -151,6 +151,7 @@ def cmd_generate(args) -> int:
 
 
 def _train_pipeline(table, config, seed, standardize):
+    """Split, scale and fit; a fit that did not converge is a NumericError."""
     train, test = dataset.split(table, seed=seed)
     if len(test) == 0:
         raise ConfigError(f"a {len(table)}-row table leaves no row to test on after the split")
@@ -160,6 +161,11 @@ def _train_pipeline(table, config, seed, standardize):
         scaler = dataset.Scaler.identity(table.schema.n_features)
     x_train = scaler.transform(train.features)
     model = svr.fit(x_train, train.targets, config, scaler)
+    if not model.converged:
+        raise NumericError(
+            f"SMO did not converge within {config.max_iter} iterations: "
+            f"gap m_up - m_low {model.gap:.6e} >= tol {FMT % config.tol}"
+        )
     return model, train, test
 
 
@@ -174,11 +180,6 @@ def cmd_train(args) -> int:
         max_iter=args.max_iter,
     )
     model, train, test = _train_pipeline(table, config, args.seed, not args.no_scale)
-    if not model.converged:
-        raise NumericError(
-            f"SMO did not converge within {config.max_iter} iterations: "
-            f"gap m_up - m_low {model.gap:.6e} >= tol {FMT % config.tol}"
-        )
     svr.save_model(model, out)
     # one pass of the stored support vectors over the training rows serves
     # both the KKT certificate and the training error

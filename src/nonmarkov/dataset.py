@@ -90,6 +90,8 @@ class TableSchema:
             raise ConfigError("the driven channel supports only the entanglement measure")
         if not self.times or not all(math.isfinite(t) and t >= 0 for t in self.times):
             raise ConfigError("tomography times must be finite, non-negative and non-empty")
+        if len(set(self.times)) < len(self.times):
+            raise ConfigError(f"tomography times must be distinct, got {self.times}")
 
     @property
     def param_name(self) -> str:

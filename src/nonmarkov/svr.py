@@ -16,10 +16,10 @@ b^2 / (K_ii + K_jj - 2 K_ij) of the two-variable step.
 Kernel rows are built on first use and kept, as LIBSVM computes kernel
 columns on demand (Chang & Lin 2011, section 5): SMO reads only the rows of
 the points that enter a working set, often a small share of the l x l Gram
-matrix, and no row is built twice.  K_tt = 1, the exact RBF diagonal, and the
-decision values behind the intercept come from the rows of the nonzero
-coefficients.  fit reports the final gap m - M, the dual objective it reached
-and the number of kernel rows it built.
+matrix, and no row is built twice.  K_tt = 1, the exact RBF diagonal.  The
+intercept comes from the gradient SMO keeps, as LIBSVM's rho does.  fit
+reports the final gap m - M, the dual objective it reached and the number of
+kernel rows it built.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def fit(
     rhs = np.column_stack([x, np.ones(l), sq])
     store = np.empty((l, l))
     rows = [None] * l  # training index -> its row in store, once built
-    built = []  # training index of each row of store
+    built = []  # one entry per row of store
 
     def row(t):
         r = rows[t]
@@ -222,17 +222,16 @@ def fit(
             da_i, da_j = delta, delta
         flat_a[i] += da_i
         flat_a[j] += da_j
-        # keep box bounds exact so the working-set masks stay crisp
-        for t in (i, j):
-            if flat_a[t] < 1e-14:
-                flat_a[t] = 0.0
-            elif flat_a[t] > c - 1e-14:
-                flat_a[t] = c
         update = (zi * da_i) * ki + (zj * da_j) * kj
         crit -= update
         up -= update
         low -= update
         for t in (i, j):
+            # keep box bounds exact so the working-set masks stay crisp
+            if flat_a[t] < 1e-14:
+                flat_a[t] = 0.0
+            elif flat_a[t] > c - 1e-14:
+                flat_a[t] = c
             at_low, at_high = flat_a[t] == 0.0, flat_a[t] == c
             in_up = not at_high if t < l else not at_low
             in_low = not at_low if t < l else not at_high
@@ -243,14 +242,12 @@ def fit(
     # minimized objective 1/2 a.(grad + p) with grad = -z crit, p = (eps - y, eps + y)
     grad_plus_p = np.stack([eps - y - crit[0], eps + y + crit[1]])
     dual_objective = -0.5 * float(flat_a @ grad_plus_p.ravel())
+    # b from crit = y - K beta -+ eps: its mean over the free variables, on
+    # which the KKT conditions make it b, or else the midpoint of the
+    # interval [max up, min low] they allow, as LIBSVM takes its rho
+    free = (a > 0.0) & (a < c)
+    intercept = float(crit[free].mean() if free.any() else (m_up + low.min()) / 2.0)
     beta = a[0] - a[1]
-    # f0 = K beta.  A coefficient moves off zero only in a working set, so
-    # its row is stored; row(t) builds any that is not rather than assume
-    # it.  Stored rows of zero coefficients add exact zeros.
-    for t in np.flatnonzero(beta):
-        row(t)
-    f0 = beta[built] @ store[: len(built)]
-    intercept = _intercept(beta, y, f0, c, eps)
     keep = np.flatnonzero(np.abs(beta) > SUPPORT_TOL)
     return SvrModel(
         support_vectors=x[keep].copy(),
@@ -265,32 +262,6 @@ def fit(
         dual_objective=dual_objective,
         kernel_rows=len(built),
     )
-
-
-def _intercept(beta, y, f0, c, eps) -> float:
-    """b from free support vectors, or the feasible-interval midpoint."""
-    resid = y - f0
-    free = (np.abs(beta) > SUPPORT_TOL) & (np.abs(beta) < c)
-    if free.any():
-        return float(np.mean(resid[free] - eps * np.sign(beta[free])))
-    lower, upper = [], []
-    zero = np.abs(beta) <= SUPPORT_TOL
-    if zero.any():
-        lower.append((resid[zero] - eps).max())
-        upper.append((resid[zero] + eps).min())
-    at_pos = beta >= c
-    if at_pos.any():
-        upper.append((resid[at_pos] - eps).min())
-    at_neg = beta <= -c
-    if at_neg.any():
-        lower.append((resid[at_neg] + eps).max())
-    lo = max(lower) if lower else -np.inf
-    hi = min(upper) if upper else np.inf
-    if not np.isfinite(lo):
-        return float(hi)
-    if not np.isfinite(hi):
-        return float(lo)
-    return float((lo + hi) / 2.0)
 
 
 def predict(model: SvrModel, features: np.ndarray):

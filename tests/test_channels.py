@@ -53,6 +53,11 @@ class TestChannelSpecs:
                 DrivenAmplitudeDamping(0.5, bad)
             with pytest.raises(ConfigError, match="finite"):
                 DrivenAmplitudeDamping(bad, 0.1)
+        # a Fock cutoff is a count: a float, even a whole one, is refused
+        for bad in (8.0, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="integer"):
+                DrivenAmplitudeDamping(0.5, 0.1, n_fock=bad)
+        assert DrivenAmplitudeDamping(0.5, 0.1, n_fock=np.int64(8)).n_fock == 8
 
     def test_derived_quantities(self):
         assert PhaseDamping(0.5).rates == pytest.approx((1.0, 3.0))
@@ -73,6 +78,10 @@ class TestTimeGrid:
         for t_max in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TimeGrid(t_max, 10)
+        for n_steps in (10.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="integer"):
+                TimeGrid(5.0, n_steps)
+        assert len(TimeGrid(5.0, np.int64(10)).values) == 11
 
 
 class TestPdLambda:

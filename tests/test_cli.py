@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 
@@ -51,6 +52,15 @@ class TestGenerate:
             "--tc", "3.0", "--count", "5", "--out", str(ad_table),
         )
         assert code == cli.EXIT_IO
+
+    def test_repeated_times_are_config_error(self, tmp_path):
+        out = tmp_path / "dup.csv"
+        code = run(
+            "generate", "--channel", "ad", "--tc", "3", "--tc2", "3", "--count", "5",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("channel", ["ad", "pd", "driven"])
     def test_zero_count_is_config_error(self, tmp_path, channel):
@@ -416,27 +426,38 @@ class TestSweep:
                 assert ox < ref
 
 
+def small_reproduce_grids(mp):
+    """Shrink every reproduce pipeline so the orchestration itself can be
+    exercised; the drive grid keeps the nonzero drives of figures 3 and 4."""
+    generate = dataset.generate
+
+    def small(kind, *args, **kwargs):  # 40-row pure tables
+        if kind != "driven":
+            kwargs["count"] = 40
+        return generate(kind, *args, **kwargs)
+
+    mp.setattr(dataset, "generate", small)
+    mp.setattr(dataset, "omega_grid", lambda: np.array([0.01, 0.05, 0.09, 0.1, 0.2, 0.3, 0.5]))
+    mp.setattr(cli, "REPRODUCE_SMOKE_LAMBDAS", 2)
+
+
 class TestReproduce:
     @pytest.fixture(scope="class")
     def outdir(self, tmp_path_factory):
-        # shrink every pipeline so the orchestration itself can be exercised;
-        # the drive grid keeps the nonzero drives of figures 3 and 4
-        generate = dataset.generate
-
-        def small(kind, *args, **kwargs):  # 40-row pure tables
-            if kind != "driven":
-                kwargs["count"] = 40
-            return generate(kind, *args, **kwargs)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dataset, "generate", small)
-            mp.setattr(
-                dataset, "omega_grid", lambda: np.array([0.01, 0.05, 0.09, 0.1, 0.2, 0.3, 0.5])
-            )
-            mp.setattr(cli, "REPRODUCE_SMOKE_LAMBDAS", 2)
+            small_reproduce_grids(mp)
             outdir = tmp_path_factory.mktemp("reproduce") / "repro"
             assert run("reproduce", "--out", str(outdir)) == 0
         return outdir
+
+    def test_unconverged_fit_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        # reproduce fits through train's route, which refuses a fit that did
+        # not converge, rather than save its model
+        small_reproduce_grids(monkeypatch)
+        monkeypatch.setattr(svr, "SvrConfig", functools.partial(svr.SvrConfig, max_iter=1))
+        assert run("reproduce", "--out", str(tmp_path / "repro")) == cli.EXIT_NUMERIC
+        assert "gap m_up - m_low" in capsys.readouterr().err
+        assert not list((tmp_path / "repro").glob("*.model"))
 
     def test_smoke_orchestration(self, outdir):
         names = {p.name for p in outdir.iterdir()}

@@ -199,6 +199,8 @@ class TestGenerateDriven:
         assert np.array_equal(sub.targets, table.targets)
         with pytest.raises(ConfigError):
             dataset.select_times(table, (4.0,))
+        with pytest.raises(ConfigError, match="distinct"):
+            dataset.select_times(table, (3.0, 3.0))
 
     def test_filter_omega(self):
         table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.1, 0.2))
@@ -457,6 +459,13 @@ class TestTableIO:
         dataset.save_table(dataset.generate("ad", "trace", count=3), path)
         path.write_text(path.read_text().replace(" times=3 ", f" times={times} "))
         with pytest.raises(DataFormatError, match="finite, non-negative"):
+            dataset.load_table(path)
+
+    def test_repeated_meta_times_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dataset.save_table(dataset.generate("ad", "trace", times=(3.0, 5.0), count=3), path)
+        path.write_text(path.read_text().replace(" times=3,5 ", " times=3,3 "))
+        with pytest.raises(DataFormatError, match="distinct"):
             dataset.load_table(path)
 
     def test_missing_meta_rejected(self, tmp_path):

@@ -106,6 +106,26 @@ class TestFit:
         assert model.intercept == pytest.approx(0.37)
         assert svr.predict(model, rng.standard_normal(2)) == pytest.approx(0.37)
 
+    def test_intercept_without_free_variable_at_the_bound(self):
+        # every nonzero coefficient at +-C: b is the midpoint of the interval
+        # the KKT conditions allow, from residuals of a kernel built apart
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        config = svr.SvrConfig(C=1e-3)
+        model = svr.fit(x, y, config)
+        assert model.converged and len(model.dual_coefs) > 0
+        assert np.all(np.abs(model.dual_coefs) == config.C)
+        beta = np.zeros(len(y))
+        beta[model.support_indices] = model.dual_coefs
+        resid = y - oracles.naive_rbf_gram(x, x, model.kernel_gamma) @ beta
+        eps = config.epsilon
+        zero = beta == 0.0
+        lo = max(np.max(resid[zero] - eps, initial=-np.inf), (resid[beta < 0] + eps).max())
+        hi = min(np.min(resid[zero] + eps, initial=np.inf), (resid[beta > 0] - eps).min())
+        assert lo - hi < config.tol
+        assert model.intercept == pytest.approx((lo + hi) / 2, abs=1e-12)
+        assert svr.kkt_violations(model, svr.predict(model, x), y, config).max() <= config.tol
+
     def test_smooth_targets_inside_tube(self):
         x, y = smooth_problem(2, within_eps=True)
         # C large enough that no dual coefficient is box-constrained
