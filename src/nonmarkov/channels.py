@@ -31,17 +31,17 @@ horizon, for instance the Bell pair on the measure's coarse grid and at its
 refinements, and |+> at the tomography times.  Every driven result passes
 four guards: the spectral form must reproduce the initial operators at
 t = 0 (RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
-(fock_ladder retries a larger n_fock) and the trace within TRACE_DRIFT_TOL
-of 1, both checked at least every GUARD_STEP over the whole horizon before
-any state is assembled; and the reduced states must be valid density
-matrices.  DrivenAmplitudeDamping.bloch_plus and measures.driven_entanglement
-go through the Fock ladder.
+and the trace within TRACE_DRIFT_TOL of 1, both checked at least every
+GUARD_STEP over the whole horizon before any state is assembled; and the
+reduced states must be valid density matrices.  _evolver, the one driven
+route, truncates the pseudomode at the first n_fock of FOCK_LADDER whose
+leak guard passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -49,7 +49,7 @@ import numpy as np
 from . import qmath
 from .errors import ConfigError, NumericError, TruncationLeakError
 
-DEFAULT_N_FOCK = 8
+FOCK_LADDER = (8, 12, 16)  # pseudomode truncations n_fock, tried in order on a leak
 LEAK_TOL = 1e-6
 TRACE_DRIFT_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-10  # spectral trajectory vs initial operators at t = 0
@@ -122,7 +122,6 @@ class DrivenAmplitudeDamping:
 
     lam: float
     omega: float
-    n_fock: int = DEFAULT_N_FOCK
     closed_form: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -130,16 +129,11 @@ class DrivenAmplitudeDamping:
             raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
         if not (math.isfinite(self.omega) and self.omega >= 0):
             raise ConfigError(f"omega must be finite and >= 0, got {self.omega}")
-        if not (isinstance(self.n_fock, (int, np.integer)) and self.n_fock >= 2):
-            raise ConfigError(f"n_fock must be an integer >= 2, got {self.n_fock}")
 
     def bloch_plus(self, times) -> np.ndarray:
-        """(O_x, O_y, O_z) of the evolved |+>, one row per time (a TimeGrid
-        or a sequence), through the Fock ladder."""
+        """(O_x, O_y, O_z) of the evolved |+>, one row per time (TimeGrid or sequence)."""
         state = (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)")
-        horizon = _last_time(times)
-        plus = fock_ladder(lambda ch: _evolver(ch, [state], horizon)[0](times), self)
-        return qmath.bloch_vector(plus)
+        return qmath.bloch_vector(_evolver(self, [state], _last_time(times))[0](times))
 
 
 Channel = PhaseDamping | AmplitudeDamping | DrivenAmplitudeDamping
@@ -195,10 +189,10 @@ def _lowering(n: int) -> np.ndarray:
     return b
 
 
-def _liouvillian(channel: DrivenAmplitudeDamping) -> np.ndarray:
+def _liouvillian(channel: DrivenAmplitudeDamping, n: int) -> np.ndarray:
     """Generator of the master equation on row-major vectorized operators of
-    qubit (x) pseudomode (index a * n_fock + i for qubit a, Fock level i)."""
-    n = channel.n_fock
+    qubit (x) pseudomode truncated at n Fock levels (index a * n + i for
+    qubit a, Fock level i)."""
     lam, om = channel.lam, channel.omega
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |e><g|
     b = _lowering(n)
@@ -267,9 +261,10 @@ def _invariant_blocks(gen: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> list:
     return [(vecs[:, regular], w[regular], None)] + blocks
 
 
-def _spectral_modes(channel: DrivenAmplitudeDamping, t_max: float):
+def _spectral_modes(channel: DrivenAmplitudeDamping, n: int, t_max: float):
     """Modes (w, p, A) with rows(t) = sum_m A[:, m] f_m(t) for 0 <= t <= t_max,
-    f_m(t) = exp(w_m t) t^p_m / p_m!, and the exact rows at t = 0.
+    f_m(t) = exp(w_m t) t^p_m / p_m!, and the exact rows at t = 0, with the
+    pseudomode truncated at n Fock levels.
 
     Rows 6j..6j+5 follow the operator x_j (x) |0><0|, x_j = |e><e|, |e><g|,
     |g><g|: its qubit-reduced entries ee, eg, ge, gg, the population of the
@@ -282,7 +277,6 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, t_max: float):
     p = k, y = Q^-1 x_j, the Taylor series of exp(N t) y taken until its
     tail is below rounding at t_max.
     """
-    n = channel.n_fock
     d = 2 * n
     pos_a, val_a, pos_b, val_b = _hermitian_basis(d)
 
@@ -300,7 +294,7 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, t_max: float):
         out += part
         return out
 
-    gen = from_basis(_liouvillian(channel))
+    gen = from_basis(_liouvillian(channel, n))
     gen = to_basis(gen).real
 
     levels = np.arange(n)
@@ -395,12 +389,12 @@ def _last_time(times) -> float:
     return float(times.max(initial=0.0))
 
 
-def _check_physical(top: np.ndarray, trace: np.ndarray, what: str) -> None:
+def _check_physical(top: np.ndarray, trace: np.ndarray, n: int, what: str) -> None:
     leak = float(top.real.max())
     if leak > LEAK_TOL:
         raise TruncationLeakError(
-            f"{what}: top Fock level population {leak:.3e} exceeds {LEAK_TOL:g}; "
-            "increase n_fock"
+            f"{what}: top Fock level population {leak:.3e} at n_fock = {n} "
+            f"exceeds {LEAK_TOL:g}"
         )
     drift = float(np.abs(trace - 1.0).max())
     if drift > TRACE_DRIFT_TOL:
@@ -420,9 +414,22 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     samples no further apart than GUARD_STEP over all of [0, t_max], from the
     top-level and trace rows alone, so a truncation that leaks costs no
     state.  Each call validates the density of the states it returns, under
-    the state's context name.
+    the state's context name.  Strong drive on a weakly damped pseudomode can
+    leak past a small truncation, so the pseudomode is truncated at each
+    n_fock of FOCK_LADDER in turn: only a TruncationLeakError moves to the
+    next rung, and the last rung's leak is raised.
     """
-    modes = _spectral_modes(channel, t_max)
+    for n in FOCK_LADDER:
+        try:
+            return _guarded(channel, n, states, t_max)
+        except TruncationLeakError as exc:
+            leak = exc
+    raise leak
+
+
+def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> list:
+    """_evolver at one truncation, n Fock levels."""
+    modes = _spectral_modes(channel, n, t_max)
     w, power, amps, start_rows = modes
     checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
     kept = np.array([4, 5, 10, 11, 16, 17])  # top level and trace of each operator
@@ -435,7 +442,7 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
         # sum_ab q_ab (guard rows of |a><b|) for the Hermitian qubit part q
         rows = (q[0, 0] * guard[:, 0] + q[1, 1] * guard[:, 2]).real
         rows += 2.0 * (q[0, 1] * guard[:, 1]).real
-        _check_physical(rows[:, 0], rows[:, 1], what)
+        _check_physical(rows[:, 0], rows[:, 1], n, what)
 
         def evaluate(times) -> np.ndarray:
             if _last_time(times) > t_max:
@@ -456,21 +463,3 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
         return evaluate
 
     return [evaluator(rho, what) for rho, what in states]
-
-
-def fock_ladder(attempt, channel: DrivenAmplitudeDamping):
-    """attempt(channel), retried at n_fock + 4 and n_fock + 8 on a truncation leak.
-
-    Strong drive on a weakly damped pseudomode can push population past the
-    default truncation; the leak guard turns that into an error, and every
-    driven caller that wants a value rather than the error goes through this
-    one deterministic ladder.
-    """
-    last = None
-    for extra in (0, 4, 8):
-        try:
-            return attempt(replace(channel, n_fock=channel.n_fock + extra))
-        except TruncationLeakError as exc:
-            last = exc
-    raise last
-

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -308,6 +309,14 @@ def cmd_reproduce(args) -> int:
     if os.path.exists(outdir):
         raise FileExistsError(f"output directory exists: {outdir}")
     os.makedirs(outdir)
+    try:  # a failed run removes the directory it made: a rerun starts clean
+        return _reproduce(args, outdir)
+    except BaseException:
+        shutil.rmtree(outdir, ignore_errors=True)
+        raise
+
+
+def _reproduce(args, outdir) -> int:
     seed = args.seed
     full = args.full
     n_driven = None if full else REPRODUCE_SMOKE_LAMBDAS  # None: the paper's grid

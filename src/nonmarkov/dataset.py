@@ -31,7 +31,7 @@ from .errors import ConfigError, DataFormatError
 
 FEATURE_INITIAL_STATE = "+x"  # recorded in metadata; see ledger
 DEFAULT_SEED = 7
-DEFAULT_TRAIN_FRACTION = 0.7
+TRAIN_FRACTION = 0.7
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 
@@ -219,9 +219,9 @@ def select_times(table: DataTable, times) -> DataTable:
     )
 
 
-def filter_omega(table: DataTable, omega: float, tol: float = 1e-12) -> DataTable:
-    """Rows whose drive strength equals omega."""
-    mask = np.abs(table.params[:, 1] - omega) <= tol
+def filter_omega(table: DataTable, omega: float) -> DataTable:
+    """Rows whose drive strength equals omega (to within 1e-12)."""
+    mask = np.abs(table.params[:, 1] - omega) <= 1e-12
     if not mask.any():
         raise ConfigError(f"no rows with omega={omega}")
     return table.subset(np.flatnonzero(mask))
@@ -272,17 +272,11 @@ def scaler_fit(table: DataTable) -> Scaler:
     return Scaler(mean, scale)
 
 
-def split(
-    table: DataTable,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    seed: int = DEFAULT_SEED,
-) -> tuple[DataTable, DataTable]:
-    """Deterministic shuffled partition: ceil(fraction * n) train, rest test."""
-    if not 0 < train_fraction < 1:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+def split(table: DataTable, seed: int = DEFAULT_SEED) -> tuple[DataTable, DataTable]:
+    """Deterministic shuffled partition: ceil(TRAIN_FRACTION * n) train, rest test."""
     n = len(table)
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(math.ceil(round(train_fraction * n, 9)))
+    n_train = int(math.ceil(round(TRAIN_FRACTION * n, 9)))
     return table.subset(perm[:n_train]), table.subset(perm[n_train:])
 
 

@@ -26,5 +26,5 @@ class StateValidationError(NumericError):
 
 
 class TruncationLeakError(NumericError):
-    """Population reached the top pseudomode Fock level; n_fock too small."""
+    """Population reached the top pseudomode Fock level on every rung of FOCK_LADDER."""
 

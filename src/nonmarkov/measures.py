@@ -142,7 +142,7 @@ def driven_entanglement(
     Bloch vectors of the evolved |+> at the tomography times, concatenated
     (the features of its table row).
 
-    One mode build, through the Fock ladder, serves both states, and their
+    One mode build, on the Fock ladder, serves both states, and their
     leak and drift guards run over the whole horizon before any state is
     assembled: a target does not depend on which features are asked with
     it, and a truncation that leaks costs no states.  The Bell pair is
@@ -163,9 +163,7 @@ def driven_entanglement(
         (qmath.ket2dm(qmath.KET_BELL), "driven evolution (bell)"),
         (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)"),
     ]
-    bell, plus = channels.fock_ladder(
-        lambda ch: channels._evolver(ch, states, grid.t_max), channel
-    )
+    bell, plus = channels._evolver(channel, states, grid.t_max)
     value, grid_error = positive_increments(_bell_concurrence(bell, grid))
     features = qmath.bloch_vector(plus(times)).reshape(-1)
     return MeasureResult(value, grid_error, grid.t_max), features

@@ -28,7 +28,7 @@ def bisect(f, lo, hi, iters=200):
 
 def evolve(channel, rho_sys, times):
     """Reduced states of rho_sys (x) |0><0| at times, from one guarded
-    evolver with no Fock ladder: a truncation leak raises."""
+    evolver on channels.FOCK_LADDER: a leak at its last rung raises."""
     horizon = channels._last_time(times)
     return channels._evolver(channel, [(rho_sys, "evolve")], horizon)[0](times)
 
@@ -41,8 +41,6 @@ class TestChannelSpecs:
             AmplitudeDamping(-1.0)
         with pytest.raises(ConfigError):
             DrivenAmplitudeDamping(1.0, omega=-0.1)
-        with pytest.raises(ConfigError):
-            DrivenAmplitudeDamping(1.0, omega=0.1, n_fock=1)
         # non-finite parameters would overflow or turn to NaN downstream
         for bad in (np.inf, np.nan):
             with pytest.raises(ConfigError, match="finite"):
@@ -53,11 +51,6 @@ class TestChannelSpecs:
                 DrivenAmplitudeDamping(0.5, bad)
             with pytest.raises(ConfigError, match="finite"):
                 DrivenAmplitudeDamping(bad, 0.1)
-        # a Fock cutoff is a count: a float, even a whole one, is refused
-        for bad in (8.0, np.inf, np.nan):
-            with pytest.raises(ConfigError, match="integer"):
-                DrivenAmplitudeDamping(0.5, 0.1, n_fock=bad)
-        assert DrivenAmplitudeDamping(0.5, 0.1, n_fock=np.int64(8)).n_fock == 8
 
     def test_derived_quantities(self):
         assert PhaseDamping(0.5).rates == pytest.approx((1.0, 3.0))
@@ -267,10 +260,11 @@ class TestDrivenEvolve:
             (4.0, 0.0, 8, (2, 2)),
         ],
     )
-    def test_matches_expm_oracle(self, lam, omega, n_fock, dims):
+    def test_matches_expm_oracle(self, monkeypatch, lam, omega, n_fock, dims):
         d = int(np.prod(dims))
         rho_sys = oracles.random_density(d, np.random.default_rng(7))
-        ch = DrivenAmplitudeDamping(lam, omega, n_fock=n_fock)
+        monkeypatch.setattr(channels, "FOCK_LADDER", (n_fock,))
+        ch = DrivenAmplitudeDamping(lam, omega)
         times = (0.0, 0.7, 3.0, 20.0)
         got = evolve(ch, rho_sys, times)
         want = oracles.pseudomode_expm_evolve(rho_sys, times, lam, omega, n_fock)
@@ -311,30 +305,32 @@ class TestDrivenEvolve:
         want = 0.5 * np.stack([g**2, g, g, 2.0 - g**2], axis=-1).reshape(-1, 2, 2)
         assert np.abs(out - want).max() < 1e-10
 
-    def test_leak_between_requested_times_raises(self):
+    def test_leak_between_requested_times_raises(self, monkeypatch):
         # omega = 0, n_fock = 2: the single excitation's pseudomode part,
         # amplitude ~ exp(-lambda t / 2) sin(d t / 2), fills the top level
         # between t = 0 and t = 2 pi / d, where it is empty again; the guard
         # checks the interval, not only the requested samples
         lam = 0.5
         t_zero = 2.0 * math.pi / math.sqrt(2.0 * lam - lam**2)
-        ch = DrivenAmplitudeDamping(lam, 0.0, n_fock=2)
-        modes = channels._spectral_modes(ch, t_zero)
+        monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
+        ch = DrivenAmplitudeDamping(lam, 0.0)
+        modes = channels._spectral_modes(ch, 2, t_zero)
         rows = channels._trajectories(modes, (0.0, t_zero))
         assert np.abs(rows[:, :, 4]).max() < 1e-12  # empty at both samples
         with pytest.raises(TruncationLeakError):
             evolve(ch, qmath.ket2dm(qmath.KET_PLUS), (0.0, t_zero))
 
-    def test_truncation_leak_raises(self):
-        ch = DrivenAmplitudeDamping(lam=0.1, omega=0.5, n_fock=2)
+    def test_truncation_leak_raises(self, monkeypatch):
+        monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
+        ch = DrivenAmplitudeDamping(lam=0.1, omega=0.5)
         grid = TimeGrid(5.0, 500)
         with pytest.raises(TruncationLeakError):
             evolve(ch, qmath.ket2dm(qmath.KET_PLUS), grid)
 
 
 class TestDrivenBellAndPlus:
-    """The Bell pair on a grid and |+> at a few times from one laddered
-    evaluation, the states of measures.driven_entanglement."""
+    """The Bell pair on a grid and |+> at a few times from one guarded
+    evolver, the states of measures.driven_entanglement."""
 
     @staticmethod
     def bell_and_plus(channel, grid, times):
@@ -342,12 +338,8 @@ class TestDrivenBellAndPlus:
             (qmath.ket2dm(qmath.KET_BELL), "bell"),
             (qmath.ket2dm(qmath.KET_PLUS), "plus"),
         ]
-
-        def attempt(ch):
-            bell, plus = channels._evolver(ch, states, grid.t_max)
-            return bell(grid), plus(times)
-
-        return channels.fock_ladder(attempt, channel)
+        bell, plus = channels._evolver(channel, states, grid.t_max)
+        return bell(grid), plus(times)
 
     def test_matches_contract_paths(self):
         ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)
@@ -359,7 +351,7 @@ class TestDrivenBellAndPlus:
         assert np.array_equal(bell, want_bell)
         assert np.abs(plus - want_plus[idx]).max() < 1e-12
 
-    def test_initial_samples(self):
+    def test_initial_samples(self, monkeypatch):
         ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)
         bell, plus = self.bell_and_plus(ch, TimeGrid(0.5, 100), (0.0,))
         assert abs(qmath.concurrence(bell[0]) - 1.0) < 1e-12
@@ -372,7 +364,8 @@ class TestDrivenBellAndPlus:
             (qmath.ket2dm(oracles.KET_G), "ground"),
             (qmath.ket2dm(qmath.KET_PLUS), "plus"),
         ]
-        leaky = DrivenAmplitudeDamping(0.5, 0.0, n_fock=2)
+        monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
+        leaky = DrivenAmplitudeDamping(0.5, 0.0)
         with pytest.raises(TruncationLeakError, match="plus"):
             channels._evolver(leaky, states, 5.0)
 

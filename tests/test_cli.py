@@ -458,6 +458,11 @@ class TestReproduce:
         assert run("reproduce", "--out", str(tmp_path / "repro")) == cli.EXIT_NUMERIC
         assert "gap m_up - m_low" in capsys.readouterr().err
         assert not list((tmp_path / "repro").glob("*.model"))
+        # the failed run removes the directory it made, so a rerun fails the
+        # same way rather than on a half-written directory
+        assert not (tmp_path / "repro").exists()
+        assert run("reproduce", "--out", str(tmp_path / "repro")) == cli.EXIT_NUMERIC
+        assert not (tmp_path / "repro").exists()
 
     def test_smoke_orchestration(self, outdir):
         names = {p.name for p in outdir.iterdir()}

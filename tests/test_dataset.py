@@ -294,10 +294,6 @@ class TestSplit:
         orig_key = np.lexsort(table.features.T)
         assert np.array_equal(merged[key], table.features[orig_key])
 
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ConfigError):
-            dataset.split(toy_table(np.zeros((4, 3))), train_fraction=1.0)
-
 
 class TestTableIO:
     def test_roundtrip_exact(self, tmp_path):

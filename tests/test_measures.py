@@ -48,12 +48,9 @@ def eigen_route_concurrence(channel, grid):
 
 
 def bell_states(channel, grid):
-    """Reduced Bell-pair states of the driven channel on the grid, through
-    the Fock ladder."""
+    """Reduced Bell-pair states of the driven channel on the grid."""
     state = (qmath.ket2dm(qmath.KET_BELL), "bell")
-    return channels.fock_ladder(
-        lambda ch: channels._evolver(ch, [state], grid.t_max)[0](grid), channel
-    )
+    return channels._evolver(channel, [state], grid.t_max)[0](grid)
 
 
 class TestSeries:
@@ -210,9 +207,9 @@ class TestMeasureValues:
         modes, trajectories = channels._spectral_modes, channels._trajectories
         validate = qmath.validate_density
 
-        def spectral_modes(ch, t_max):
-            attempts.append(ch.n_fock)
-            return modes(ch, t_max)
+        def spectral_modes(ch, n, t_max):
+            attempts.append(n)
+            return modes(ch, n, t_max)
 
         def traced(modes, times):
             rows = trajectories(modes, times)
@@ -231,18 +228,45 @@ class TestMeasureValues:
         assert [e for e in events if e[0] == 8] == [(8, "rows", 2)]
         assert (12, "states", measures.DEFAULT_N_STEPS + 1) in events
 
-    def test_driven_measure_climbs_fock_ladder(self):
+    def test_driven_measure_climbs_fock_ladder(self, monkeypatch):
         # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
         # route retries at 12 and gives the table row's target bit for bit
         ch = DrivenAmplitudeDamping(0.1, 0.5)
         bell = (qmath.ket2dm(qmath.KET_BELL), "bell")
-        with pytest.raises(TruncationLeakError):
+        with monkeypatch.context() as patch, pytest.raises(TruncationLeakError):
+            patch.setattr(channels, "FOCK_LADDER", (8,))
             channels._evolver(ch, [bell], measures.DEFAULT_T_MAX)
         res = measures.n_entanglement(ch)
         assert res.tail_bound is None and res.grid_error >= 0.0
         table = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.5,))
         assert table.params[0, 0] == 0.1 and res.value == table.targets[0]
         assert dataset.measure_value(ch, "entanglement") == res.value
+
+    def test_rungs_come_from_fock_ladder(self, monkeypatch):
+        # a ladder started at 4 leaks at 4 and 8 for (0.1, 0.5), settles on
+        # 12, and gives the default ladder's target and features bit for bit
+        ch = DrivenAmplitudeDamping(0.1, 0.5)
+        want, want_features = measures.driven_entanglement(ch, times=(3.0,))
+        rungs, guarded = [], channels._guarded
+
+        def recording(channel, n, states, t_max):
+            try:
+                out = guarded(channel, n, states, t_max)
+            except TruncationLeakError:
+                rungs.append((n, "leak"))
+                raise
+            rungs.append((n, "ok"))
+            return out
+
+        monkeypatch.setattr(channels, "_guarded", recording)
+        monkeypatch.setattr(channels, "FOCK_LADDER", (4, 8, 12))
+        got, features = measures.driven_entanglement(ch, times=(3.0,))
+        assert rungs == [(4, "leak"), (8, "leak"), (12, "ok")]
+        assert got == want and np.array_equal(features, want_features)
+        # a ladder whose every rung leaks raises the last rung's leak
+        monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
+        with pytest.raises(TruncationLeakError, match="n_fock = 2"):
+            measures.driven_entanglement(ch, times=(3.0,))
 
     def test_drive_suppresses_memory_effects(self):
         # fixed strong coupling, increasing drive: N_E non-increasing

@@ -119,7 +119,7 @@ class TestConcurrence:
         ch = channels.DrivenAmplitudeDamping(0.6, 0.15)
         grid = channels.TimeGrid(20.0, 20000)
         state = (qmath.ket2dm(qmath.KET_BELL), "bell")
-        bell = channels.fock_ladder(lambda c: channels._evolver(c, [state], 20.0)[0](grid), ch)
+        bell = channels._evolver(ch, [state], 20.0)[0](grid)
         assert np.array_equal(qmath.concurrence(bell), oracles.matmul_concurrence(bell))
 
     def test_wrong_dimension(self):
