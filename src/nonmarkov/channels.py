@@ -25,17 +25,25 @@ an orthonormal Hermitian operator basis), evaluated at any set of times with
 no time step.  Where L is defective or nearly so (the exceptional points
 omega = 0, lambda = 2N, and their neighbourhood), each cluster of
 coalescing eigenvalues enters as an invariant-subspace block instead, with
-the Taylor series of its nilpotent part.  One mode build (_evolver) serves
-several states and any number of calls at arbitrary times within its
-horizon, for instance the Bell pair on the measure's coarse grid and at its
-refinements, and |+> at the tomography times.  Every driven result passes
-four guards: the spectral form must reproduce the initial operators at
-t = 0 (RECONSTRUCTION_TOL); the top Fock level must stay below LEAK_TOL
-and the trace within TRACE_DRIFT_TOL of 1, both checked at least every
-GUARD_STEP over the whole horizon before any state is assembled; and the
-reduced states must be valid density matrices.  _evolver, the one driven
-route, truncates the pseudomode at the first n_fock of FOCK_LADDER whose
-leak guard passes.
+the Taylor series of its nilpotent part.  L commutes with
+S(X) = sz X^T sz (sz on the qubit, the identity on the pseudomode), which
+is +1 or -1 on each element of the Hermitian basis, so L splits into an even
+sector of n(2n + 1) coordinates and an odd one of n(2n - 1) at n_fock = n
+(136 and 120 at 8, 300 and 276 at 12), each decomposed on its own; an entry
+between them is checked to be exactly 0.  The odd sector carries no
+population, so its modes, and any other whose top-level and trace
+amplitudes are exactly 0, are left out of the leak and drift guard.
+
+One mode build (_evolver) serves several states and any number of calls at
+arbitrary times within its horizon, for instance the Bell pair on the
+measure's coarse grid and at its refinements, and |+> at the tomography
+times.  Every driven result passes four guards: the spectral form must
+reproduce the initial operators at t = 0 (RECONSTRUCTION_TOL); the top Fock
+level must stay below LEAK_TOL and the trace within TRACE_DRIFT_TOL of 1,
+both checked at least every GUARD_STEP over the whole horizon before any
+state is assembled; and the reduced states must be valid density matrices.
+_evolver, the one driven route, truncates the pseudomode at the first
+n_fock of FOCK_LADDER whose leak guard passes.
 """
 
 from __future__ import annotations
@@ -209,11 +217,18 @@ def _liouvillian(channel: DrivenAmplitudeDamping, n: int) -> np.ndarray:
     return lsuper
 
 
-def _hermitian_basis(d: int):
-    """Orthonormal Hermitian basis of d x d operators: E_pp, then
-    (E_pq + E_qp)/sqrt(2) and i(E_pq - E_qp)/sqrt(2) for p < q.  Element k is
-    stored as its two row-major positions and values (pos_a, val_a, pos_b,
-    val_b); a diagonal element has val_b = 0."""
+def _hermitian_basis(n: int):
+    """Orthonormal Hermitian basis of the d x d operators of qubit (x)
+    pseudomode, d = 2n: E_pp, then (E_pq + E_qp)/sqrt(2) and
+    i(E_pq - E_qp)/sqrt(2) for p < q.  Returns to_basis, the coordinates
+    Tr(B_k X) of the row-major vectorized operators in the columns of x;
+    from_basis, which turns row functionals of X into functionals of its
+    coordinates; and even, the elements that S(X) = sz X^T sz (sz on the
+    qubit) keeps, where it negates the others.  With s_p = +1 on the excited
+    block and -1 on the ground block, S takes E_pp to itself, the symmetric
+    element to s_p s_q times it and the antisymmetric one to -s_p s_q times
+    it."""
+    d = 2 * n
     p, q = np.triu_indices(d, 1)
     diag = np.arange(d) * (d + 1)
     upper, lower = p * d + q, q * d + p
@@ -221,8 +236,25 @@ def _hermitian_basis(d: int):
     pos_a = np.concatenate([diag, upper, upper])
     pos_b = np.concatenate([diag, lower, lower])
     val_a = np.concatenate([np.ones(d), r, 1j * r])
-    val_b = np.concatenate([np.zeros(d), r, -1j * r])
-    return pos_a, val_a, pos_b, val_b
+    val_b = np.concatenate([np.zeros(d), r, -1j * r])  # a diagonal element has one position
+    same = (p < n) == (q < n)  # s_p s_q = +1
+    even = np.concatenate([np.ones(d, dtype=bool), same, ~same])
+
+    def to_basis(x):
+        out = x[pos_a] * np.conj(val_a)[:, None]
+        part = x[pos_b]
+        part *= np.conj(val_b)[:, None]
+        out += part
+        return out
+
+    def from_basis(rows):
+        out = rows[:, pos_a] * val_a
+        part = rows[:, pos_b]
+        part *= val_b
+        out += part
+        return out
+
+    return to_basis, from_basis, even
 
 
 def _invariant_blocks(gen: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> list:
@@ -269,33 +301,20 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, n: int, t_max: float):
     Rows 6j..6j+5 follow the operator x_j (x) |0><0|, x_j = |e><e|, |e><g|,
     |g><g|: its qubit-reduced entries ee, eg, ge, gg, the population of the
     top Fock level, and the trace.  The generator preserves Hermiticity, so
-    in an orthonormal Hermitian operator basis it is a real matrix; its
-    eigendecomposition V diag(w) V^-1 gives A = (R V) o (V^-1 x_j), each
-    mode with p = 0.  A nearly defective eigenvalue cluster (see
-    _invariant_blocks) enters instead as an invariant subspace Q with block
-    mu + N: its modes are the columns of (R Q) o (N^k y) with rate mu and
-    p = k, y = Q^-1 x_j, the Taylor series of exp(N t) y taken until its
-    tail is below rounding at t_max.
+    in an orthonormal Hermitian operator basis it is a real matrix.  It also
+    commutes with S(X) = sz X^T sz (H is real, sz H sz flips the sign of the
+    drive and the coupling, and b is real), which is +1 or -1 on each basis
+    element (_hermitian_basis), so it splits into an even sector of
+    n(2n + 1) coordinates and an odd one of n(2n - 1); a nonzero entry
+    between them is a NumericError.  Each sector is decomposed on its own
+    (_sector_modes), and the modes are those of both.
     """
+    to_basis, from_basis, even = _hermitian_basis(n)
     d = 2 * n
-    pos_a, val_a, pos_b, val_b = _hermitian_basis(d)
-
-    def to_basis(x):  # coordinates Tr(B_k X) of vectorized operators (columns of x)
-        out = x[pos_a] * np.conj(val_a)[:, None]
-        part = x[pos_b]
-        part *= np.conj(val_b)[:, None]
-        out += part
-        return out
-
-    def from_basis(rows):  # row functionals of X -> functionals of its coordinates
-        out = rows[:, pos_a] * val_a
-        part = rows[:, pos_b]
-        part *= val_b
-        out += part
-        return out
-
-    gen = from_basis(_liouvillian(channel, n))
-    gen = to_basis(gen).real
+    gen = to_basis(from_basis(_liouvillian(channel, n))).real
+    cross = max(np.abs(gen[np.ix_(even, ~even)]).max(), np.abs(gen[np.ix_(~even, even)]).max())
+    if cross != 0.0:
+        raise NumericError(f"pseudomode generator couples the sectors of S by {cross:.3e}")
 
     levels = np.arange(n)
     red = np.zeros((6, d * d), dtype=complex)
@@ -307,7 +326,23 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, n: int, t_max: float):
     x0 = np.zeros((d * d, 3), dtype=complex)
     x0[[0, n, n * d + n], [0, 1, 2]] = 1.0  # |e><e|, |e><g|, |g><g| (x) |0><0|
     c0 = to_basis(x0)
+    start_rows = (red @ x0).T.reshape(18)
+    red = from_basis(red)
+    sectors = [
+        _sector_modes(gen[np.ix_(sec, sec)], c0[sec], red[:, sec], t_max) for sec in (even, ~even)
+    ]
+    return (*(np.concatenate(part, axis=-1) for part in zip(*sectors)), start_rows)
 
+
+def _sector_modes(gen: np.ndarray, c0: np.ndarray, red: np.ndarray, t_max: float):
+    """Modes (w, p, A) of one invariant sector of the generator gen, for the
+    initial coordinates c0 (one column per operator) read out by the row
+    functionals red.  The eigendecomposition V diag(w) V^-1 gives
+    A = (R V) o (V^-1 x_j), each mode with p = 0.  A nearly defective
+    eigenvalue cluster (see _invariant_blocks) enters instead as an
+    invariant subspace Q with block mu + N: its modes are the columns of
+    (R Q) o (N^k y) with rate mu and p = k, y = Q^-1 x_j, the Taylor series
+    of exp(N t) y taken until its tail is below rounding at t_max."""
     try:
         blocks = _invariant_blocks(gen, *np.linalg.eig(gen))
         basis = np.concatenate([q for q, _, _ in blocks], axis=1)
@@ -320,8 +355,6 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, n: int, t_max: float):
             f"spectral propagator misses the initial operators at t = 0 by {err:.3e} "
             f"(tolerance {RECONSTRUCTION_TOL:g})"
         )
-    start_rows = (red @ x0).T.reshape(18)
-    red = from_basis(red)
     rates, powers, amps, start = [], [], [], 0
     for q, mu, nil in blocks:  # the Taylor series of exp(nil t) y, cut below rounding at t_max
         y, reduced = coefs[start : start + len(mu)], red @ q
@@ -340,7 +373,7 @@ def _spectral_modes(channel: DrivenAmplitudeDamping, n: int, t_max: float):
         amps.append(np.stack(terms, axis=-1).reshape(18, -1))  # mode c * K + k: chains contiguous
         rates.append(np.repeat(mu, len(terms)))
         powers.append(np.tile(np.arange(len(terms)), len(mu)))
-    return np.concatenate(rates), np.concatenate(powers), np.hstack(amps), start_rows
+    return np.concatenate(rates), np.concatenate(powers), np.hstack(amps)
 
 
 def _trajectories(modes, times) -> np.ndarray:
@@ -374,7 +407,8 @@ def _trajectories(modes, times) -> np.ndarray:
         out[i] = table @ coef
     out = out.reshape(-1, len(amps))[:count]
     # exp(L 0) is the identity; the spectral sum matches it only to rounding,
-    # which the square roots in the concurrence would amplify to ~1e-8
+    # which can lie above the concurrence's eps cut and which its square
+    # roots would then amplify to ~1e-8
     out[(starts[:, None] + offsets).reshape(-1)[:count] == 0] = start_rows
     return out.reshape(count, 3, len(amps) // 3)
 
@@ -427,13 +461,23 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     raise leak
 
 
+def _guard_modes(modes):
+    """The top-level and trace rows of modes (of _spectral_modes), without
+    the modes whose amplitudes on them are all exactly 0, such as every mode
+    of the odd sector of S; a chain (p = 0, 1, ...) is kept or dropped
+    whole, since its terms share the exponential table of _trajectories."""
+    w, power, amps, start_rows = modes
+    kept = np.array([4, 5, 10, 11, 16, 17])  # top level and trace of each operator
+    chain = np.cumsum(power == 0)
+    live = np.isin(chain, chain[(amps[kept] != 0).any(axis=0)])
+    return w[live], power[live], amps[np.ix_(kept, live)], start_rows[kept]
+
+
 def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> list:
     """_evolver at one truncation, n Fock levels."""
     modes = _spectral_modes(channel, n, t_max)
-    w, power, amps, start_rows = modes
     checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
-    kept = np.array([4, 5, 10, 11, 16, 17])  # top level and trace of each operator
-    guard = _trajectories((w, power, amps[kept], start_rows[kept]), TimeGrid(t_max, checks))
+    guard = _trajectories(_guard_modes(modes), TimeGrid(t_max, checks))
 
     def evaluator(rho, what):
         k = rho.shape[0] // 2

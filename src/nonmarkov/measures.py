@@ -16,7 +16,10 @@ sampled on a coarse grid and then refined, in a few vectorised rounds, only
 at the interior turning points; the stated grid_error is the bound of the
 final brackets.  Turns whose error is below REFINE_FLOOR, which rounding
 noise of the concurrence alone cannot reach, are not refined: the rounding
-floor (CONCURRENCE_FLOOR) is stated, not chased.  The driven trace-distance
+floor (CONCURRENCE_FLOOR) is stated, not chased.  qmath.concurrence takes
+eigenvalues of rho rho~ at or below eps times their state's largest as 0,
+so a true one below that cut can bias C high by up to 3 sqrt(eps), about
+4.5e-8.  The driven trace-distance
 measure is not evaluated.
 """
 
@@ -35,7 +38,7 @@ DEFAULT_T_MAX = 20.0  # the horizon: t <= 20/gamma0 (AD, driven) or nu <= 20 (PD
 DEFAULT_N_STEPS = 1000  # the driven measure's coarse grid
 REFINE_ROUNDS = 4  # refinement rounds at the turning points of the driven concurrence
 REFINE_SPLIT = 8  # each interval next to a turning point splits into this many
-CONCURRENCE_FLOOR = 1e-8  # rounding floor of qmath.concurrence near rank-deficient states
+CONCURRENCE_FLOOR = 1e-8  # stated noise floor of qmath.concurrence near rank-deficient states
 # twice the largest error contribution 0.75 |C[k+1] - C[k-1]| that two samples
 # each off by CONCURRENCE_FLOOR can fake: smaller turns are not refined
 REFINE_FLOOR = 3 * CONCURRENCE_FLOOR
@@ -151,9 +154,10 @@ def driven_entanglement(
     only at times, which must lie within the horizon.  The value and its
     grid_error are positive_increments of the concurrence on the merged
     samples, so grid_error bounds what the final brackets miss.  The value
-    also carries a rounding floor of about CONCURRENCE_FLOOR (qmath.concurrence
-    loses about half its digits near rank-deficient states): turns below
-    REFINE_FLOOR are not refined, and their share stays in grid_error.
+    also carries a stated floor of CONCURRENCE_FLOOR (qmath.concurrence drops
+    eigenvalues of rho rho~ at its eps cut, which can read C up to 4.5e-8
+    high near rank-deficient states): turns below REFINE_FLOOR are not
+    refined, and their share stays in grid_error.
     """
     grid = grid or default_grid()
     times = tuple(float(t) for t in times)

@@ -56,16 +56,19 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit state.
 
     max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy).
+    eigenvalues of rho (sy x sy) rho* (sy x sy), where eigenvalues at or
+    below eps * their state's largest are taken as 0.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ConfigError(f"concurrence needs a 4x4 state, got {rho.shape}")
     rho_tilde = _SYSY_SIGNS * np.conj(rho)[..., ::-1, ::-1]
-    w = np.linalg.eigvals(rho @ rho_tilde)
-    # eigenvalues are real and non-negative up to round-off
-    lam = np.sqrt(np.clip(w.real, 0.0, None))
-    lam = np.sort(lam, axis=-1)
+    w = np.linalg.eigvals(rho @ rho_tilde).real
+    # eigenvalues are real and non-negative up to round-off; those at or below
+    # eps * max(w) of their state are round-off, whose square root would cost
+    # up to ~1e-8, and count as 0
+    w[w <= np.finfo(float).eps * w.max(axis=-1, keepdims=True)] = 0.0
+    lam = np.sort(np.sqrt(w), axis=-1)
     c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
     c = np.maximum(c, 0.0)
     return float(c) if c.ndim == 0 else c

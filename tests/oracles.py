@@ -44,8 +44,9 @@ def matmul_concurrence(rho):
     """Wootters concurrence with rho_tilde = (sy x sy) rho* (sy x sy) formed
     by matrix products; otherwise the steps of qmath.concurrence."""
     rho_tilde = SY2.real @ np.conj(rho) @ SY2.real
-    w = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sort(np.sqrt(np.clip(w.real, 0.0, None)), axis=-1)
+    w = np.linalg.eigvals(rho @ rho_tilde).real
+    w[w <= np.finfo(float).eps * w.max(axis=-1, keepdims=True)] = 0.0
+    lam = np.sort(np.sqrt(w), axis=-1)
     c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
     return np.maximum(c, 0.0)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonmarkov import channels, qmath
 from nonmarkov.channels import (
@@ -284,17 +286,18 @@ class TestDrivenEvolve:
 
     def test_t0_guard_rejects_corrupted_eigenbasis(self, monkeypatch):
         eig = np.linalg.eig
-
-        def corrupted(a):
-            # every eigenvector pulled onto the first: still invertible, but
-            # too ill-conditioned to carry the initial operators
-            w, v = eig(a)
-            return w, v[:, :1] + 1e-9 * v
-
-        monkeypatch.setattr(np.linalg, "eig", corrupted)
         ch = DrivenAmplitudeDamping(lam=0.5, omega=0.3)
-        with pytest.raises(NumericError, match="t = 0"):
-            evolve(ch, qmath.ket2dm(qmath.KET_PLUS), TimeGrid(1.0, 10))
+        for size in (136, 120):  # the even and the odd sector at n_fock = 8
+
+            def corrupted(a, size=size):
+                # every eigenvector of one sector pulled onto its first: still
+                # invertible, but too ill-conditioned to carry the initial operators
+                w, v = eig(a)
+                return (w, v[:, :1] + 1e-9 * v) if len(a) == size else (w, v)
+
+            monkeypatch.setattr(np.linalg, "eig", corrupted)
+            with pytest.raises(NumericError, match="t = 0"):
+                evolve(ch, qmath.ket2dm(qmath.KET_PLUS), TimeGrid(1.0, 10))
 
     def test_exceptional_point_matches_closed_form(self):
         # lambda = 2 gamma0 is the critical coupling, where the coherence takes
@@ -326,6 +329,73 @@ class TestDrivenEvolve:
         grid = TimeGrid(5.0, 500)
         with pytest.raises(TruncationLeakError):
             evolve(ch, qmath.ket2dm(qmath.KET_PLUS), grid)
+
+
+class TestTransposeSymmetry:
+    """The generator commutes with S(X) = sz X^T sz, so it splits into an
+    even and an odd sector; the guard reads only modes of the even one."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        lam=st.floats(0.05, 3.0, exclude_min=True),
+        omega=st.floats(0.0, 0.5),
+        n=st.sampled_from([4, 8, 12]),
+    )
+    def test_sectors_do_not_couple(self, lam, omega, n):
+        # the generator of _spectral_modes, which raises on what this asserts
+        to_basis, from_basis, even = channels._hermitian_basis(n)
+        lsuper = channels._liouvillian(DrivenAmplitudeDamping(lam, omega), n)
+        gen = to_basis(from_basis(lsuper)).real
+        # 136 and 120 coordinates at n = 8, 300 and 276 at 12
+        assert (even.sum(), (~even).sum()) == (n * (2 * n + 1), n * (2 * n - 1))
+        assert not gen[np.ix_(even, ~even)].any()
+        assert not gen[np.ix_(~even, even)].any()
+
+    def test_coupled_sectors_raise(self, monkeypatch):
+        liouvillian = channels._liouvillian
+
+        def coupled(channel, n):
+            lsuper = liouvillian(channel, n)
+            lsuper[0, n] += 1e-14  # d X_ee,00 / dt gains X_eg,00: odd into even
+            return lsuper
+
+        monkeypatch.setattr(channels, "_liouvillian", coupled)
+        with pytest.raises(NumericError, match="couples the sectors"):
+            channels._spectral_modes(DrivenAmplitudeDamping(0.6, 0.15), 8, 20.0)
+
+    @pytest.mark.parametrize(
+        "lam, omega, live", [(0.6, 0.15, 136), (1.3, 0.05, 136), (0.3, 0.0, 134), (2.0, 0.0, None)]
+    )
+    def test_guard_drops_only_silent_modes(self, lam, omega, live):
+        # (2, 0) is an exceptional point, whose chains are kept or dropped whole
+        modes = channels._spectral_modes(DrivenAmplitudeDamping(lam, omega), 8, 20.0)
+        w, power, amps, start_rows = modes
+        kept = [4, 5, 10, 11, 16, 17]
+        full = (w, power, amps[kept], start_rows[kept])
+        pruned = channels._guard_modes(modes)
+        if live is not None:
+            assert len(pruned[0]) == live
+            assert not amps[kept, 136:].any()  # the odd sector's modes
+        # every mode with a nonzero top-level or trace amplitude is kept, in order
+        nonzero = [m[:, (m != 0).any(axis=0)] for m in (full[2], pruned[2])]
+        assert np.array_equal(*nonzero)
+        grid = TimeGrid(20.0, 20_000)
+        got, want = channels._trajectories(pruned, grid), channels._trajectories(full, grid)
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_guard_keeps_chains_whole(self):
+        # a chain whose p = 0 term is silent on the guard rows still carries
+        # its p = 1 term t exp(-t), which needs the chain's table column
+        w, power = np.array([-1.0, -1.0, -0.5]), np.array([0, 1, 0])
+        amps = np.zeros((18, 3), dtype=complex)
+        amps[:, 1] = 1.0
+        modes = (w, power, amps, np.zeros(18, dtype=complex))
+        pruned = channels._guard_modes(modes)
+        assert np.array_equal(pruned[1], [0, 1])
+        grid = TimeGrid(3.0, 300)
+        rows = channels._trajectories(pruned, grid)
+        t = grid.values[1:, None, None]
+        assert np.abs(rows[1:] - t * np.exp(-t)).max() < 1e-15
 
 
 class TestDrivenBellAndPlus:

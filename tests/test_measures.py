@@ -283,7 +283,8 @@ class TestDrivenGridError:
     the 1e-8 rounding floor of the concurrence."""
 
     @pytest.mark.parametrize(
-        "lam, omega", [(0.3, 0.0), (0.6, 0.15), (0.1, 0.5), (1.0, 0.05), (0.2, 0.02)]
+        "lam, omega",
+        [(0.3, 0.0), (0.6, 0.15), (0.1, 0.5), (1.0, 0.05), (0.2, 0.02), (0.1, 0.01)],
     )
     def test_bounds_an_eightfold_finer_grid(self, lam, omega):
         ch = DrivenAmplitudeDamping(lam, omega)

@@ -112,6 +112,16 @@ class TestConcurrence:
         want = [qmath.concurrence(batch[i]) for i in range(5)]
         assert np.abs(got - want).max() < 1e-12
 
+    def test_rounding_noise_costs_no_digits(self):
+        # eigenvalues of rho rho~ at rounding level are taken as 0, not
+        # square-rooted into a ~1e-8 loss
+        rng = np.random.default_rng(11)
+        noise = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+        noise += qmath.dag(noise)
+        noise *= 1e-17 / np.abs(noise).max(axis=(1, 2), keepdims=True)
+        bell = qmath.ket2dm(qmath.KET_BELL) + noise
+        assert np.abs(qmath.concurrence(bell) - 1.0).max() <= 1e-15
+
     def test_sign_flip_equals_matmul_formula_bitwise(self):
         rng = np.random.default_rng(10)
         batch = np.stack([oracles.random_density(4, rng) for _ in range(200)])
