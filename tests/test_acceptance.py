@@ -95,8 +95,9 @@ def test_criterion_2_integrator_oracle():
     plus = (qmath.ket2dm(qmath.KET_PLUS), "plus")
     worst = 0.0
     for lam in (0.3, 1.0, 2.5):
-        # one guarded evolver; no zero-drive pair leaks at n_fock = 8, the
-        # first rung of channels.FOCK_LADDER, so each runs at 8
+        # one guarded evolver; a zero-drive pair holds at most one excitation,
+        # so it never reaches the top level of n_fock = 4, the first rung of
+        # channels.FOCK_LADDER, and each runs at 4
         ch = DrivenAmplitudeDamping(lam, omega=0.0)
         out = channels._evolver(ch, [plus], grid.t_max)[0](grid)
         g = AmplitudeDamping(lam).coherence(grid.values)

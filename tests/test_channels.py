@@ -287,7 +287,8 @@ class TestDrivenEvolve:
     def test_t0_guard_rejects_corrupted_eigenbasis(self, monkeypatch):
         eig = np.linalg.eig
         ch = DrivenAmplitudeDamping(lam=0.5, omega=0.3)
-        for size in (136, 120):  # the even and the odd sector at n_fock = 8
+        n = channels.FOCK_LADDER[0]
+        for size in (n * (2 * n + 1), n * (2 * n - 1)):  # the even and the odd sector
 
             def corrupted(a, size=size):
                 # every eigenvector of one sector pulled onto its first: still
@@ -396,6 +397,47 @@ class TestTransposeSymmetry:
         rows = channels._trajectories(pruned, grid)
         t = grid.values[1:, None, None]
         assert np.abs(rows[1:] - t * np.exp(-t)).max() < 1e-15
+
+
+class TestUnresolvableDrive:
+    """A drive below eig's own backward error, eps times the largest entry of
+    the undriven generator, is built as omega = 0."""
+
+    LAMS = (0.0625, 0.5, 1.0, 2.9)
+
+    @pytest.mark.parametrize("n", channels.FOCK_LADDER)
+    def test_generator_is_undriven(self, n):
+        # omega = 10^-k, k = 20..300, lies below the cut at every rung (the cut
+        # grows with n); every k at the first rung, where a build is cheap,
+        # and at the others a spread that holds the drives once seen to fail
+        ks = range(20, 301) if n == channels.FOCK_LADDER[0] else (20, 45, 100, 127, 273, 300)
+        for lam in self.LAMS:
+            want = channels._generator(DrivenAmplitudeDamping(lam, 0.0), n)
+            for k in ks:
+                got = channels._generator(DrivenAmplitudeDamping(lam, 10.0**-k), n)
+                assert np.array_equal(got, want), (lam, k)
+
+    @pytest.mark.parametrize("n", channels.FOCK_LADDER)
+    @pytest.mark.parametrize(
+        "lam, omega", [(1.0, 1.5e-127), (0.5, 1e-100), (2.9, 1e-45), (0.0625, 2.8e-273)]
+    )
+    def test_tiny_drive_evolves_as_undriven(self, n, lam, omega):
+        # each once failed: the t = 0 check, the exp(N t) series, the rungs 6
+        # and 8, and the invariant-subspace search; undriven, |+> follows the
+        # closed form of amplitude damping
+        plus = [(qmath.ket2dm(qmath.KET_PLUS), "plus")]
+        grid = TimeGrid(3.0, 30)
+        out = channels._guarded(DrivenAmplitudeDamping(lam, omega), n, plus, 3.0)[0](grid)
+        g = AmplitudeDamping(lam).coherence(grid.values)
+        want = 0.5 * np.stack([g**2, g, g, 2.0 - g**2], axis=-1).reshape(-1, 2, 2)
+        assert np.abs(out - want).max() < 1e-10
+
+    def test_resolvable_drive_is_kept(self):
+        # just above the cut the drive enters the generator
+        ch = DrivenAmplitudeDamping(0.5, 1e-12)
+        assert not np.array_equal(
+            channels._generator(ch, 4), channels._generator(DrivenAmplitudeDamping(0.5, 0.0), 4)
+        )
 
 
 class TestDrivenBellAndPlus:

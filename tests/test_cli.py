@@ -348,7 +348,8 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 5
 
     def test_driven_ox_sweep_climbs_fock_ladder(self, tmp_path):
-        # (0.1, 0.5) leaks past n_fock = 8 by t = 20; the sweep retries at 12
+        # (0.1, 0.5) leaks on every rung below n_fock = 12 by t = 20; the sweep
+        # climbs to 12
         out = tmp_path / "ox_driven.csv"
         code = run(
             "sweep", "--kind", "ox", "--channel", "ad", "--lambdas", "0.1",

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -201,8 +203,9 @@ class TestMeasureValues:
             assert abs(d - e) < 1e-8
 
     def test_leaking_attempt_assembles_no_states(self, monkeypatch):
-        # the guards of the n_fock = 8 attempt run before any state is
-        # assembled, from the top-level and trace rows alone
+        # (0.1, 0.5) leaks on every rung below 12; the guards of each such
+        # attempt run before any state is assembled, from the top-level and
+        # trace rows alone
         attempts, events = [], []
         modes, trajectories = channels._spectral_modes, channels._trajectories
         validate = qmath.validate_density
@@ -224,9 +227,54 @@ class TestMeasureValues:
         monkeypatch.setattr(channels, "_trajectories", traced)
         monkeypatch.setattr(qmath, "validate_density", validating)
         measures.driven_entanglement(DrivenAmplitudeDamping(0.1, 0.5), times=(3.0,))
-        assert attempts == [8, 12]
-        assert [e for e in events if e[0] == 8] == [(8, "rows", 2)]
+        leaking = [n for n in channels.FOCK_LADDER if n < 12]
+        assert attempts == leaking + [12]
+        assert [e for e in events if e[0] < 12] == [(n, "rows", 2) for n in leaking]
         assert (12, "states", measures.DEFAULT_N_STEPS + 1) in events
+
+    def test_failed_rung_leaves_no_garbage(self):
+        # a leaking rung's exception is not kept: its traceback holds the
+        # rung's frames and mode arrays in a reference cycle, which only the
+        # cyclic collector would free
+        ch = DrivenAmplitudeDamping(0.1, 0.5)
+        measures.driven_entanglement(ch, times=(3.0,))
+        gc.collect()
+        gc.disable()
+        try:
+            measures.driven_entanglement(ch, times=(3.0,))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("lam, omega", [(0.7, 0.5), (1.757, 0.5), (0.514, 0.05), (0.3, 0.0)])
+    def test_truncation_error_against_next_rung(self, monkeypatch, lam, omega):
+        # the stated truncation error (channels docstring): against the next
+        # rung of FOCK_LADDER, features move by at most 30 LEAK_TOL and the
+        # target by at most 3 LEAK_TOL
+        ch = DrivenAmplitudeDamping(lam, omega)
+        times = (3.0, 5.0, 6.0, 10.0)
+        rungs, guarded = [], channels._guarded
+
+        def recording(channel, n, states, t_max):
+            out = guarded(channel, n, states, t_max)
+            rungs.append(n)
+            return out
+
+        monkeypatch.setattr(channels, "_guarded", recording)
+        got, features = measures.driven_entanglement(ch, times=times)
+        ladder = channels.FOCK_LADDER
+        monkeypatch.setattr(channels, "FOCK_LADDER", (ladder[ladder.index(rungs[0]) + 1],))
+        want, want_features = measures.driven_entanglement(ch, times=times)
+        assert np.abs(features - want_features).max() <= 30 * channels.LEAK_TOL
+        assert abs(got.value - want.value) <= 3 * channels.LEAK_TOL
+
+    def test_weak_coupling_passes_by_last_rung(self):
+        # lambda = 0.1, the grid's most weakly damped pseudomode, climbs
+        # furthest; every drive of the grid passes the leak guard by rung 16
+        assert channels.FOCK_LADDER[-1] == 16
+        states = [(qmath.ket2dm(qmath.KET_BELL), "bell"), (qmath.ket2dm(qmath.KET_PLUS), "plus")]
+        for omega in dataset.omega_grid():
+            channels._evolver(DrivenAmplitudeDamping(0.1, omega), states, measures.DEFAULT_T_MAX)
 
     def test_driven_measure_climbs_fock_ladder(self, monkeypatch):
         # (0.1, 0.5) leaks past n_fock = 8 over the horizon; the library
