@@ -72,6 +72,7 @@ import numpy as np
 from . import qmath
 from .errors import ConfigError, NumericError, TruncationLeakError
 
+DEFAULT_T_MAX = 20.0  # the horizon: t <= 20/gamma0 (AD, driven) or nu <= 20 (PD)
 FOCK_LADDER = (4, 6, 8, 12, 16)  # pseudomode truncations n_fock, tried in order on a leak
 LEAK_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
@@ -154,9 +155,12 @@ class DrivenAmplitudeDamping:
             raise ConfigError(f"omega must be finite and >= 0, got {self.omega}")
 
     def bloch_plus(self, times) -> np.ndarray:
-        """(O_x, O_y, O_z) of the evolved |+>, one row per time (TimeGrid or sequence)."""
+        """(O_x, O_y, O_z) of the evolved |+>, one row per time (TimeGrid or
+        sequence).  Guarded over the measure horizon DEFAULT_T_MAX, as a table
+        row is, so both settle on one rung, and past it up to the last time."""
         state = (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)")
-        return qmath.bloch_vector(_evolver(self, [state], _last_time(times))[0](times))
+        t_max = max(DEFAULT_T_MAX, _last_time(times))
+        return qmath.bloch_vector(_evolver(self, [state], t_max)[0](times))
 
 
 Channel = PhaseDamping | AmplitudeDamping | DrivenAmplitudeDamping

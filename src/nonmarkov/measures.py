@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, qmath
-from .channels import Channel, DrivenAmplitudeDamping, TimeGrid
+from .channels import DEFAULT_T_MAX, Channel, DrivenAmplitudeDamping, TimeGrid
 from .errors import ConfigError
 
-DEFAULT_T_MAX = 20.0  # the horizon: t <= 20/gamma0 (AD, driven) or nu <= 20 (PD)
 DEFAULT_N_STEPS = 1000  # the driven measure's coarse grid
 REFINE_ROUNDS = 4  # refinement rounds at the turning points of the driven concurrence
 REFINE_SPLIT = 8  # each interval next to a turning point splits into this many

@@ -11,15 +11,20 @@ rule.  The working set is chosen by second-order information (Fan, Chen &
 Lin, "Working set selection using second order information for training
 SVM", JMLR 6 (2005); the LIBSVM default, Chang & Lin, ACM TIST 2 (2011)):
 i maximally violates from I_up, and j in I_low maximizes the gain
-b^2 / (K_ii + K_jj - 2 K_ij) of the two-variable step.
+b_j^2 / quad_j, with b_j = m - crit_j and quad_j = K_ii + K_jj - 2 K_ij.
+Every step follows one rule, whatever the signs z = +1 (alpha) and -1
+(alpha*) of the pair: z_i a_i rises and z_j a_j falls by
+t = min(b_j / quad_j, rise_i, fall_j), where room(v) = (rise_v, fall_v) is
+how far z_v a_v can move up and down with a_v in [0, C].  The same room
+decides membership, I_up = {rise > 0} and I_low = {fall > 0}.
 
-Kernel rows are built on first use and kept, as LIBSVM computes kernel
-columns on demand (Chang & Lin 2011, section 5): SMO reads only the rows of
-the points that enter a working set, often a small share of the l x l Gram
-matrix, and no row is built twice.  K_tt = 1, the exact RBF diagonal.  The
-intercept comes from the gradient SMO keeps, as LIBSVM's rho does.  fit
-reports the final gap m - M, the dual objective it reached and the number of
-kernel rows it built.
+Kernel rows are built on first use and kept, keyed by training index, as
+LIBSVM computes kernel columns on demand (Chang & Lin 2011, section 5): SMO
+reads only the rows of the points that enter a working set, often a small
+share of the l x l Gram matrix, and no row is built twice.  K_tt = 1, the
+exact RBF diagonal.  The intercept comes from the gradient SMO keeps, as
+LIBSVM's rho does.  fit reports the final gap m - M, the dual objective it
+reached and the number of kernel rows it built.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def fit(
 ) -> SvrModel:
     """Train on (already standardized) features x and targets y.
 
-    The scaler used to standardize x is stored on the model so predictions
+    The scaler used to standardize x is kept on the model so predictions
     accept raw features; pass scaler=None for identity scaling.  A model that
     hits max_iter is returned with converged=False, never silently.
     """
@@ -141,26 +146,20 @@ def fit(
     gamma = resolve_gamma(config.kernel_gamma, x)
     c, eps, tol = config.C, config.epsilon, config.tol
 
-    # Kernel rows on first use.  -gamma |x_s - x_t|^2 over all s is one
-    # matrix-vector product, (2 gamma x_s, -gamma |x_s|^2, 1) . (x_t, 1,
-    # -gamma |x_t|^2), then clamped at 0 and exponentiated.  The k-th row
-    # built goes to store[k]: the store's pages past the last row built are
-    # never written, so they take no memory.
+    # Kernel rows on first use, kept by training index.  -gamma |x_s - x_t|^2
+    # over all s is one matrix-vector product, (2 gamma x_s, -gamma |x_s|^2, 1)
+    # . (x_t, 1, -gamma |x_t|^2), then clamped at 0 and exponentiated.
     sq = -gamma * (x * x).sum(axis=1)
     lhs = np.column_stack([2.0 * gamma * x, sq, np.ones(l)])
     rhs = np.column_stack([x, np.ones(l), sq])
-    store = np.empty((l, l))
-    rows = [None] * l  # training index -> its row in store, once built
-    built = []  # one entry per row of store
+    rows = {}
 
     def row(t):
-        r = rows[t]
+        r = rows.get(t)
         if r is None:
-            r = rows[t] = store[len(built)]
-            np.matmul(lhs, rhs[t], out=r)
+            r = rows[t] = lhs @ rhs[t]
             np.minimum(r, 0.0, out=r)
             np.exp(r, out=r)
-            built.append(t)
         return r
 
     # a = (alpha, alpha*) in [0, C]^{2l}; minimize 1/2 a^T Q a + p^T a with
@@ -168,14 +167,21 @@ def fit(
     # Everything indexed by the 2l variables is held as a (2, l) array, row 0
     # for alpha (z = +1) and row 1 for alpha* (z = -1), so one length-l
     # kernel row serves both halves.  crit = -z * grad; up and low hold crit
-    # on I_up and I_low and -inf / +inf elsewhere.
+    # on I_up (z_v a_v can rise) and I_low (z_v a_v can fall) and -inf / +inf
+    # elsewhere.
     a = np.zeros((2, l))
+    z = (1.0, -1.0)  # by row of a
     crit = np.stack([y - eps, y + eps])
     up = np.stack([crit[0], np.full(l, -np.inf)])  # alpha < C; alpha* > 0
     low = np.stack([np.full(l, np.inf), crit[1]])  # alpha > 0; alpha* < C
     flat_a, flat_crit, flat_up, flat_low = a.ravel(), crit.ravel(), up.ravel(), low.ravel()
     quad = np.empty(l)
     score = np.empty((2, l))
+
+    def room(v):
+        """How far z_v a_v can rise and fall with a_v in [0, C]."""
+        a_v = flat_a[v]
+        return (c - a_v, a_v) if v < l else (a_v, c - a_v)
 
     n_iter = 0
     converged = False
@@ -190,10 +196,9 @@ def fit(
             break
 
         # second-order choice of j (Fan, Chen & Lin 2005): over I_low with
-        # b_t = m_up - crit_t > 0, maximize b_t^2 / (K_ii + K_tt - 2 K_it),
-        # where K_ii = K_tt = 1
-        ri, ti = divmod(i, l)
-        ki = row(ti)
+        # b_v = m_up - crit_v > 0, maximize b_v^2 / (K_ii + K_vv - 2 K_iv),
+        # where K_ii = K_vv = 1
+        ki = row(i % l)
         np.multiply(ki, -2.0, out=quad)
         quad += 2.0
         np.maximum(quad, 1e-12, out=quad)
@@ -202,41 +207,27 @@ def fit(
         score *= score
         score /= quad
         j = int(np.argmax(score))
-        rj, tj = divmod(j, l)
-        kj = row(tj)
+        kj = row(j % l)
 
-        zi, zj = 1.0 - 2.0 * ri, 1.0 - 2.0 * rj
-        gi, gj = -zi * flat_crit[i], -zj * flat_crit[j]
-        step_quad = quad[tj]
-        if zi == zj:
-            delta = -(gi - gj) / step_quad
-            lo_bound = max(-flat_a[i], flat_a[j] - c)
-            hi_bound = min(c - flat_a[i], flat_a[j])
-            delta = min(max(delta, lo_bound), hi_bound)
-            da_i, da_j = delta, -delta
-        else:
-            delta = -(gi + gj) / step_quad
-            lo_bound = max(-flat_a[i], -flat_a[j])
-            hi_bound = min(c - flat_a[i], c - flat_a[j])
-            delta = min(max(delta, lo_bound), hi_bound)
-            da_i, da_j = delta, delta
-        flat_a[i] += da_i
-        flat_a[j] += da_j
-        update = (zi * da_i) * ki + (zj * da_j) * kj
+        # one step rule: z_i a_i rises and z_j a_j falls by the same t, which
+        # keeps z^T a = 0; t is the Newton step b_j / quad_j, cut to the room
+        # the box leaves both
+        t = min((m_up - flat_crit[j]) / quad[j % l], room(i)[0], room(j)[1])
+        flat_a[i] += z[i // l] * t
+        flat_a[j] -= z[j // l] * t
+        update = t * ki - t * kj
         crit -= update
         up -= update
         low -= update
-        for t in (i, j):
+        for v in (i, j):
             # keep box bounds exact so the working-set masks stay crisp
-            if flat_a[t] < 1e-14:
-                flat_a[t] = 0.0
-            elif flat_a[t] > c - 1e-14:
-                flat_a[t] = c
-            at_low, at_high = flat_a[t] == 0.0, flat_a[t] == c
-            in_up = not at_high if t < l else not at_low
-            in_low = not at_low if t < l else not at_high
-            flat_up[t] = flat_crit[t] if in_up else -np.inf
-            flat_low[t] = flat_crit[t] if in_low else np.inf
+            if flat_a[v] < 1e-14:
+                flat_a[v] = 0.0
+            elif flat_a[v] > c - 1e-14:
+                flat_a[v] = c
+            rise, fall = room(v)
+            flat_up[v] = flat_crit[v] if rise > 0 else -np.inf
+            flat_low[v] = flat_crit[v] if fall > 0 else np.inf
         n_iter += 1
 
     # minimized objective 1/2 a.(grad + p) with grad = -z crit, p = (eps - y, eps + y)
@@ -260,7 +251,7 @@ def fit(
         support_indices=keep,
         gap=float(gap),
         dual_objective=dual_objective,
-        kernel_rows=len(built),
+        kernel_rows=len(rows),
     )
 
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from nonmarkov import channels, dataset, measures, qmath, svr
+from nonmarkov import channels, cli, dataset, measures, qmath, svr
 from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDamping
 
 import oracles
@@ -25,13 +25,9 @@ CONFIG = svr.SvrConfig()
 
 
 def _pipeline(table, standardize=True):
-    train, test = dataset.split(table, seed=SEED)
-    if standardize:
-        scaler = dataset.scaler_fit(train)
-    else:
-        scaler = dataset.Scaler.identity(table.schema.n_features)
-    x_train = scaler.transform(train.features)
-    model = svr.fit(x_train, train.targets, CONFIG, scaler)
+    # the fit route of train and reproduce: split, scale and fit, with a
+    # NumericError for a fit that does not converge
+    model, train, test = cli._train_pipeline(table, CONFIG, SEED, standardize)
     assert model.converged
     err = svr.mae(svr.predict(model, test.features), test.targets)
     return {

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nonmarkov import channels, dataset, measures, qmath
+from nonmarkov import dataset, measures, qmath
 from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDamping
 from nonmarkov.errors import ConfigError, DataFormatError
 
@@ -157,10 +157,7 @@ class TestGenerate:
 
 
 class TestGenerateDriven:
-    def test_tiny_table_and_measure_consistency(self, monkeypatch):
-        # one rung for both routes: the row guards [0, 20] and would climb
-        # past a rung that features_at, guarding only [0, 3], settles on
-        monkeypatch.setattr(channels, "FOCK_LADDER", (8,))
+    def test_tiny_table_and_measure_consistency(self):
         table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.05,))
         assert len(table) == 2
         assert table.schema.times == (3.0,)

@@ -316,6 +316,20 @@ class TestMeasureValues:
         with pytest.raises(TruncationLeakError, match="n_fock = 2"):
             measures.driven_entanglement(ch, times=(3.0,))
 
+    @pytest.mark.parametrize("lam, omega", [(0.6, 0.05), (0.5, 0.05)])
+    def test_bloch_plus_matches_row_features(self, lam, omega):
+        # bloch_plus guards the measure horizon, as a table row does, so both
+        # settle on one rung and give the same features bit for bit
+        ch = DrivenAmplitudeDamping(lam, omega)
+        features = measures.driven_entanglement(ch, times=(3.0,))[1]
+        assert np.array_equal(ch.bloch_plus([3.0]).reshape(-1), features)
+
+    def test_bloch_plus_guards_past_the_horizon(self):
+        # a time past the measure horizon extends the guarded interval to it
+        lam, t = 0.6, 1.5 * measures.DEFAULT_T_MAX
+        got = DrivenAmplitudeDamping(lam, 0.0).bloch_plus([t])
+        assert np.abs(got - AmplitudeDamping(lam).bloch_plus([t])).max() < 1e-12
+
     def test_drive_suppresses_memory_effects(self):
         # fixed strong coupling, increasing drive: N_E non-increasing
         lam = 0.5
