@@ -30,9 +30,9 @@ S(X) = sz X^T sz (sz on the qubit, the identity on the pseudomode), which
 is +1 or -1 on each element of the Hermitian basis, so L splits into an even
 sector of n(2n + 1) coordinates and an odd one of n(2n - 1) at n_fock = n
 (136 and 120 at 8, 300 and 276 at 12), each decomposed on its own; an entry
-between them is checked to be exactly 0.  The odd sector carries no
-population, so its modes, and any other whose top-level and trace
-amplitudes are exactly 0, are left out of the leak and drift guard.
+between them is checked to be exactly 0.  The top-level and trace readouts
+are diagonal, so even: the leak and drift guard reads the even sector
+alone, and the odd one is decomposed only once every state has passed it.
 
 One mode build (_evolver) serves several states and any number of calls at
 arbitrary times within its horizon, for instance the Bell pair on the
@@ -85,6 +85,11 @@ _DEPENDENT_TOL = 1e-3  # ... when their unit eigenvectors' least singular value 
 _BLOCK_TOL = 1e-12  # invariant-subspace residual, relative to the largest generator entry
 _BLOCK_ITERATIONS = 60
 _MAX_TERMS = 60  # Taylor terms of exp(N t) for one block
+# every driven evolution guards a table row's Bell pair (target) and |+> (features)
+_DRIVEN_STATES = (
+    (qmath.ket2dm(qmath.KET_BELL), "driven evolution (bell)"),
+    (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)"),
+)
 
 
 @dataclass(frozen=True)
@@ -156,11 +161,11 @@ class DrivenAmplitudeDamping:
 
     def bloch_plus(self, times) -> np.ndarray:
         """(O_x, O_y, O_z) of the evolved |+>, one row per time (TimeGrid or
-        sequence).  Guarded over the measure horizon DEFAULT_T_MAX, as a table
-        row is, so both settle on one rung, and past it up to the last time."""
-        state = (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)")
+        sequence).  Guarded as a table row is, so both settle on one rung: its
+        states over the measure horizon DEFAULT_T_MAX, and past it up to the
+        last time."""
         t_max = max(DEFAULT_T_MAX, _last_time(times))
-        return qmath.bloch_vector(_evolver(self, [state], t_max)[0](times))
+        return qmath.bloch_vector(_evolver(self, _DRIVEN_STATES, t_max)[1](times))
 
 
 Channel = PhaseDamping | AmplitudeDamping | DrivenAmplitudeDamping
@@ -279,8 +284,9 @@ def _hermitian_basis(n: int):
 def _generator(channel: DrivenAmplitudeDamping, n: int) -> np.ndarray:
     """The generator of _liouvillian in the Hermitian basis of
     _hermitian_basis(n), a real matrix, checked to couple no element of the
-    even sector of S to the odd one.  A drive below eps times the largest
-    entry of the undriven generator, eig's own backward error, is not
+    even sector of S to the odd one (H is real, sz H sz flips the sign of the
+    drive and the coupling, and b is real).  A drive below eps times the
+    largest entry of the undriven generator, eig's own backward error, is not
     resolvable, and the generator is built with omega = 0 instead."""
     to_basis, from_basis, even = _hermitian_basis(n)
     gen = to_basis(from_basis(_liouvillian(channel, n))).real
@@ -330,52 +336,38 @@ def _invariant_blocks(gen: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> list:
     return [(vecs[:, regular], w[regular], None)] + blocks
 
 
-def _spectral_modes(channel: DrivenAmplitudeDamping, n: int, t_max: float):
-    """Modes (w, p, A) with rows(t) = sum_m A[:, m] f_m(t) for 0 <= t <= t_max,
-    f_m(t) = exp(w_m t) t^p_m / p_m!, and the exact rows at t = 0, with the
-    pseudomode truncated at n Fock levels.
-
-    Rows 6j..6j+5 follow the operator x_j (x) |0><0|, x_j = |e><e|, |e><g|,
-    |g><g|: its qubit-reduced entries ee, eg, ge, gg, the population of the
-    top Fock level, and the trace.  The generator preserves Hermiticity, so
-    in an orthonormal Hermitian operator basis it is a real matrix.  It also
-    commutes with S(X) = sz X^T sz (H is real, sz H sz flips the sign of the
-    drive and the coupling, and b is real), which is +1 or -1 on each basis
-    element (_hermitian_basis), so it splits into an even sector of
-    n(2n + 1) coordinates and an odd one of n(2n - 1); a nonzero entry
-    between them is a NumericError (_generator).  Each sector is decomposed
-    on its own (_sector_modes), and the modes are those of both.
-    """
+def _operators(channel: DrivenAmplitudeDamping, n: int):
+    """The problem _guarded decomposes at n Fock levels: the generator
+    (_generator), its even mask, the coordinates c0 of the operators
+    x_j (x) |0><0|, x_j = |e><e|, |e><g|, |g><g| (one column each), the rows
+    red that read an operator's qubit-reduced entries ee, eg, ge, gg, its
+    top Fock level population and its trace, and the exact rows at t = 0
+    (one row of red per x_j).  The top-level and trace rows are diagonal, so
+    they read only even coordinates."""
     to_basis, from_basis, even = _hermitian_basis(n)
     d = 2 * n
-    gen = _generator(channel, n)
     levels = np.arange(n)
     red = np.zeros((6, d * d), dtype=complex)
     for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         red[k, (a * n + levels) * d + b * n + levels] = 1.0
-    top = np.array([n - 1, d - 1])
-    red[4, top * (d + 1)] = 1.0
+    red[4, np.array([n - 1, d - 1]) * (d + 1)] = 1.0  # the top Fock level
     red[5, np.arange(d) * (d + 1)] = 1.0
     x0 = np.zeros((d * d, 3), dtype=complex)
     x0[[0, n, n * d + n], [0, 1, 2]] = 1.0  # |e><e|, |e><g|, |g><g| (x) |0><0|
-    c0 = to_basis(x0)
-    start_rows = (red @ x0).T.reshape(18)
-    red = from_basis(red)
-    sectors = [
-        _sector_modes(gen[np.ix_(sec, sec)], c0[sec], red[:, sec], t_max) for sec in (even, ~even)
-    ]
-    return (*(np.concatenate(part, axis=-1) for part in zip(*sectors)), start_rows)
+    return _generator(channel, n), even, to_basis(x0), from_basis(red), (red @ x0).T
 
 
-def _sector_modes(gen: np.ndarray, c0: np.ndarray, red: np.ndarray, t_max: float):
-    """Modes (w, p, A) of one invariant sector of the generator gen, for the
-    initial coordinates c0 (one column per operator) read out by the row
-    functionals red.  The eigendecomposition V diag(w) V^-1 gives
-    A = (R V) o (V^-1 x_j), each mode with p = 0.  A nearly defective
+def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
+    """Modes (w, p, A) of the invariant sector (a mask) of the generator gen
+    (of _operators), with rows(t) = sum_m A[:, :, m] f_m(t) for
+    0 <= t <= t_max, f_m(t) = exp(w_m t) t^p_m / p_m!: one row of red per
+    initial operator, a column of c0.  The eigendecomposition V diag(w) V^-1
+    gives A = (R V) o (V^-1 x_j), each mode with p = 0.  A nearly defective
     eigenvalue cluster (see _invariant_blocks) enters instead as an
     invariant subspace Q with block mu + N: its modes are the columns of
     (R Q) o (N^k y) with rate mu and p = k, y = Q^-1 x_j, the Taylor series
     of exp(N t) y taken until its tail is below rounding at t_max."""
+    gen, c0, red = gen[np.ix_(sector, sector)], c0[sector], red[:, sector]
     try:
         blocks = _invariant_blocks(gen, *np.linalg.eig(gen))
         basis = np.concatenate([q for q, _, _ in blocks], axis=1)
@@ -394,7 +386,7 @@ def _sector_modes(gen: np.ndarray, c0: np.ndarray, red: np.ndarray, t_max: float
         start += len(mu)
         size, bound, terms = np.abs(y).max(), 1.0, []
         while True:
-            terms.append((y.T[:, None, :] * reduced[None, :, :]).reshape(18, -1))
+            terms.append(y.T[:, None, :] * reduced[None, :, :])
             if nil is None:
                 break
             y = nil @ y
@@ -403,16 +395,17 @@ def _sector_modes(gen: np.ndarray, c0: np.ndarray, red: np.ndarray, t_max: float
                 break
             if len(terms) == _MAX_TERMS:
                 raise NumericError(f"exp(N t) series near {mu[0]:.6g} does not converge")
-        amps.append(np.stack(terms, axis=-1).reshape(18, -1))  # mode c * K + k: chains contiguous
+        amps.append(np.stack(terms, axis=-1).reshape(3, len(red), -1))  # chains contiguous
         rates.append(np.repeat(mu, len(terms)))
         powers.append(np.tile(np.arange(len(terms)), len(mu)))
-    return np.concatenate(rates), np.concatenate(powers), np.hstack(amps)
+    return np.concatenate(rates), np.concatenate(powers), np.concatenate(amps, axis=-1)
 
 
 def _trajectories(modes, times) -> np.ndarray:
-    """(len(times), 3, k) rows of _spectral_modes at every time (k = 6, or
-    fewer where the caller kept only some rows of each operator); times is a
-    TimeGrid or a sequence of times >= 0.
+    """(len(times), 3, k) rows of modes (w, p, A, start) at every time, for
+    A of shape (3, k, modes) and start, the exact rows at t = 0, of shape
+    (3, k): k = 2 (top level, trace) for the guard and 4 (ee, eg, ge, gg)
+    for the states.  times is a TimeGrid or a sequence of times >= 0.
 
     Within one mode chain f_k(s + d) = sum_q f_q(s) f_(k-q)(d), which for
     p = 0 is exp(w s) exp(w d): a table of f(d) over the offsets d of one
@@ -421,6 +414,7 @@ def _trajectories(modes, times) -> np.ndarray:
     blocks of one).
     """
     w, power, amps, start_rows = modes
+    amps_t = amps.reshape(-1, len(w)).T
     if isinstance(times, TimeGrid):
         count, h = times.n_steps + 1, times.spacing
         starts = h * _CHUNK * np.arange(-(-count // _CHUNK))
@@ -429,8 +423,7 @@ def _trajectories(modes, times) -> np.ndarray:
         count, starts, offsets = len(times), np.asarray(times, dtype=float), np.zeros(1)
     factorial = np.array([math.factorial(p) for p in power.tolist()], dtype=float)
     table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / factorial)
-    amps_t = amps.T
-    out = np.empty((len(starts), len(offsets), len(amps)), dtype=complex)
+    out = np.empty((len(starts), len(offsets), amps_t.shape[1]), dtype=complex)
     for i, s in enumerate(starts):
         scale = np.exp(w * s)
         coef = amps_t * scale[:, None]
@@ -438,12 +431,12 @@ def _trajectories(modes, times) -> np.ndarray:
             src = np.flatnonzero(power >= q)
             coef[src - q] += amps_t[src] * (scale[src] * s**q / math.factorial(q))[:, None]
         out[i] = table @ coef
-    out = out.reshape(-1, len(amps))[:count]
+    out = out.reshape(-1, amps_t.shape[1])[:count]
     # exp(L 0) is the identity; the spectral sum matches it only to rounding,
     # which can lie above the concurrence's eps cut and which its square
     # roots would then amplify to ~1e-8
-    out[(starts[:, None] + offsets).reshape(-1)[:count] == 0] = start_rows
-    return out.reshape(count, 3, len(amps) // 3)
+    out[(starts[:, None] + offsets).reshape(-1)[:count] == 0] = start_rows.reshape(-1)
+    return out.reshape(count, *start_rows.shape)
 
 
 def _last_time(times) -> float:
@@ -475,13 +468,13 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
 
     Each rho is a qubit state (2 x 2) or an untouched ancilla followed by the
     qubit (4 x 4); by linearity its trajectory combines the three operator
-    trajectories of _spectral_modes, with |g><e| taken as the adjoint of
-    |e><g|.  One mode build serves every state and every call.  Before any
-    evaluator is returned, every rho passes the leak and drift checks at
-    samples no further apart than GUARD_STEP over all of [0, t_max], from the
-    top-level and trace rows alone, so a truncation that leaks costs no
-    state.  Each call validates the density of the states it returns, under
-    the state's context name.  Strong drive on a weakly damped pseudomode can
+    trajectories of _operators, with |g><e| taken as the adjoint of |e><g|.
+    One mode build serves every state and every call.  Every rho passes the
+    leak and drift checks at samples no further apart than GUARD_STEP over
+    all of [0, t_max], on the even sector's top-level and trace rows, before
+    the odd sector is decomposed: a truncation that leaks costs no state.
+    Each call validates the density of the states it returns, under the
+    state's context name.  Strong drive on a weakly damped pseudomode can
     leak past a small truncation, so the pseudomode is truncated at each
     n_fock of FOCK_LADDER in turn: only a TruncationLeakError moves to the
     next rung, and the last rung's leak is raised.
@@ -494,23 +487,14 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     return _guarded(channel, FOCK_LADDER[-1], states, t_max)
 
 
-def _guard_modes(modes):
-    """The top-level and trace rows of modes (of _spectral_modes), without
-    the modes whose amplitudes on them are all exactly 0, such as every mode
-    of the odd sector of S; a chain (p = 0, 1, ...) is kept or dropped
-    whole, since its terms share the exponential table of _trajectories."""
-    w, power, amps, start_rows = modes
-    kept = np.array([4, 5, 10, 11, 16, 17])  # top level and trace of each operator
-    chain = np.cumsum(power == 0)
-    live = np.isin(chain, chain[(amps[kept] != 0).any(axis=0)])
-    return w[live], power[live], amps[np.ix_(kept, live)], start_rows[kept]
-
-
 def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> list:
-    """_evolver at one truncation, n Fock levels."""
-    modes = _spectral_modes(channel, n, t_max)
+    """_evolver at one truncation, n Fock levels.  Every state passes its
+    guard on the even sector's top-level and trace rows before the odd
+    sector is decomposed; a state reads the reduced-state rows of both."""
+    gen, even, c0, red, start = _operators(channel, n)
+    w, power, amps = _sector_modes(gen, c0, red, even, t_max)
     checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
-    guard = _trajectories(_guard_modes(modes), TimeGrid(t_max, checks))
+    guard = _trajectories((w, power, amps[:, 4:], start[:, 4:]), TimeGrid(t_max, checks))
 
     def evaluator(rho, what):
         k = rho.shape[0] // 2
@@ -524,9 +508,9 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
         def evaluate(times) -> np.ndarray:
             if _last_time(times) > t_max:
                 raise ConfigError(f"{what}: times past the guarded horizon {t_max}")
-            traj = _trajectories(modes, times)
+            traj = _trajectories(modes, times)  # modes: set below, once every state passed
             m = traj.shape[0]
-            r_ee, r_eg, r_gg = (traj[:, j, :4].reshape(m, 2, 2) for j in range(3))
+            r_ee, r_eg, r_gg = (traj[:, j].reshape(m, 2, 2) for j in range(3))
             maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
             state = np.zeros((m, k, 2, k, 2), dtype=complex)
             for (x, a, y, b), c in np.ndenumerate(r4):
@@ -539,4 +523,8 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
 
         return evaluate
 
-    return [evaluator(rho, what) for rho, what in states]
+    evaluators = [evaluator(rho, what) for rho, what in states]
+    odd = _sector_modes(gen, c0, red[:4], ~even, t_max)
+    modes = [np.concatenate(part, axis=-1) for part in zip((w, power, amps[:, :4]), odd)]
+    modes.append(start[:, :4])
+    return evaluators

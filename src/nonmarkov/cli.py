@@ -261,14 +261,6 @@ def cmd_predict(args) -> int:
 # ------------------------------------------------------------------- sweep
 
 
-def _sweep_channel(kind_channel, param, omega):
-    if kind_channel == "pd":
-        return channels.PhaseDamping(param)
-    if kind_channel == "ad" and omega == 0.0:
-        return channels.AmplitudeDamping(param)
-    return channels.DrivenAmplitudeDamping(param, omega)
-
-
 def cmd_sweep(args) -> int:
     if args.kind == "ox" and args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
@@ -285,14 +277,14 @@ def cmd_sweep(args) -> int:
     if args.kind == "ox":
         t = channels.TimeGrid(args.tmax, args.points - 1).values
         header = f"param_{param},param_omega,t,ox,oy,oz"
-        obs = [_sweep_channel(args.channel, p, om).bloch_plus(t) for p, om in pairs]
+        obs = [dataset.make_channel(args.channel, p, om).bloch_plus(t) for p, om in pairs]
         rows = np.column_stack(
             [np.repeat(pairs, len(t), axis=0), np.tile(t, len(pairs)), np.concatenate(obs)]
         )
     else:
         header = f"param_{param},param_omega,value"
         rows = [
-            (p, om, dataset.measure_value(_sweep_channel(args.channel, p, om), args.measure))
+            (p, om, dataset.measure_value(dataset.make_channel(args.channel, p, om), args.measure))
             for p, om in pairs
         ]
     _write_csv(out, header, rows)
@@ -440,11 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED, help="70/30 split seed")
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--cost", type=float, default=1.0)
-    p.add_argument("--gamma", type=_gamma_arg, default="scale")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=svr.DEFAULT_MAX_ITER)
+    defaults = svr.SvrConfig()
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    p.add_argument("--cost", type=float, default=defaults.C)
+    p.add_argument("--gamma", type=_gamma_arg, default=defaults.kernel_gamma)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument(
         "--no-scale", type=_bool, nargs="?", const=True, default=False,
         help="skip feature standardization",

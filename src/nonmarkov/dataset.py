@@ -14,8 +14,8 @@ sums for the undriven channels, and for the driven one the concurrence sum
 on the default coarse grid refined at its turning points, which
 measures.driven_entanglement returns together with the row's features from
 one propagator build; a driven table's #meta also records the largest
-stated grid error of its targets.  measure_value gives the same target for
-a single channel.
+stated grid error of its targets.  make_channel builds the channel of a
+row, and measure_value gives the same target for a single channel.
 """
 
 from __future__ import annotations
@@ -156,6 +156,16 @@ class DataTable:
         )
 
 
+def make_channel(kind: str, param: float, omega: float) -> Channel:
+    """The channel of a row of kind (a key of KINDS) at (param, omega): the
+    driven one for the driven kind and for amplitude damping with a drive."""
+    if kind == "pd":
+        return PhaseDamping(param)
+    if kind == "ad" and omega == 0.0:
+        return AmplitudeDamping(param)
+    return DrivenAmplitudeDamping(param, omega)
+
+
 def measure_value(channel: Channel, measure: str) -> float:
     """The target of one channel on the default horizon (measures.n_*, the
     same value as its table row).  The trace measure of the driven channel is
@@ -186,13 +196,11 @@ def generate(
     targets = np.empty(len(pairs))
     grid_errors = np.empty(len(pairs))
     for i, (p, om) in enumerate(pairs):
+        ch = make_channel(kind, p, om)
         if driven:
-            result, feats[i] = measures.driven_entanglement(
-                DrivenAmplitudeDamping(p, om), times=times
-            )
+            result, feats[i] = measures.driven_entanglement(ch, times=times)
             targets[i], grid_errors[i] = result.value, result.grid_error
         else:
-            ch = AmplitudeDamping(p) if kind == "ad" else PhaseDamping(p)
             feats[i] = ch.bloch_plus(times).reshape(-1)
             targets[i] = measure_value(ch, measure)
     return DataTable(

@@ -26,5 +26,6 @@ class StateValidationError(NumericError):
 
 
 class TruncationLeakError(NumericError):
-    """Population reached the top pseudomode Fock level on every rung of FOCK_LADDER."""
+    """Population reached the top pseudomode Fock level.  Raised at each rung
+    of FOCK_LADDER that leaks; only the last rung's error escapes."""
 

@@ -162,11 +162,7 @@ def driven_entanglement(
     times = tuple(float(t) for t in times)
     if not all(0.0 <= t <= grid.t_max for t in times):
         raise ConfigError(f"tomography times {times} must lie within [0, {grid.t_max}]")
-    states = [
-        (qmath.ket2dm(qmath.KET_BELL), "driven evolution (bell)"),
-        (qmath.ket2dm(qmath.KET_PLUS), "driven evolution (plus)"),
-    ]
-    bell, plus = channels._evolver(channel, states, grid.t_max)
+    bell, plus = channels._evolver(channel, channels._DRIVEN_STATES, grid.t_max)
     value, grid_error = positive_increments(_bell_concurrence(bell, grid))
     features = qmath.bloch_vector(plus(times)).reshape(-1)
     return MeasureResult(value, grid_error, grid.t_max), features

@@ -318,8 +318,9 @@ class TestDrivenEvolve:
         t_zero = 2.0 * math.pi / math.sqrt(2.0 * lam - lam**2)
         monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
         ch = DrivenAmplitudeDamping(lam, 0.0)
-        modes = channels._spectral_modes(ch, 2, t_zero)
-        rows = channels._trajectories(modes, (0.0, t_zero))
+        gen, even, c0, red, start = channels._operators(ch, 2)
+        modes = channels._sector_modes(gen, c0, red, even, t_zero)
+        rows = channels._trajectories((*modes, start), (0.0, t_zero))
         assert np.abs(rows[:, :, 4]).max() < 1e-12  # empty at both samples
         with pytest.raises(TruncationLeakError):
             evolve(ch, qmath.ket2dm(qmath.KET_PLUS), (0.0, t_zero))
@@ -334,7 +335,8 @@ class TestDrivenEvolve:
 
 class TestTransposeSymmetry:
     """The generator commutes with S(X) = sz X^T sz, so it splits into an
-    even and an odd sector; the guard reads only modes of the even one."""
+    even and an odd sector; the guard reads only the even one, and the odd
+    one is decomposed only once every state has passed it."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -343,7 +345,7 @@ class TestTransposeSymmetry:
         n=st.sampled_from([4, 8, 12]),
     )
     def test_sectors_do_not_couple(self, lam, omega, n):
-        # the generator of _spectral_modes, which raises on what this asserts
+        # the generator of _operators, which raises on what this asserts
         to_basis, from_basis, even = channels._hermitian_basis(n)
         lsuper = channels._liouvillian(DrivenAmplitudeDamping(lam, omega), n)
         gen = to_basis(from_basis(lsuper)).real
@@ -362,41 +364,42 @@ class TestTransposeSymmetry:
 
         monkeypatch.setattr(channels, "_liouvillian", coupled)
         with pytest.raises(NumericError, match="couples the sectors"):
-            channels._spectral_modes(DrivenAmplitudeDamping(0.6, 0.15), 8, 20.0)
+            channels._operators(DrivenAmplitudeDamping(0.6, 0.15), 8)
 
     @pytest.mark.parametrize(
         "lam, omega, live", [(0.6, 0.15, 136), (1.3, 0.05, 136), (0.3, 0.0, 134), (2.0, 0.0, None)]
     )
     def test_guard_drops_only_silent_modes(self, lam, omega, live):
-        # (2, 0) is an exceptional point, whose chains are kept or dropped whole
-        modes = channels._spectral_modes(DrivenAmplitudeDamping(lam, omega), 8, 20.0)
-        w, power, amps, start_rows = modes
-        kept = [4, 5, 10, 11, 16, 17]
-        full = (w, power, amps[kept], start_rows[kept])
-        pruned = channels._guard_modes(modes)
+        # live: the even modes with a nonzero top-level or trace amplitude
+        # (None at the exceptional point (2, 0), whose chains have p > 0 terms);
+        # the odd sector's are exactly 0, so the even sector alone gives the
+        # guard rows of all modes
+        gen, even, c0, red, start = channels._operators(DrivenAmplitudeDamping(lam, omega), 8)
+        w, power, amps = channels._sector_modes(gen, c0, red, even, 20.0)
+        odd = channels._sector_modes(gen, c0, red, ~even, 20.0)
+        assert not odd[2][:, 4:].any()
         if live is not None:
-            assert len(pruned[0]) == live
-            assert not amps[kept, 136:].any()  # the odd sector's modes
-        # every mode with a nonzero top-level or trace amplitude is kept, in order
-        nonzero = [m[:, (m != 0).any(axis=0)] for m in (full[2], pruned[2])]
-        assert np.array_equal(*nonzero)
+            assert len(w) == 136 and (amps[:, 4:] != 0).any(axis=(0, 1)).sum() == live
+        full = [np.concatenate(part, axis=-1) for part in zip((w, power, amps), odd)]
         grid = TimeGrid(20.0, 20_000)
-        got, want = channels._trajectories(pruned, grid), channels._trajectories(full, grid)
+        got = channels._trajectories((w, power, amps[:, 4:], start[:, 4:]), grid)
+        want = channels._trajectories((*full[:2], full[2][:, 4:], start[:, 4:]), grid)
         assert np.abs(got - want).max() <= 1e-15
 
-    def test_guard_keeps_chains_whole(self):
-        # a chain whose p = 0 term is silent on the guard rows still carries
-        # its p = 1 term t exp(-t), which needs the chain's table column
-        w, power = np.array([-1.0, -1.0, -0.5]), np.array([0, 1, 0])
-        amps = np.zeros((18, 3), dtype=complex)
-        amps[:, 1] = 1.0
-        modes = (w, power, amps, np.zeros(18, dtype=complex))
-        pruned = channels._guard_modes(modes)
-        assert np.array_equal(pruned[1], [0, 1])
-        grid = TimeGrid(3.0, 300)
-        rows = channels._trajectories(pruned, grid)
-        t = grid.values[1:, None, None]
-        assert np.abs(rows[1:] - t * np.exp(-t)).max() < 1e-15
+    def test_leaking_rung_decomposes_only_the_even_sector(self, monkeypatch):
+        # (0.1, 0.5) leaks at 4, 6 and 8 over the measure horizon: each of
+        # those rungs decomposes its even sector, n(2n + 1), and no odd one;
+        # rung 12 passes and decomposes both
+        sizes, eig = [], np.linalg.eig
+
+        def recording(a):
+            sizes.append(len(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        ch = DrivenAmplitudeDamping(0.1, 0.5)
+        channels._evolver(ch, channels._DRIVEN_STATES, channels.DEFAULT_T_MAX)
+        assert sizes == [n * (2 * n + 1) for n in (4, 6, 8, 12)] + [12 * (2 * 12 - 1)]
 
 
 class TestUnresolvableDrive:

@@ -148,6 +148,18 @@ class TestTrain:
             "ad.model", "ad.model.config", "ad.model.report"
         ]
 
+    def test_default_hyperparameters_are_svr_config(self, ad_table, tmp_path, monkeypatch):
+        # no hyperparameter flag: the fit gets SvrConfig()'s defaults
+        configs, fit = [], svr.fit
+
+        def recording(x, y, config, scaler):
+            configs.append(config)
+            return fit(x, y, config, scaler)
+
+        monkeypatch.setattr(svr, "fit", recording)
+        assert run("train", "--data", str(ad_table), "--out", str(tmp_path / "m.model")) == 0
+        assert configs == [svr.SvrConfig()]
+
     def test_report_states_kernel_rows(self, trained_model):
         report = dict(
             field.split("=", 1)
