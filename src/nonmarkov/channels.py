@@ -33,6 +33,9 @@ sector of n(2n + 1) coordinates and an odd one of n(2n - 1) at n_fock = n
 between them is checked to be exactly 0.  The top-level and trace readouts
 are diagonal, so even: the leak and drift guard reads the even sector
 alone, and the odd one is decomposed only once every state has passed it.
+The guard folds each state's qubit part into the even sector's top-level
+and trace amplitudes before any sample is formed, so one pass over the
+guard samples checks every state (_guard_rows).
 
 One mode build (_evolver) serves several states and any number of calls at
 arbitrary times within its horizon, for instance the Bell pair on the
@@ -63,6 +66,7 @@ series or its invariant-subspace search at drives of 1e-45 and below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -241,6 +245,7 @@ def _liouvillian(channel: DrivenAmplitudeDamping, n: int) -> np.ndarray:
     return lsuper
 
 
+@functools.cache
 def _hermitian_basis(n: int):
     """Orthonormal Hermitian basis of the d x d operators of qubit (x)
     pseudomode, d = 2n: E_pp, then (E_pq + E_qp)/sqrt(2) and
@@ -251,7 +256,8 @@ def _hermitian_basis(n: int):
     qubit) keeps, where it negates the others.  With s_p = +1 on the excited
     block and -1 on the ground block, S takes E_pp to itself, the symmetric
     element to s_p s_q times it and the antisymmetric one to -s_p s_q times
-    it."""
+    it.  Built once per n, for _generator and _operators alike; even is
+    read-only."""
     d = 2 * n
     p, q = np.triu_indices(d, 1)
     diag = np.arange(d) * (d + 1)
@@ -263,6 +269,7 @@ def _hermitian_basis(n: int):
     val_b = np.concatenate([np.zeros(d), r, -1j * r])  # a diagonal element has one position
     same = (p < n) == (q < n)  # s_p s_q = +1
     even = np.concatenate([np.ones(d, dtype=bool), same, ~same])
+    even.flags.writeable = False
 
     def to_basis(x):
         out = x[pos_a] * np.conj(val_a)[:, None]
@@ -402,16 +409,20 @@ def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
 
 
 def _trajectories(modes, times) -> np.ndarray:
-    """(len(times), 3, k) rows of modes (w, p, A, start) at every time, for
-    A of shape (3, k, modes) and start, the exact rows at t = 0, of shape
-    (3, k): k = 2 (top level, trace) for the guard and 4 (ee, eg, ge, gg)
-    for the states.  times is a TimeGrid or a sequence of times >= 0.
+    """(len(times), j, k) rows of modes (w, p, A, start) at every time, for
+    A of shape (j, k, modes) and start, the exact rows at t = 0, of shape
+    (j, k): j operators with k = 4 rows (ee, eg, ge, gg) for the states, and
+    j states with k = 2 rows (top level, trace) for the guard.  times is a
+    TimeGrid or a sequence of times >= 0.
 
     Within one mode chain f_k(s + d) = sum_q f_q(s) f_(k-q)(d), which for
     p = 0 is exp(w s) exp(w d): a table of f(d) over the offsets d of one
     block of times serves every block start s, so a TimeGrid costs _CHUNK
     exponentials per mode rather than one per sample (other times are
-    blocks of one).
+    blocks of one).  The coefficients of the block starts are built
+    together, as many starts at once as fill the room of the table, and each
+    block is one matrix product of the table with its own coefficients, so
+    a time's rows do not depend on the other times asked with it.
     """
     w, power, amps, start_rows = modes
     amps_t = amps.reshape(-1, len(w)).T
@@ -424,13 +435,17 @@ def _trajectories(modes, times) -> np.ndarray:
     factorial = np.array([math.factorial(p) for p in power.tolist()], dtype=float)
     table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / factorial)
     out = np.empty((len(starts), len(offsets), amps_t.shape[1]), dtype=complex)
-    for i, s in enumerate(starts):
-        scale = np.exp(w * s)
-        coef = amps_t * scale[:, None]
+    step = max(1, _CHUNK // amps_t.shape[1])  # starts whose coefficients fill _CHUNK x modes
+    for b in range(0, len(starts), step):
+        s = starts[b : b + step]
+        scale = np.exp(np.outer(s, w))
+        coef = amps_t * scale[:, :, None]
         for q in range(1, power.max(initial=0) + 1):  # chain term i gains A_(i+q) f_q(s)
             src = np.flatnonzero(power >= q)
-            coef[src - q] += amps_t[src] * (scale[src] * s**q / math.factorial(q))[:, None]
-        out[i] = table @ coef
+            s_q = np.array([x**q for x in s])  # scalar powers: numpy's array power rounds apart
+            rise = scale[:, src] * s_q[:, None] / math.factorial(q)
+            coef[:, src - q] += amps_t[src] * rise[..., None]
+        np.matmul(table, coef, out=out[b : b + step])
     out = out.reshape(-1, amps_t.shape[1])[:count]
     # exp(L 0) is the identity; the spectral sum matches it only to rounding,
     # which can lie above the concurrence's eps cut and which its square
@@ -487,23 +502,40 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     return _guarded(channel, FOCK_LADDER[-1], states, t_max)
 
 
+def _guard_rows(modes, rhos, t_max: float) -> np.ndarray:
+    """Top-level population and trace, (samples, state, 2) and real, of each
+    rho (x) |0><0| in rhos at samples no further apart than GUARD_STEP over
+    [0, t_max], from modes (w, p, A, start) of _sector_modes on the even
+    sector, with A and start cut to the top-level and trace rows.
+
+    A state's rows are sum_ab q_ab (rows of |a><b|) for its qubit part
+    q = Tr_ancilla rho.  q is Hermitian, so the |g><e| term is the adjoint
+    of the |e><g| one, and on these real rows the sum reads
+    Re(q_ee A_ee + 2 q_eg A_eg + q_gg A_gg).  Each q is folded into the
+    amplitudes and into the exact rows at t = 0 before any sample is formed,
+    so one pass evaluates every state."""
+    w, power, amps, start = modes
+    parts = [np.einsum("xaxb->ab", rho.reshape(len(rho) // 2, 2, -1, 2)) for rho in rhos]
+    fold = np.array([[q[0, 0], 2.0 * q[0, 1], q[1, 1]] for q in parts])
+    folded = (w, power, np.tensordot(fold, amps, axes=1), fold @ start)
+    checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
+    return _trajectories(folded, TimeGrid(t_max, checks)).real
+
+
 def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> list:
     """_evolver at one truncation, n Fock levels.  Every state passes its
-    guard on the even sector's top-level and trace rows before the odd
-    sector is decomposed; a state reads the reduced-state rows of both."""
+    guard (_guard_rows), in the order of states, on the even sector's
+    top-level and trace rows before the odd sector is decomposed; a state
+    reads the reduced-state rows of both."""
     gen, even, c0, red, start = _operators(channel, n)
     w, power, amps = _sector_modes(gen, c0, red, even, t_max)
-    checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
-    guard = _trajectories((w, power, amps[:, 4:], start[:, 4:]), TimeGrid(t_max, checks))
+    guard = _guard_rows((w, power, amps[:, 4:], start[:, 4:]), [rho for rho, _ in states], t_max)
+    for (_, what), rows in zip(states, np.moveaxis(guard, 1, 0)):
+        _check_physical(rows[:, 0], rows[:, 1], n, what)
 
     def evaluator(rho, what):
         k = rho.shape[0] // 2
         r4 = rho.reshape(k, 2, k, 2)  # ancilla, qubit, ancilla, qubit
-        q = np.einsum("xaxb->ab", r4)
-        # sum_ab q_ab (guard rows of |a><b|) for the Hermitian qubit part q
-        rows = (q[0, 0] * guard[:, 0] + q[1, 1] * guard[:, 2]).real
-        rows += 2.0 * (q[0, 1] * guard[:, 1]).real
-        _check_physical(rows[:, 0], rows[:, 1], n, what)
 
         def evaluate(times) -> np.ndarray:
             if _last_time(times) > t_max:

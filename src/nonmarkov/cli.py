@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
     p.add_argument(
         "--full", type=_bool, nargs="?", const=True, default=False,
-        help="paper-scale driven grids (hours) instead of the coarse smoke grids",
+        help="paper-scale driven grids (about 65 s on one core) instead of the coarse smoke grids",
     )
     return parser
 

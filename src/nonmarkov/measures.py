@@ -19,8 +19,10 @@ noise of the concurrence alone cannot reach, are not refined: the rounding
 floor (CONCURRENCE_FLOOR) is stated, not chased.  qmath.concurrence takes
 eigenvalues of rho rho~ at or below eps times their state's largest as 0,
 so a true one below that cut can bias C high by up to 3 sqrt(eps), about
-4.5e-8.  The driven trace-distance
-measure is not evaluated.
+4.5e-8.  That bias cannot reach a sample whose partial transpose has a
+determinant above qmath.PPT_DET_CUT: such a state is separable, and
+qmath.concurrence returns exactly 0 for it without an eigensolve.  The
+driven trace-distance measure is not evaluated.
 """
 
 from __future__ import annotations

@@ -386,6 +386,27 @@ class TestTransposeSymmetry:
         want = channels._trajectories((*full[:2], full[2][:, 4:], start[:, 4:]), grid)
         assert np.abs(got - want).max() <= 1e-15
 
+    @pytest.mark.parametrize("lam, omega", [(0.6, 0.15), (1.3, 0.05), (0.3, 0.0), (2.0, 0.0)])
+    def test_folded_guard_matches_operator_rows(self, lam, omega):
+        # _guard_rows folds each state's qubit part into the amplitudes before
+        # any sample is formed; recombining the three operators' sampled rows
+        # with that part gives the same rows, to 1e-15 on the top level and
+        # to a few ulps of 1 on the trace (5 ulps seen under two BLAS threads)
+        gen, even, c0, red, start = channels._operators(DrivenAmplitudeDamping(lam, omega), 8)
+        w, power, amps = channels._sector_modes(gen, c0, red, even, 20.0)
+        modes = (w, power, amps[:, 4:], start[:, 4:])
+        rhos = [rho for rho, _ in channels._DRIVEN_STATES]
+        got = channels._guard_rows(modes, rhos, 20.0)
+        rows = channels._trajectories(modes, TimeGrid(20.0, 20_000))  # (sample, operator, row)
+        assert got.shape == (20_001, len(rhos), 2) and got.dtype == float
+        for i, rho in enumerate(rhos):
+            k = len(rho) // 2
+            q = np.einsum("xaxb->ab", rho.reshape(k, 2, k, 2))
+            want = (q[0, 0] * rows[:, 0] + q[1, 1] * rows[:, 2]).real
+            want += 2.0 * (q[0, 1] * rows[:, 1]).real
+            assert np.abs(got[:, i, 0] - want[:, 0]).max() <= 1e-15
+            assert np.abs(got[:, i, 1] - want[:, 1]).max() <= 8 * np.finfo(float).eps
+
     def test_leaking_rung_decomposes_only_the_even_sector(self, monkeypatch):
         # (0.1, 0.5) leaks at 4, 6 and 8 over the measure horizon: each of
         # those rungs decomposes its even sector, n(2n + 1), and no odd one;
@@ -483,6 +504,24 @@ class TestDrivenBellAndPlus:
         leaky = DrivenAmplitudeDamping(0.5, 0.0)
         with pytest.raises(TruncationLeakError, match="plus"):
             channels._evolver(leaky, states, 5.0)
+
+    def test_leak_names_the_first_leaking_state(self, monkeypatch):
+        # at n_fock = 2 and zero drive the ground state stays in the vacuum,
+        # and |e>, |+> and the Bell pair leak; the states are checked in
+        # their order, and the error names the first that leaks
+        monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
+        ground = (qmath.ket2dm(oracles.KET_G), "ground")
+        excited = (qmath.ket2dm(oracles.KET_E), "excited")
+        plus = (qmath.ket2dm(qmath.KET_PLUS), "plus")
+        bell = (qmath.ket2dm(qmath.KET_BELL), "bell")
+        for states, name in (
+            ([ground, excited, plus], "excited"),
+            ([ground, plus, excited], "plus"),
+            ([ground, bell, plus], "bell"),
+        ):
+            message = rf"^{name}: top Fock level population .* at n_fock = 2 "
+            with pytest.raises(TruncationLeakError, match=message):
+                channels._evolver(DrivenAmplitudeDamping(0.5, 0.0), states, 5.0)
 
     def test_evaluator_serves_only_its_guarded_horizon(self):
         ch = DrivenAmplitudeDamping(lam=0.6, omega=0.15)

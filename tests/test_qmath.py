@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonmarkov import channels, qmath
 from nonmarkov.errors import ConfigError, StateValidationError
@@ -137,6 +139,91 @@ class TestConcurrence:
             qmath.concurrence(np.eye(2) / 2)
 
 
+def partial_transpose(rho):
+    """Partial transpose on the second qubit, by its definition."""
+    out = np.empty_like(rho)
+    for a, q, b, p in np.ndindex(2, 2, 2, 2):
+        out[..., 2 * a + q, 2 * b + p] = rho[..., 2 * a + p, 2 * b + q]
+    return out
+
+
+def werner(p):
+    return p * qmath.ket2dm(qmath.KET_BELL) + (1.0 - p) * np.eye(4) / 4.0
+
+
+class TestPptScreen:
+    """concurrence returns 0 without an eigensolve where the partial
+    transpose has a determinant above PPT_DET_CUT."""
+
+    @staticmethod
+    def check(batch):
+        screened = qmath._pt_det(batch) > qmath.PPT_DET_CUT
+        # every screened state has a positive definite partial transpose ...
+        assert (np.linalg.eigvalsh(partial_transpose(batch[screened]))[:, 0] > 0).all()
+        # ... and every state reads as the unscreened eigensolve, bit for bit
+        got = qmath.concurrence(batch)
+        assert np.array_equal(got, oracles.matmul_concurrence(batch))
+        assert (got[screened] == 0.0).all()
+        return screened
+
+    def test_determinant_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        batch = np.stack([oracles.random_density(4, rng) for _ in range(200)])
+        want = np.linalg.det(partial_transpose(batch)).real
+        assert np.abs(qmath._pt_det(batch) - want).max() < 1e-16
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_states(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(np.stack([oracles.random_density(4, rng) for _ in range(100)]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1e-2, 1e-6, 1e-10, 1e-14]))
+    def test_bell_mixtures_near_the_threshold(self, seed, width):
+        # p |Bell><Bell| + (1 - p) sigma, sigma a mixture of two product
+        # states and p within width of 1/3, where the partial transpose of
+        # a Werner state turns singular
+        rng = np.random.default_rng(seed)
+        sep = [
+            sum(
+                np.kron(oracles.random_density(2, rng), oracles.random_density(2, rng)) * x
+                for x in (u, 1.0 - u)
+            )
+            for u in rng.uniform(size=100)
+        ]
+        p = 1.0 / 3.0 + width * rng.uniform(-1.0, 1.0, size=100)
+        batch = p[:, None, None] * qmath.ket2dm(qmath.KET_BELL) + (1.0 - p)[:, None, None] * sep
+        self.check(batch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(1.0 / 3.0, 1.0, exclude_min=True))
+    def test_entangled_werner_states_are_not_screened(self, p):
+        # the partial transpose of a Werner state has eigenvalues (1 + p)/4,
+        # three times, and (1 - 3p)/4: entangled for p > 1/3
+        rho = werner(p)
+        assert not qmath._pt_det(rho[None]) > qmath.PPT_DET_CUT
+        assert qmath.concurrence(rho) == oracles.matmul_concurrence(rho[None])[0]
+        if p >= 1.0 / 3.0 + 1e-6:
+            assert qmath.concurrence(rho) > 0.0
+
+    def test_separable_werner_states_are_screened(self):
+        ps = np.array([0.0, 0.1, 0.3, 1.0 / 3.0 - 1e-6])
+        batch = np.stack([werner(p) for p in ps])
+        assert self.check(batch).all()
+
+    @pytest.mark.parametrize("lam, omega", [(2.9, 0.5), (0.15, 0.2), (0.6, 0.15)])
+    def test_screened_engine_samples_read_zero(self, lam, omega):
+        # every Bell sample on [0, 20] (20 000 intervals) that the screen
+        # takes reads exactly 0 through the eigensolver too
+        ch = channels.DrivenAmplitudeDamping(lam, omega)
+        state = (qmath.ket2dm(qmath.KET_BELL), "bell")
+        bell = channels._evolver(ch, [state], 20.0)[0](channels.TimeGrid(20.0, 20000))
+        screened = self.check(bell)
+        assert screened.sum() > 10_000
+        assert (oracles.matmul_concurrence(bell[screened]) == 0.0).all()
+
+
 class TestValidateDensity:
     def test_accepts_random_states(self):
         rng = np.random.default_rng(9)
@@ -157,3 +244,26 @@ class TestValidateDensity:
         rho = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(StateValidationError):
             qmath.validate_density(rho)
+
+    def test_psd_threshold(self):
+        # PSD_TOL = -1e-9: an eigenvalue of -2e-9 fails with the least
+        # eigenvalue in the message, one of -5e-10 and a pure state pass
+        with pytest.raises(StateValidationError, match=r"^bell: negative eigenvalue -2\.000e-09$"):
+            qmath.validate_density(np.diag([1.0 + 2e-9, 0.0, 0.0, -2e-9]).astype(complex), "bell")
+        rng = np.random.default_rng(13)
+        batch = np.stack([oracles.random_density(4, rng) for _ in range(5)])
+        batch[3] = np.diag([1.0 + 3e-9, 0.0, -3e-9, 0.0])
+        with pytest.raises(StateValidationError, match="negative eigenvalue -3.000e-09"):
+            qmath.validate_density(batch)
+        qmath.validate_density(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
+        qmath.validate_density(qmath.ket2dm(qmath.KET_BELL))
+
+    def test_factorization_spares_the_eigensolve(self, monkeypatch):
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh ran on states that factor")
+
+        rng = np.random.default_rng(14)
+        batch = np.stack([oracles.random_density(4, rng) for _ in range(50)])
+        batch[7] = qmath.ket2dm(np.kron(oracles.KET_E, qmath.KET_PLUS))  # pure, rank 1
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert qmath.validate_density(batch) is batch
