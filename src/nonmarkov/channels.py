@@ -19,23 +19,26 @@ The driven case has no closed form (closed_form = False) and is solved as a
 qubit coupled to a damped pseudomode oscillator,
 d rho/dt = -i[H, rho] + lambda (2 b rho b+ - b+b rho - rho b+b),
 H = Omega (s+ + s-) + sqrt(lambda / 2) (s+ b + b+ s-),
-in a frame rotating with the drive.  The generator is time independent, so
-the propagator exp(L t) is exact by eigendecomposition of L (a real matrix in
-an orthonormal Hermitian operator basis), evaluated at any set of times with
-no time step.  Where L is defective or nearly so (the exceptional points
+in a frame rotating with the drive.  The generator is time independent and
+linear in its parameters, L = lambda D + sqrt(lambda / 2) G + Omega W, and
+real in an orthonormal Hermitian operator basis; its parts (dissipator,
+coupling, drive) are built once per n_fock (_pseudomode), and a pair
+(lambda, omega) only sums them (_generator).  The propagator exp(L t) is
+exact by eigendecomposition of L, evaluated at any set of times with no time
+step.  Where L is defective or nearly so (the exceptional points
 omega = 0, lambda = 2N, and their neighbourhood), each cluster of
 coalescing eigenvalues enters as an invariant-subspace block instead, with
 the Taylor series of its nilpotent part.  L commutes with
 S(X) = sz X^T sz (sz on the qubit, the identity on the pseudomode), which
 is +1 or -1 on each element of the Hermitian basis, so L splits into an even
 sector of n(2n + 1) coordinates and an odd one of n(2n - 1) at n_fock = n
-(136 and 120 at 8, 300 and 276 at 12), each decomposed on its own; an entry
-between them is checked to be exactly 0.  The top-level and trace readouts
-are diagonal, so even: the leak and drift guard reads the even sector
-alone, and the odd one is decomposed only once every state has passed it.
-The guard folds each state's qubit part into the even sector's top-level
-and trace amplitudes before any sample is formed, so one pass over the
-guard samples checks every state (_guard_rows).
+(136 and 120 at 8, 300 and 276 at 12), each decomposed on its own; each part
+is checked once to have no entry between them.  The top-level and trace
+readouts are diagonal, so even: the leak and drift guard reads the even
+sector alone, and the odd one is decomposed only once every state has passed
+it.  The guard folds each state's qubit part into the even sector's
+top-level and trace amplitudes before any sample is formed, so one pass over
+the guard samples checks every state (_guard_rows).
 
 One mode build (_evolver) serves several states and any number of calls at
 arbitrary times within its horizon, for instance the Bell pair on the
@@ -59,7 +62,7 @@ excitation never reaches level 2), yet (0.3, 0) moves by 2.1e-8 from 4 to 6.
 
 A drive below eig's own backward error, eps times the largest entry of the
 undriven generator (1.3e-15 at lambda = 1, n_fock = 4), is not
-resolvable, and the generator is built with omega = 0 instead (_generator).
+resolvable, and _generator leaves the drive out.
 Kept, such a drive made the spectral form fail its t = 0 check, its block
 series or its invariant-subspace search at drives of 1e-45 and below.
 """
@@ -68,7 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -218,46 +221,28 @@ def _oscillation(t, a: float, w2: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _lowering(n: int) -> np.ndarray:
-    b = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        b[i, i + 1] = math.sqrt(i + 1)
-    return b
-
-
-def _liouvillian(channel: DrivenAmplitudeDamping, n: int) -> np.ndarray:
-    """Generator of the master equation on row-major vectorized operators of
-    qubit (x) pseudomode truncated at n Fock levels (index a * n + i for
-    qubit a, Fock level i)."""
-    lam, om = channel.lam, channel.omega
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |e><g|
-    b = _lowering(n)
-    g = math.sqrt(lam / 2.0)
-    ham = om * np.kron(qmath.SIGMA_X, np.eye(n, dtype=complex))
-    ham = ham + g * (np.kron(sp, b) + np.kron(sp, b).conj().T)
-    b_full = np.kron(qmath.IDENTITY_2, b)
-    num = b_full.conj().T @ b_full
-    drift = -1j * ham - lam * num  # RHS(X) = drift X + X drift+ + 2 lam B X B+
-    eye_d = np.eye(2 * n, dtype=complex)
-    lsuper = np.kron(drift, eye_d)  # in place: these are the largest arrays built
-    lsuper += np.kron(eye_d, drift.conj())
-    lsuper += np.kron(2.0 * lam * b_full, b_full.conj())
-    return lsuper
-
-
 @functools.cache
-def _hermitian_basis(n: int):
-    """Orthonormal Hermitian basis of the d x d operators of qubit (x)
-    pseudomode, d = 2n: E_pp, then (E_pq + E_qp)/sqrt(2) and
-    i(E_pq - E_qp)/sqrt(2) for p < q.  Returns to_basis, the coordinates
-    Tr(B_k X) of the row-major vectorized operators in the columns of x;
-    from_basis, which turns row functionals of X into functionals of its
-    coordinates; and even, the elements that S(X) = sz X^T sz (sz on the
-    qubit) keeps, where it negates the others.  With s_p = +1 on the excited
-    block and -1 on the ground block, S takes E_pp to itself, the symmetric
-    element to s_p s_q times it and the antisymmetric one to -s_p s_q times
-    it.  Built once per n, for _generator and _operators alike; even is
-    read-only."""
+def _pseudomode(n: int):
+    """What the pseudomode problem at n Fock levels keeps for every (lambda,
+    omega), read-only: (even, c0, red, start, parts).
+
+    Operators of qubit (x) pseudomode, d = 2n (index a * n + i for qubit a,
+    Fock level i), are row-major vectorized with coordinates Tr(B_k X) in the
+    orthonormal Hermitian basis B_k, the columns of U: E_pp, then
+    (E_pq + E_qp)/sqrt(2) and i(E_pq - E_qp)/sqrt(2) for p < q.  S(X) keeps
+    the elements that even marks and negates the others: with s_p = +1 on the
+    excited block and -1 on the ground block, it takes E_pp to itself, the
+    symmetric element to s_p s_q times it and the antisymmetric one to
+    -s_p s_q times it.  c0 holds the coordinates of x_j (x) |0><0|,
+    x_j = |e><e|, |e><g|, |g><g|; red the rows that read an operator's
+    qubit-reduced entries ee, eg, ge, gg, its top Fock level population and
+    its trace (diagonal, so even) from its coordinates; start the exact rows
+    at t = 0, a row of red per x_j.  parts holds the dissipator
+    D(X) = 2 b X b+ - b+b X - X b+b, the coupling G(X) = -i[s+ b + b+ s-, X]
+    and the drive W(X) = -i[sx, X], each as the nonzero entries
+    (where, values) of Re(U+ P U), checked to couple no even element to an
+    odd one (H is real, sz H sz flips the sign of the drive and the coupling,
+    and b is real)."""
     d = 2 * n
     p, q = np.triu_indices(d, 1)
     diag = np.arange(d) * (d + 1)
@@ -269,41 +254,72 @@ def _hermitian_basis(n: int):
     val_b = np.concatenate([np.zeros(d), r, -1j * r])  # a diagonal element has one position
     same = (p < n) == (q < n)  # s_p s_q = +1
     even = np.concatenate([np.ones(d, dtype=bool), same, ~same])
-    even.flags.writeable = False
 
-    def to_basis(x):
-        out = x[pos_a] * np.conj(val_a)[:, None]
-        part = x[pos_b]
-        part *= np.conj(val_b)[:, None]
-        out += part
-        return out
-
-    def from_basis(rows):
+    def from_basis(rows):  # rows U: row functionals of X as functionals of its coordinates
         out = rows[:, pos_a] * val_a
         part = rows[:, pos_b]
         part *= val_b
         out += part
         return out
 
-    return to_basis, from_basis, even
+    def nonzero(terms):  # P(X) = sum_k a_k X c_k^T, row-major: P = sum_k a_k (x) c_k
+        lsuper = np.zeros((d * d, d * d), dtype=complex)
+        for a, c in terms:
+            lsuper += np.kron(a, c)
+        adjoint = from_basis(lsuper).conj().T  # (P U)+
+        del lsuper  # one d^2 x d^2 intermediate fewer at the peak
+        gen = from_basis(adjoint).real.T  # Re(U+ P U) = Re((P U)+ U)^T
+        where = np.nonzero(gen)
+        values = gen[where]
+        cross = np.abs(values[even[where[0]] != even[where[1]]])
+        if cross.size:
+            raise NumericError(f"pseudomode generator couples the sectors of S by {max(cross):.3e}")
+        for array in (*where, values):
+            array.flags.writeable = False
+        return where, values
+
+    levels = np.arange(n)
+    rows = np.zeros((6, d * d), dtype=complex)
+    for k, (u, v) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        rows[k, (u * n + levels) * d + v * n + levels] = 1.0
+    rows[4, np.array([n - 1, d - 1]) * (d + 1)] = 1.0  # the top Fock level
+    rows[5, diag] = 1.0
+    x0 = np.zeros((d * d, 3), dtype=complex)
+    x0[[0, n, n * d + n], [0, 1, 2]] = 1.0  # |e><e|, |e><g|, |g><g| (x) |0><0|
+
+    b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    low = np.kron(qmath.IDENTITY_2, b)
+    num = low.T @ low
+    hop = np.kron([[0.0, 1.0], [0.0, 0.0]], b)  # s+ b
+    hop += hop.T
+    drive = np.kron(qmath.SIGMA_X, np.eye(n))
+    eye = np.eye(d)
+    parts = tuple(
+        nonzero(terms)  # one part at a time: its complex intermediates go before the next
+        for terms in (
+            ((2.0 * low, low), (-num, eye), (eye, -num)),
+            ((-1j * hop, eye), (eye, 1j * hop)),
+            ((-1j * drive, eye), (eye, 1j * drive)),
+        )
+    )
+    c0 = from_basis(x0.T).conj().T  # U+ x0 = (x0^T U)+, as x0 is real
+    frame = (even, c0, from_basis(rows), (rows @ x0).T)
+    for array in frame:
+        array.flags.writeable = False
+    return (*frame, parts)
 
 
 def _generator(channel: DrivenAmplitudeDamping, n: int) -> np.ndarray:
-    """The generator of _liouvillian in the Hermitian basis of
-    _hermitian_basis(n), a real matrix, checked to couple no element of the
-    even sector of S to the odd one (H is real, sz H sz flips the sign of the
-    drive and the coupling, and b is real).  A drive below eps times the
-    largest entry of the undriven generator, eig's own backward error, is not
-    resolvable, and the generator is built with omega = 0 instead."""
-    to_basis, from_basis, even = _hermitian_basis(n)
-    gen = to_basis(from_basis(_liouvillian(channel, n))).real
-    # the drive's entries, at most sqrt(2) omega, sit where the undriven
-    # generator's are 0, so below the cut max |gen| is the undriven largest
-    if 0.0 < channel.omega < np.finfo(float).eps * np.abs(gen).max():
-        gen = to_basis(from_basis(_liouvillian(replace(channel, omega=0.0), n))).real
-    cross = max(np.abs(gen[np.ix_(even, ~even)]).max(), np.abs(gen[np.ix_(~even, even)]).max())
-    if cross != 0.0:
-        raise NumericError(f"pseudomode generator couples the sectors of S by {cross:.3e}")
+    """The generator lambda D + sqrt(lambda / 2) G + omega W of the parts of
+    _pseudomode(n), a real matrix in its Hermitian basis.  A drive below
+    eps times the largest entry of lambda D + sqrt(lambda / 2) G, eig's own
+    backward error, is not resolvable, and is left out."""
+    even, *_, ((d_at, d_val), (g_at, g_val), (w_at, w_val)) = _pseudomode(n)
+    gen = np.zeros((len(even), len(even)))
+    gen[d_at] += channel.lam * d_val
+    gen[g_at] += math.sqrt(channel.lam / 2.0) * g_val
+    if not channel.omega < np.finfo(float).eps * np.abs(gen).max():
+        gen[w_at] += channel.omega * w_val
     return gen
 
 
@@ -343,32 +359,11 @@ def _invariant_blocks(gen: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> list:
     return [(vecs[:, regular], w[regular], None)] + blocks
 
 
-def _operators(channel: DrivenAmplitudeDamping, n: int):
-    """The problem _guarded decomposes at n Fock levels: the generator
-    (_generator), its even mask, the coordinates c0 of the operators
-    x_j (x) |0><0|, x_j = |e><e|, |e><g|, |g><g| (one column each), the rows
-    red that read an operator's qubit-reduced entries ee, eg, ge, gg, its
-    top Fock level population and its trace, and the exact rows at t = 0
-    (one row of red per x_j).  The top-level and trace rows are diagonal, so
-    they read only even coordinates."""
-    to_basis, from_basis, even = _hermitian_basis(n)
-    d = 2 * n
-    levels = np.arange(n)
-    red = np.zeros((6, d * d), dtype=complex)
-    for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        red[k, (a * n + levels) * d + b * n + levels] = 1.0
-    red[4, np.array([n - 1, d - 1]) * (d + 1)] = 1.0  # the top Fock level
-    red[5, np.arange(d) * (d + 1)] = 1.0
-    x0 = np.zeros((d * d, 3), dtype=complex)
-    x0[[0, n, n * d + n], [0, 1, 2]] = 1.0  # |e><e|, |e><g|, |g><g| (x) |0><0|
-    return _generator(channel, n), even, to_basis(x0), from_basis(red), (red @ x0).T
-
-
 def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
     """Modes (w, p, A) of the invariant sector (a mask) of the generator gen
-    (of _operators), with rows(t) = sum_m A[:, :, m] f_m(t) for
-    0 <= t <= t_max, f_m(t) = exp(w_m t) t^p_m / p_m!: one row of red per
-    initial operator, a column of c0.  The eigendecomposition V diag(w) V^-1
+    (_generator), with rows(t) = sum_m A[:, :, m] f_m(t) for 0 <= t <= t_max,
+    f_m(t) = exp(w_m t) t^p_m / p_m!: one row of red per initial operator, a
+    column of c0 (both of _pseudomode).  The eigendecomposition V diag(w) V^-1
     gives A = (R V) o (V^-1 x_j), each mode with p = 0.  A nearly defective
     eigenvalue cluster (see _invariant_blocks) enters instead as an
     invariant subspace Q with block mu + N: its modes are the columns of
@@ -482,8 +477,8 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     states at times (a TimeGrid or a sequence of times in [0, t_max]).
 
     Each rho is a qubit state (2 x 2) or an untouched ancilla followed by the
-    qubit (4 x 4); by linearity its trajectory combines the three operator
-    trajectories of _operators, with |g><e| taken as the adjoint of |e><g|.
+    qubit (4 x 4); by linearity its trajectory combines those of the three
+    operators of _pseudomode's c0, with |g><e| taken as the adjoint of |e><g|.
     One mode build serves every state and every call.  Every rho passes the
     leak and drift checks at samples no further apart than GUARD_STEP over
     all of [0, t_max], on the even sector's top-level and trace rows, before
@@ -527,11 +522,15 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
     guard (_guard_rows), in the order of states, on the even sector's
     top-level and trace rows before the odd sector is decomposed; a state
     reads the reduced-state rows of both."""
-    gen, even, c0, red, start = _operators(channel, n)
+    even, c0, red, start, _ = _pseudomode(n)
+    gen = _generator(channel, n)
     w, power, amps = _sector_modes(gen, c0, red, even, t_max)
     guard = _guard_rows((w, power, amps[:, 4:], start[:, 4:]), [rho for rho, _ in states], t_max)
     for (_, what), rows in zip(states, np.moveaxis(guard, 1, 0)):
         _check_physical(rows[:, 0], rows[:, 1], n, what)
+    odd = _sector_modes(gen, c0, red[:4], ~even, t_max)
+    modes = [np.concatenate(part, axis=-1) for part in zip((w, power, amps[:, :4]), odd)]
+    modes.append(start[:, :4])
 
     def evaluator(rho, what):
         k = rho.shape[0] // 2
@@ -540,7 +539,7 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
         def evaluate(times) -> np.ndarray:
             if _last_time(times) > t_max:
                 raise ConfigError(f"{what}: times past the guarded horizon {t_max}")
-            traj = _trajectories(modes, times)  # modes: set below, once every state passed
+            traj = _trajectories(modes, times)
             m = traj.shape[0]
             r_ee, r_eg, r_gg = (traj[:, j].reshape(m, 2, 2) for j in range(3))
             maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
@@ -555,8 +554,4 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
 
         return evaluate
 
-    evaluators = [evaluator(rho, what) for rho, what in states]
-    odd = _sector_modes(gen, c0, red[:4], ~even, t_max)
-    modes = [np.concatenate(part, axis=-1) for part in zip((w, power, amps[:, :4]), odd)]
-    modes.append(start[:, :4])
-    return evaluators
+    return [evaluator(rho, what) for rho, what in states]

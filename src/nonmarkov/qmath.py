@@ -120,7 +120,7 @@ def _wootters(rho: np.ndarray) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray, context: str = "state") -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; raise on violation.
+    """Check finiteness, Hermiticity, unit trace and positivity; raise on violation.
 
     Positivity: one Cholesky factorization of rho - PSD_TOL * I over the
     batch; only if it fails are the eigenvalues computed, and the least of
@@ -130,6 +130,8 @@ def validate_density(rho: np.ndarray, context: str = "state") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise StateValidationError(f"{context}: not a square matrix {rho.shape}")
+    if not np.isfinite(rho).all():  # a NaN passes every comparison below
+        raise StateValidationError(f"{context}: non-finite entry")
     herm = np.abs(rho - dag(rho)).max()
     if herm > HERMITICITY_TOL:
         raise StateValidationError(f"{context}: Hermiticity deviation {herm:.3e}")

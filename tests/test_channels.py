@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonmarkov import channels, qmath
+from nonmarkov import channels, dataset, qmath
 from nonmarkov.channels import (
     AmplitudeDamping,
     DrivenAmplitudeDamping,
@@ -33,6 +33,38 @@ def evolve(channel, rho_sys, times):
     evolver on channels.FOCK_LADDER: a leak at its last rung raises."""
     horizon = channels._last_time(times)
     return channels._evolver(channel, [(rho_sys, "evolve")], horizon)[0](times)
+
+
+def operators(channel, n):
+    """The generator of channel at n Fock levels and the frame of it that
+    channels._guarded reads: (gen, even, c0, red, start)."""
+    even, c0, red, start, _ = channels._pseudomode(n)
+    return channels._generator(channel, n), even, c0, red, start
+
+
+def lindblad(lam, omega, n):
+    """The pseudomode master equation's generator on row-major vectorized
+    operators of qubit (x) pseudomode, vec(A X C) = (A kron C^T) vec(X), built
+    from its own operators."""
+    b = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, n)), 1))
+    s_minus = np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(n))  # |g><e|
+    ham = omega * (s_minus + s_minus.T) + math.sqrt(lam / 2.0) * (s_minus.T @ b + b.T @ s_minus)
+    num, eye = b.T @ b, np.eye(2 * n)
+    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + lam * (
+        2.0 * np.kron(b, b) - np.kron(num, eye) - np.kron(eye, num.T)
+    )
+
+
+def hermitian_basis(n):
+    """U, the row-major vectorized orthonormal Hermitian basis in its
+    columns: E_pp, then (E_pq + E_qp)/sqrt(2), then i(E_pq - E_qp)/sqrt(2),
+    for p < q in the order of np.triu_indices."""
+    d = 2 * n
+    unit = np.eye(d * d).reshape(d, d, d * d)  # unit[p, q]: vec(E_pq)
+    p, q = np.triu_indices(d, 1)
+    sym = (unit[p, q] + unit[q, p]) / math.sqrt(2.0)
+    anti = 1j * (unit[p, q] - unit[q, p]) / math.sqrt(2.0)
+    return np.concatenate([unit[np.arange(d), np.arange(d)], sym, anti]).T
 
 
 class TestChannelSpecs:
@@ -318,7 +350,7 @@ class TestDrivenEvolve:
         t_zero = 2.0 * math.pi / math.sqrt(2.0 * lam - lam**2)
         monkeypatch.setattr(channels, "FOCK_LADDER", (2,))
         ch = DrivenAmplitudeDamping(lam, 0.0)
-        gen, even, c0, red, start = channels._operators(ch, 2)
+        gen, even, c0, red, start = operators(ch, 2)
         modes = channels._sector_modes(gen, c0, red, even, t_zero)
         rows = channels._trajectories((*modes, start), (0.0, t_zero))
         assert np.abs(rows[:, :, 4]).max() < 1e-12  # empty at both samples
@@ -345,26 +377,30 @@ class TestTransposeSymmetry:
         n=st.sampled_from([4, 8, 12]),
     )
     def test_sectors_do_not_couple(self, lam, omega, n):
-        # the generator of _operators, which raises on what this asserts
-        to_basis, from_basis, even = channels._hermitian_basis(n)
-        lsuper = channels._liouvillian(DrivenAmplitudeDamping(lam, omega), n)
-        gen = to_basis(from_basis(lsuper)).real
+        gen, even = operators(DrivenAmplitudeDamping(lam, omega), n)[:2]
         # 136 and 120 coordinates at n = 8, 300 and 276 at 12
         assert (even.sum(), (~even).sum()) == (n * (2 * n + 1), n * (2 * n - 1))
         assert not gen[np.ix_(even, ~even)].any()
         assert not gen[np.ix_(~even, even)].any()
 
     def test_coupled_sectors_raise(self, monkeypatch):
-        liouvillian = channels._liouvillian
+        kron = np.kron
 
-        def coupled(channel, n):
-            lsuper = liouvillian(channel, n)
-            lsuper[0, n] += 1e-14  # d X_ee,00 / dt gains X_eg,00: odd into even
+        def coupled(a, c):
+            lsuper = kron(a, c)
+            if lsuper.shape == (256, 256):  # a superoperator at n = 8
+                lsuper[0, 8] += 1e-14  # d X_ee,00 / dt gains X_eg,00: odd into even
             return lsuper
 
-        monkeypatch.setattr(channels, "_liouvillian", coupled)
-        with pytest.raises(NumericError, match="couples the sectors"):
-            channels._operators(DrivenAmplitudeDamping(0.6, 0.15), 8)
+        # a frame built or cached elsewhere must neither hide nor keep the coupling
+        channels._pseudomode.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "kron", coupled)
+                with pytest.raises(NumericError, match="couples the sectors"):
+                    channels._generator(DrivenAmplitudeDamping(0.6, 0.15), 8)
+        finally:
+            channels._pseudomode.cache_clear()
 
     @pytest.mark.parametrize(
         "lam, omega, live", [(0.6, 0.15, 136), (1.3, 0.05, 136), (0.3, 0.0, 134), (2.0, 0.0, None)]
@@ -374,7 +410,7 @@ class TestTransposeSymmetry:
         # (None at the exceptional point (2, 0), whose chains have p > 0 terms);
         # the odd sector's are exactly 0, so the even sector alone gives the
         # guard rows of all modes
-        gen, even, c0, red, start = channels._operators(DrivenAmplitudeDamping(lam, omega), 8)
+        gen, even, c0, red, start = operators(DrivenAmplitudeDamping(lam, omega), 8)
         w, power, amps = channels._sector_modes(gen, c0, red, even, 20.0)
         odd = channels._sector_modes(gen, c0, red, ~even, 20.0)
         assert not odd[2][:, 4:].any()
@@ -392,7 +428,7 @@ class TestTransposeSymmetry:
         # any sample is formed; recombining the three operators' sampled rows
         # with that part gives the same rows, to 1e-15 on the top level and
         # to a few ulps of 1 on the trace (5 ulps seen under two BLAS threads)
-        gen, even, c0, red, start = channels._operators(DrivenAmplitudeDamping(lam, omega), 8)
+        gen, even, c0, red, start = operators(DrivenAmplitudeDamping(lam, omega), 8)
         w, power, amps = channels._sector_modes(gen, c0, red, even, 20.0)
         modes = (w, power, amps[:, 4:], start[:, 4:])
         rhos = [rho for rho, _ in channels._DRIVEN_STATES]
@@ -421,6 +457,41 @@ class TestTransposeSymmetry:
         ch = DrivenAmplitudeDamping(0.1, 0.5)
         channels._evolver(ch, channels._DRIVEN_STATES, channels.DEFAULT_T_MAX)
         assert sizes == [n * (2 * n + 1) for n in (4, 6, 8, 12)] + [12 * (2 * 12 - 1)]
+
+
+class TestPseudomodeFrame:
+    """_generator sums the parts of the generator that _pseudomode builds
+    once per Fock size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.floats(0.05, 3.0), omega=st.floats(0.0, 0.5), n=st.sampled_from([4, 6, 8]))
+    def test_generator_matches_lindblad_superoperator(self, lam, omega, n):
+        u = hermitian_basis(n)
+        undriven = channels._generator(DrivenAmplitudeDamping(lam, 0.0), n)
+        cut = np.finfo(float).eps * np.abs(undriven).max()
+        # the drives next to the cut: the one just above it enters, the one
+        # just below it is left out
+        for om in (omega, np.nextafter(cut, np.inf), np.nextafter(cut, 0.0)):
+            kept = not om < cut
+            want = u.conj().T @ lindblad(lam, om if kept else 0.0, n) @ u
+            got = channels._generator(DrivenAmplitudeDamping(lam, om), n)
+            scale = np.abs(want).max()
+            assert np.abs(want.imag).max() <= 1e-14 * scale
+            assert np.abs(got - want.real).max() <= 1e-14 * scale
+            assert np.array_equal(got, undriven) != kept
+
+    def test_table_builds_each_frame_once(self, monkeypatch):
+        sizes, generator = set(), channels._generator
+
+        def recording(channel, n):
+            sizes.add(n)
+            return generator(channel, n)
+
+        monkeypatch.setattr(channels, "_generator", recording)
+        channels._pseudomode.cache_clear()
+        dataset.generate("driven", count=3, omegas=(0.0, 0.05, 0.5))
+        info = channels._pseudomode.cache_info()
+        assert 12 in sizes and info.misses <= len(sizes) and info.hits > 0
 
 
 class TestUnresolvableDrive:

@@ -207,12 +207,12 @@ class TestMeasureValues:
         # attempt run before any state is assembled, from the top-level and
         # trace rows alone
         attempts, events = [], []
-        operators, trajectories = channels._operators, channels._trajectories
+        generator, trajectories = channels._generator, channels._trajectories
         validate = qmath.validate_density
 
         def recording(ch, n):
             attempts.append(n)
-            return operators(ch, n)
+            return generator(ch, n)
 
         def traced(modes, times):
             rows = trajectories(modes, times)
@@ -223,7 +223,7 @@ class TestMeasureValues:
             events.append((attempts[-1], "states", len(rho)))
             return validate(rho, what)
 
-        monkeypatch.setattr(channels, "_operators", recording)
+        monkeypatch.setattr(channels, "_generator", recording)
         monkeypatch.setattr(channels, "_trajectories", traced)
         monkeypatch.setattr(qmath, "validate_density", validating)
         measures.driven_entanglement(DrivenAmplitudeDamping(0.1, 0.5), times=(3.0,))

@@ -258,6 +258,18 @@ class TestValidateDensity:
         qmath.validate_density(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
         qmath.validate_density(qmath.ket2dm(qmath.KET_BELL))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # a NaN makes every tolerance comparison false, so finiteness comes first
+        rho = qmath.ket2dm(qmath.KET_BELL)
+        rho[1, 2] = bad
+        with pytest.raises(StateValidationError, match=r"^bell: non-finite entry$"):
+            qmath.validate_density(rho, "bell")
+        batch = np.stack([qmath.ket2dm(qmath.KET_BELL)] * 3)
+        batch[2, 3, 3] = bad
+        with pytest.raises(StateValidationError, match=r"^bell: non-finite entry$"):
+            qmath.validate_density(batch, "bell")
+
     def test_factorization_spares_the_eigensolve(self, monkeypatch):
         def no_eigvalsh(a):
             raise AssertionError("eigvalsh ran on states that factor")
