@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, channels, dataset, svr
+from . import __version__, channels, dataset, measures, svr
 from .dataset import FMT
 from .errors import ConfigError, DataFormatError, NumericError
 
@@ -274,19 +274,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("the PD channel has no drive; omit --omegas")
 
     pairs = [(p, om) for om in args.omegas for p in grid_params]
+    chans = [dataset.make_channel(args.channel, p, om) for p, om in pairs]
     if args.kind == "ox":
         t = channels.TimeGrid(args.tmax, args.points - 1).values
         header = f"param_{param},param_omega,t,ox,oy,oz"
-        obs = [dataset.make_channel(args.channel, p, om).bloch_plus(t) for p, om in pairs]
+        obs = [ch.bloch_plus(t) for ch in chans]
         rows = np.column_stack(
             [np.repeat(pairs, len(t), axis=0), np.tile(t, len(pairs)), np.concatenate(obs)]
         )
     else:
         header = f"param_{param},param_omega,value"
-        rows = [
-            (p, om, dataset.measure_value(dataset.make_channel(args.channel, p, om), args.measure))
-            for p, om in pairs
-        ]
+        values = [measures.table_row(ch, args.measure)[0].value for ch in chans]
+        rows = np.column_stack([pairs, values])
     _write_csv(out, header, rows)
     _write_resolved(args, out + ".config")
     print(f"wrote {out}: {len(rows)} rows")
@@ -363,7 +362,7 @@ def _reproduce(args, outdir) -> int:
     # Measure versus coupling for several drive strengths.
     print("[4/5] measure-vs-coupling sweep")
     rows = [
-        (lam, 0.0, dataset.measure_value(channels.AmplitudeDamping(float(lam)), "entanglement"))
+        (lam, 0.0, measures.table_row(dataset.make_channel("driven", lam, 0.0))[0].value)
         for lam in dataset.param_grid("driven", n_driven)
     ]
     for om in (0.05, 0.1, 0.2, 0.3, 0.5):

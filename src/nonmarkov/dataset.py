@@ -7,15 +7,13 @@ the default tomography time; generate takes a row per parameter value (per
 drive strength and coupling for the driven kind).  Features are the Pauli
 expectation values O_k = Tr[sigma_k rho(t)] of the state evolved from |+>
 (the +1 eigenstate of sigma_x, inferred from the initial value O_x(0) = 1),
-concatenated over the tomography times; each channel supplies them
-(bloch_plus), in closed form for the undriven ones.  Targets are the
-non-Markovianity measures up to the horizon in #meta: exact revival-peak
-sums for the undriven channels, and for the driven one the concurrence sum
-on the default coarse grid refined at its turning points, which
-measures.driven_entanglement returns together with the row's features from
-one propagator build; a driven table's #meta also records the largest
-stated grid error of its targets.  make_channel builds the channel of a
-row, and measure_value gives the same target for a single channel.
+concatenated over the tomography times.  Targets are the non-Markovianity
+measures up to the horizon in #meta.  make_channel builds a row's channel,
+undriven wherever the drive is exactly 0, and measures.table_row, the one
+route of every row, its target and features: exact revival-peak sums and
+closed forms for the undriven channels, and for the driven one the refined
+concurrence sum and the features from one propagator build.  A driven
+table's #meta also records the largest stated grid error of its targets.
 """
 
 from __future__ import annotations
@@ -90,6 +88,8 @@ class TableSchema:
             raise ConfigError("the driven channel supports only the entanglement measure")
         if not self.times or not all(math.isfinite(t) and t >= 0 for t in self.times):
             raise ConfigError("tomography times must be finite, non-negative and non-empty")
+        if self.channel == "driven" and max(self.times) > measures.DEFAULT_T_MAX:  # drive or not
+            raise ConfigError(f"tomography times {self.times} must lie within the horizon")
         if len(set(self.times)) < len(self.times):
             raise ConfigError(f"tomography times must be distinct, got {self.times}")
 
@@ -157,22 +157,14 @@ class DataTable:
 
 
 def make_channel(kind: str, param: float, omega: float) -> Channel:
-    """The channel of a row of kind (a key of KINDS) at (param, omega): the
-    driven one for the driven kind and for amplitude damping with a drive."""
+    """The channel of a row of kind (a key of KINDS) at (param, omega):
+    amplitude damping, whose closed form is exact, wherever the drive is
+    exactly 0, for the driven kind too, and the driven channel otherwise."""
     if kind == "pd":
         return PhaseDamping(param)
-    if kind == "ad" and omega == 0.0:
+    if omega == 0.0:
         return AmplitudeDamping(param)
     return DrivenAmplitudeDamping(param, omega)
-
-
-def measure_value(channel: Channel, measure: str) -> float:
-    """The target of one channel on the default horizon (measures.n_*, the
-    same value as its table row).  The trace measure of the driven channel is
-    an error."""
-    if measure == "trace":
-        return measures.n_trace_distance(channel).value
-    return measures.n_entanglement(channel).value
 
 
 def generate(
@@ -180,9 +172,9 @@ def generate(
 ) -> DataTable:
     """The table of a channel kind: a row per value of param_grid(kind,
     count), for the driven kind per drive strength too (default omega_grid()),
-    at the tomography times (default the kind's).  A driven row costs one
-    measures.driven_entanglement call: the Bell pair supplies the target and
-    its grid error, |+> at the times the features."""
+    at the tomography times (default the kind's).  Each row is one
+    measures.table_row call on make_channel's channel: its target, grid
+    error and features."""
     params = param_grid(kind, count)
     times = (KINDS[kind].time,) if times is None else tuple(float(t) for t in times)
     schema = TableSchema(kind, measure, times)
@@ -196,13 +188,8 @@ def generate(
     targets = np.empty(len(pairs))
     grid_errors = np.empty(len(pairs))
     for i, (p, om) in enumerate(pairs):
-        ch = make_channel(kind, p, om)
-        if driven:
-            result, feats[i] = measures.driven_entanglement(ch, times=times)
-            targets[i], grid_errors[i] = result.value, result.grid_error
-        else:
-            feats[i] = ch.bloch_plus(times).reshape(-1)
-            targets[i] = measure_value(ch, measure)
+        result, feats[i] = measures.table_row(make_channel(kind, p, om), measure, times)
+        targets[i], grid_errors[i] = result.value, result.grid_error
     return DataTable(
         schema, feats, targets, np.array(pairs).reshape(-1, 2), grid_errors if driven else None
     )

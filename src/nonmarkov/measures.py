@@ -13,16 +13,17 @@ rises of the Bell-pair concurrence C(t) between its turning points
 (driven_entanglement, which also yields the tomography features from the
 same propagator).  The propagator evaluates any time exactly, so C is
 sampled on a coarse grid and then refined, in a few vectorised rounds, only
-at the interior turning points; the stated grid_error is the bound of the
-final brackets.  Turns whose error is below REFINE_FLOOR, which rounding
-noise of the concurrence alone cannot reach, are not refined: the rounding
-floor (CONCURRENCE_FLOOR) is stated, not chased.  qmath.concurrence takes
-eigenvalues of rho rho~ at or below eps times their state's largest as 0,
-so a true one below that cut can bias C high by up to 3 sqrt(eps), about
-4.5e-8.  That bias cannot reach a sample whose partial transpose has a
-determinant above qmath.PPT_DET_CUT: such a state is separable, and
-qmath.concurrence returns exactly 0 for it without an eigensolve.  The
-driven trace-distance measure is not evaluated.
+at the turning points and in the last interval; the stated grid_error is a
+first-order estimate of what the final brackets miss, not a bound.  Turns
+whose error is below REFINE_FLOOR, which rounding noise of the concurrence
+alone cannot reach, are not refined: the rounding floor (CONCURRENCE_FLOOR)
+is stated, not chased.  qmath.concurrence takes eigenvalues of rho rho~ at
+or below eps times their state's largest as 0, so a true one below that cut
+can bias C high by up to 3 sqrt(eps), about 4.5e-8.  That bias cannot reach
+a sample whose partial transpose has a determinant above qmath.PPT_DET_CUT:
+such a state is separable, and qmath.concurrence returns exactly 0 for it
+without an eigensolve.  The driven trace-distance measure is not evaluated.
+table_row, the one route of every value, gives any channel's table row.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def positive_increments(values) -> tuple[float, float]:
     from a sample and nothing is missed, so such minima count no error.  The
     estimate assumes the samples resolve every turning point, no two within
     one interval; for driven_entanglement that is the coarse grid, since
-    refinement only looks where the coarse samples turn.
+    refinement only looks where they turn and in the last interval.  It is a
+    first-order estimate, not a bound: for the driven pair (1.35, 0) a cusp's
+    lowest sample lies 2.8e-4 from its zero; the turn states 3.0e-9, misses 6.4e-8.
     """
     values = np.asarray(values, dtype=float)
     turning, error = _turns(values)
@@ -121,16 +124,21 @@ def _bell_concurrence(evaluate, grid: TimeGrid) -> np.ndarray:
     noise, which splitting would only sample more often) and splits both
     intervals next to k into REFINE_SPLIT, so the bracket around the turning
     point, and its error contribution, shrinks by REFINE_SPLIT per round.
+    A turn inside the last interval changes the sign of no increment, so the
+    last sample counts as one, with 0.75 |C[-1] - C[-2]|, unless C is 0 there.
     """
     times = grid.values
     values = qmath.concurrence(evaluate(grid))
     steps = np.arange(1, REFINE_SPLIT) / REFINE_SPLIT
     for _ in range(REFINE_ROUNDS):
         turning, error = _turns(values)
+        turning = np.append(turning, values[-1] != 0.0)
+        error = np.append(error, 0.75 * abs(values[-1] - values[-2]))
         k = np.flatnonzero(turning & (error >= REFINE_FLOOR))  # turns at samples k + 1
         if not k.size:
             break
-        left = np.unique(np.concatenate([k, k + 1]))  # split [t_i, t_(i+1)] for i in left
+        # split [t_i, t_(i+1)] for i in left, the intervals next to each turn
+        left = np.unique(np.minimum(np.concatenate([k, k + 1]), len(times) - 2))
         new = (times[left, None] + np.diff(times)[left, None] * steps).reshape(-1)
         times = np.concatenate([times, new])
         values = np.concatenate([values, qmath.concurrence(evaluate(new))])
@@ -151,14 +159,12 @@ def driven_entanglement(
     assembled: a target does not depend on which features are asked with
     it, and a truncation that leaks costs no states.  The Bell pair is
     evaluated on the coarse grid (default DEFAULT_N_STEPS intervals) and then
-    at its turning points, REFINE_ROUNDS rounds deep (_bell_concurrence); |+>
-    only at times, which must lie within the horizon.  The value and its
-    grid_error are positive_increments of the concurrence on the merged
-    samples, so grid_error bounds what the final brackets miss.  The value
-    also carries a stated floor of CONCURRENCE_FLOOR (qmath.concurrence drops
-    eigenvalues of rho rho~ at its eps cut, which can read C up to 4.5e-8
-    high near rank-deficient states): turns below REFINE_FLOOR are not
-    refined, and their share stays in grid_error.
+    at its turning points and in its last interval, REFINE_ROUNDS rounds deep
+    (_bell_concurrence); |+> only at times, which must lie within the horizon.
+    The value and its grid_error are positive_increments of the concurrence
+    on the merged samples.  The value also carries the stated floor
+    CONCURRENCE_FLOOR: turns below REFINE_FLOOR are not refined, and their
+    share stays in grid_error.
     """
     grid = grid or default_grid()
     times = tuple(float(t) for t in times)
@@ -170,19 +176,26 @@ def driven_entanglement(
     return MeasureResult(value, grid_error, grid.t_max), features
 
 
-def n_trace_distance(channel: Channel, grid: TimeGrid | None = None) -> MeasureResult:
-    """Trace-distance measure of an undriven channel on [0, grid.t_max]
-    (revival_measure; only the grid's horizon matters)."""
-    if not channel.closed_form:
+def table_row(
+    channel: Channel, measure: str = "entanglement", times=(), grid: TimeGrid | None = None
+) -> tuple[MeasureResult, np.ndarray]:
+    """A table row: the measure ('trace' or 'entanglement') on [0, grid.t_max]
+    and the Bloch vectors of the evolved |+> at times, concatenated: by
+    revival_measure and bloch_plus for the undriven channels, and for the
+    driven one by driven_entanglement on grid, whose trace measure is an error."""
+    grid = grid or default_grid()
+    if channel.closed_form:
+        return revival_measure(channel, grid.t_max), channel.bloch_plus(times).reshape(-1)
+    if measure != "entanglement":
         raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
-    return revival_measure(channel, (grid or default_grid()).t_max)
+    return driven_entanglement(channel, grid, times)
+
+
+def n_trace_distance(channel: Channel, grid: TimeGrid | None = None) -> MeasureResult:
+    """Trace-distance measure of an undriven channel on [0, grid.t_max] (table_row)."""
+    return table_row(channel, "trace", grid=grid)[0]
 
 
 def n_entanglement(channel: Channel, grid: TimeGrid | None = None) -> MeasureResult:
-    """Entanglement measure on [0, grid.t_max]: revival_measure for the
-    undriven channels, driven_entanglement with grid as its coarse grid for
-    the driven one."""
-    grid = grid or default_grid()
-    if channel.closed_form:
-        return revival_measure(channel, grid.t_max)
-    return driven_entanglement(channel, grid)[0]
+    """Entanglement measure on [0, grid.t_max] (table_row; grid: the driven coarse grid)."""
+    return table_row(channel, "entanglement", grid=grid)[0]

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from nonmarkov import cli, dataset, svr
+from nonmarkov import cli, dataset, measures, svr
 
 
 def run(*argv):
@@ -119,16 +119,34 @@ class TestGenerate:
 
     def test_driven_undriven_grid_through_critical_coupling(self, tmp_path):
         # the 29-coupling grid holds lambda = 0.1 + 19 * 0.1 = 2.0, the
-        # exceptional point of the undriven generator
-        out = tmp_path / "driven0.csv"
+        # exceptional point of the undriven generator.  A drive of 1e-100,
+        # below the eps cut, is built undriven in the engine; a drive of 0
+        # takes the closed form, whose degenerate limit w -> 0 holds there
+        tables = {}
+        for omega in ("1e-100", "0"):
+            out = tmp_path / f"driven{omega}.csv"
+            code = run(
+                "generate", "--channel", "driven", "--tc", "3.0",
+                "--count", "29", "--omegas", omega, "--out", str(out),
+            )
+            assert code == 0
+            tables[omega] = table = dataset.load_table(out)
+            assert len(table) == 29
+            assert np.isclose(table.params[19, 0], 2.0)
+        engine, closed = tables["1e-100"], tables["0"]
+        assert engine.grid_errors.max() > 0.0 and closed.grid_errors.max() == 0.0
+        assert np.abs(engine.features - closed.features).max() < 1e-10
+        assert np.abs(engine.targets - closed.targets).max() <= engine.grid_errors.max() + 1e-6
+
+    def test_driven_times_past_horizon_without_drive(self, tmp_path):
+        # the horizon rule of a driven table does not depend on its drives
+        out = tmp_path / "late.csv"
         code = run(
-            "generate", "--channel", "driven", "--tc", "3.0",
-            "--count", "29", "--omegas", "0", "--out", str(out),
+            "generate", "--channel", "driven", "--omegas", "0", "--tc", "25",
+            "--count", "2", "--out", str(out),
         )
-        assert code == 0
-        table = dataset.load_table(out)
-        assert len(table) == 29
-        assert np.isclose(table.params[19, 0], 2.0)
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -544,8 +562,9 @@ class TestRefuseBeforeWork:
     def test_existing_sidecar_refuses_before_work(
         self, ad_table, trained_model, tmp_path, monkeypatch, command, sidecar
     ):
-        for name in ("generate", "load_table", "measure_value"):  # work fails loudly
+        for name in ("generate", "load_table"):  # work fails loudly
             monkeypatch.setattr(dataset, name, lambda *a, **k: pytest.fail("work started"))
+        monkeypatch.setattr(measures, "table_row", lambda *a, **k: pytest.fail("work started"))
         monkeypatch.setattr(svr, "load_model", lambda *a, **k: pytest.fail("work started"))
         out = tmp_path / "out"
         (tmp_path / ("out" + sidecar)).write_text("keep\n")
@@ -571,6 +590,17 @@ class TestOneTargetRoute:
     def test_undriven_ad_row(self, ad_table, tmp_path):
         row = ad_table.read_text().splitlines()[2 + 3].split(",")
         assert float(row[-2]) == pytest.approx(0.1 + 3 * 2.9 / 40) and row[-1] == "0"
+        assert self.sweep_value(tmp_path, row[-2], "0") == row[0]
+
+    def test_zero_drive_driven_row(self, tmp_path):
+        # a driven table's zero-drive row and the undriven sweep agree
+        table = tmp_path / "driven0.csv"
+        assert run(
+            "generate", "--channel", "driven", "--count", "29", "--omegas", "0",
+            "--out", str(table),
+        ) == 0
+        row = table.read_text().splitlines()[2 + 3].split(",")
+        assert float(row[-2]) == pytest.approx(0.4) and row[-1] == "0"
         assert self.sweep_value(tmp_path, row[-2], "0") == row[0]
 
     def test_driven_row(self, tmp_path):

@@ -162,16 +162,30 @@ class TestGenerateDriven:
         assert len(table) == 2
         assert table.schema.times == (3.0,)
         assert np.all(table.targets >= 0.0)
-        # one route: the library measure and measure_value give the row's target
+        # one route: the library measure and table_row give the row's target
         ch = DrivenAmplitudeDamping(float(table.params[0, 0]), 0.05)
         full = measures.n_entanglement(ch)
         assert full.grid_error >= 0.0
-        assert table.targets[0] == full.value == dataset.measure_value(ch, "entanglement")
+        assert table.targets[0] == full.value == measures.table_row(ch)[0].value
         # features at a time evaluated alone match the grid-free |+> route
         want = features_at(ch, (3.0,))
         assert np.abs(table.features[0] - want).max() < 1e-12
-        with pytest.raises(ConfigError):
-            dataset.generate("driven", times=(3.0, 20.5), count=1, omegas=(0.05,))
+        # a driven table's times lie within the measure horizon, whatever its
+        # drives, although a zero-drive row never runs the engine
+        for omegas in ((0.05,), (0.0,)):
+            with pytest.raises(ConfigError, match="horizon"):
+                dataset.generate("driven", times=(3.0, 20.5), count=1, omegas=omegas)
+
+    def test_zero_drive_rows_are_the_undriven_rows(self):
+        # one route per row: a driven row without drive takes the closed form
+        # of amplitude damping, bit for bit, with no grid error
+        driven = dataset.generate("driven", times=(3.0, 6.0), count=7, omegas=(0.0,))
+        undriven = dataset.generate("ad", times=(3.0, 6.0), count=7)
+        assert np.array_equal(driven.targets, undriven.targets)
+        assert np.array_equal(driven.features, undriven.features)
+        assert np.array_equal(driven.grid_errors, np.zeros(7))
+        assert isinstance(dataset.make_channel("driven", 0.5, 0.0), AmplitudeDamping)
+        assert isinstance(dataset.make_channel("driven", 0.5, 1e-100), DrivenAmplitudeDamping)
 
     def test_rows_are_omega_major(self):
         table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.1, 0.2))
@@ -314,14 +328,15 @@ class TestTableIO:
 
     def test_meta_records_driven_grid_error(self, tmp_path):
         # the largest stated error of the rows a driven table holds, also
-        # after filter_omega; pure targets are exact and record none
+        # after filter_omega; zero-drive rows take the exact closed form and
+        # record 0, and pure tables record none
         table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.0, 0.05))
         errors = [
-            measures.n_entanglement(DrivenAmplitudeDamping(lam, om)).grid_error
+            measures.n_entanglement(dataset.make_channel("driven", lam, om)).grid_error
             for lam, om in table.params
         ]
         assert np.array_equal(table.grid_errors, errors)
-        assert max(errors) > max(errors[2:]) > 0.0  # zero drive resolves worst
+        assert errors[:2] == [0.0, 0.0] and max(errors[2:]) > 0.0
 
         def meta(tab):
             dataset.save_table(tab, tmp_path / "t.csv")

@@ -288,7 +288,7 @@ class TestMeasureValues:
         assert res.tail_bound is None and res.grid_error >= 0.0
         table = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.5,))
         assert table.params[0, 0] == 0.1 and res.value == table.targets[0]
-        assert dataset.measure_value(ch, "entanglement") == res.value
+        assert measures.table_row(ch, times=(3.0,))[0] == res
 
     def test_rungs_come_from_fock_ladder(self, monkeypatch):
         # a ladder started at 4 leaks at 4 and 8 for (0.1, 0.5), settles on
@@ -362,6 +362,46 @@ class TestDrivenGridError:
             gap = abs(measures.revival_measure(AmplitudeDamping(lam)).value - res.value)
             assert gap <= res.grid_error + 1e-8
             assert gap <= 1e-6
+
+    def test_zero_in_last_interval_is_resolved(self):
+        # at (0.45, 0) C = |G| reaches 0 at t = 19.9917, inside the last
+        # coarse interval [19.98, 20], and rises after it: no increment of
+        # the coarse samples changes sign there
+        res = measures.n_entanglement(DrivenAmplitudeDamping(0.45, 0.0))
+        exact = measures.revival_measure(AmplitudeDamping(0.45)).value
+        assert abs(res.value - exact) <= res.grid_error + measures.CONCURRENCE_FLOOR
+
+    def test_turn_in_last_interval_is_resolved(self, monkeypatch):
+        # at (0.24, 0.12) C has a maximum near t = 19.9925, inside the last
+        # coarse interval; against a dense resampling of that interval,
+        # joined to the measure's own samples before it, the value is off
+        # by no more than its grid_error
+        asked, series, seen = [], [], {}
+        evolver, increments = channels._evolver, measures.positive_increments
+
+        def recording(channel, states, t_max):
+            seen["bell"], plus = evolver(channel, states, t_max)
+
+            def bell(times):
+                asked.append(getattr(times, "values", times))
+                return seen["bell"](times)
+
+            return bell, plus
+
+        def summing(values):
+            series.append(values)
+            return increments(values)
+
+        monkeypatch.setattr(channels, "_evolver", recording)
+        monkeypatch.setattr(measures, "positive_increments", summing)
+        res = measures.n_entanglement(DrivenAmplitudeDamping(0.24, 0.12))
+        times, (values,) = np.sort(np.concatenate(asked)), series
+        start = measures.default_grid().values[-2]
+        k = int(np.flatnonzero(times == start)[0])
+        dense = qmath.concurrence(seen["bell"](np.linspace(start, 20.0, 20_001)))
+        want = measures.positive_increments(values[: k + 1])[0]
+        want += measures.positive_increments(dense)[0]
+        assert abs(res.value - want) <= res.grid_error
 
     @pytest.mark.parametrize("lam, omega", [(0.3, 0.0), (0.6, 0.15), (0.2, 0.02)])
     def test_refinement_only_adds(self, lam, omega):
