@@ -38,16 +38,21 @@ readouts are diagonal, so even: the leak and drift guard reads the even
 sector alone, and the odd one is decomposed only once every state has passed
 it.  The guard folds each state's qubit part into the even sector's
 top-level and trace amplitudes before any sample is formed, so one pass over
-the guard samples checks every state (_guard_rows).
+the guard samples checks every state (_guard_rows).  Those amplitudes also
+bound each row at every t from a time s on, as sum_m |A_m| times the largest
+|f_m| on [s, t_max]; the guard samples in time order only until every state
+is either certified by that bound from its next sample on or fails at a
+sample, and its outcome is that of checking every sample (_check_physical).
 
 One mode build (_evolver) serves several states and any number of calls at
 arbitrary times within its horizon, for instance the Bell pair on the
 measure's coarse grid and at its refinements, and |+> at the tomography
 times.  Every driven result passes four guards: the spectral form must
 reproduce the initial operators at t = 0 (RECONSTRUCTION_TOL); the top Fock
-level must stay below LEAK_TOL and the trace within TRACE_DRIFT_TOL of 1,
-both checked at least every GUARD_STEP over the whole horizon before any
-state is assembled; and the reduced states must be valid density matrices.
+level must stay below LEAK_TOL and the trace within TRACE_DRIFT_TOL of 1 at
+samples at least every GUARD_STEP over the whole horizon, each sample checked
+or bounded, before any state is assembled; and the reduced states must be
+valid density matrices.
 _evolver, the one driven route, truncates the pseudomode at the first
 n_fock of FOCK_LADDER (4, 6, 8, 12, 16) whose leak guard passes, under the
 one LEAK_TOL = 1e-8 on every rung.  The truncation error this leaves is
@@ -92,6 +97,7 @@ _DEPENDENT_TOL = 1e-3  # ... when their unit eigenvectors' least singular value 
 _BLOCK_TOL = 1e-12  # invariant-subspace residual, relative to the largest generator entry
 _BLOCK_ITERATIONS = 60
 _MAX_TERMS = 60  # Taylor terms of exp(N t) for one block
+_FACTORIALS = np.array([float(math.factorial(p)) for p in range(_MAX_TERMS)])  # p! of a mode's power p
 # every driven evolution guards a table row's Bell pair (target) and |+> (features)
 _DRIVEN_STATES = (
     (qmath.ket2dm(qmath.KET_BELL), "driven evolution (bell)"),
@@ -403,21 +409,24 @@ def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
     return np.concatenate(rates), np.concatenate(powers), np.concatenate(amps, axis=-1)
 
 
-def _trajectories(modes, times) -> np.ndarray:
-    """(len(times), j, k) rows of modes (w, p, A, start) at every time, for
-    A of shape (j, k, modes) and start, the exact rows at t = 0, of shape
-    (j, k): j operators with k = 4 rows (ee, eg, ge, gg) for the states, and
-    j states with k = 2 rows (top level, trace) for the guard.  times is a
-    TimeGrid or a sequence of times >= 0.
+def _trajectories(modes, times):
+    """Rows of modes (w, p, A, start) at times, yielded in time order as
+    groups of shape (samples, j, k), for A of shape (j, k, modes) and start,
+    the exact rows at t = 0, of shape (j, k): j operators with k = 4 rows
+    (ee, eg, ge, gg) for the states, and j states with k = 2 rows (top level,
+    trace) for the guard.  times is a TimeGrid or a sequence of times >= 0;
+    at least one group is yielded, empty when times is.
 
     Within one mode chain f_k(s + d) = sum_q f_q(s) f_(k-q)(d), which for
     p = 0 is exp(w s) exp(w d): a table of f(d) over the offsets d of one
     block of times serves every block start s, so a TimeGrid costs _CHUNK
     exponentials per mode rather than one per sample (other times are
-    blocks of one).  The coefficients of the block starts are built
-    together, as many starts at once as fill the room of the table, and each
-    block is one matrix product of the table with its own coefficients, so
-    a time's rows do not depend on the other times asked with it.
+    blocks of one).  A group is one block of a TimeGrid, so a caller that
+    stops early forms no sample past the block it stopped in; other times
+    come as many at once as fill the room of the table.  Each block is one
+    matrix product of the table with its start's own coefficients, so a
+    time's rows do not depend on the other times asked with it, nor on how
+    the blocks are grouped.
     """
     w, power, amps, start_rows = modes
     amps_t = amps.reshape(-1, len(w)).T
@@ -427,26 +436,40 @@ def _trajectories(modes, times) -> np.ndarray:
         offsets = h * np.arange(_CHUNK)
     else:
         count, starts, offsets = len(times), np.asarray(times, dtype=float), np.zeros(1)
-    factorial = np.array([math.factorial(p) for p in power.tolist()], dtype=float)
-    table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / factorial)
-    out = np.empty((len(starts), len(offsets), amps_t.shape[1]), dtype=complex)
-    step = max(1, _CHUNK // amps_t.shape[1])  # starts whose coefficients fill _CHUNK x modes
-    for b in range(0, len(starts), step):
+    table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / _FACTORIALS[power])
+    chains = [(q, np.flatnonzero(power >= q)) for q in range(1, power.max(initial=0) + 1)]
+    # starts per group: one block of a TimeGrid, or single times whose
+    # coefficients fill _CHUNK x modes
+    step = max(1, _CHUNK // (len(offsets) * amps_t.shape[1]))
+    for b in range(0, max(1, len(starts)), step):
         s = starts[b : b + step]
-        scale = np.exp(np.outer(s, w))
+        scale = np.exp(s[:, None] * w)
         coef = amps_t * scale[:, :, None]
-        for q in range(1, power.max(initial=0) + 1):  # chain term i gains A_(i+q) f_q(s)
-            src = np.flatnonzero(power >= q)
+        for q, src in chains:  # chain term i gains A_(i+q) f_q(s)
             s_q = np.array([x**q for x in s])  # scalar powers: numpy's array power rounds apart
             rise = scale[:, src] * s_q[:, None] / math.factorial(q)
             coef[:, src - q] += amps_t[src] * rise[..., None]
-        np.matmul(table, coef, out=out[b : b + step])
-    out = out.reshape(-1, amps_t.shape[1])[:count]
-    # exp(L 0) is the identity; the spectral sum matches it only to rounding,
-    # which can lie above the concurrence's eps cut and which its square
-    # roots would then amplify to ~1e-8
-    out[(starts[:, None] + offsets).reshape(-1)[:count] == 0] = start_rows.reshape(-1)
-    return out.reshape(count, *start_rows.shape)
+        out = np.matmul(table, coef)
+        if not s.all():
+            # exp(L 0) is the identity; the spectral sum matches it only to
+            # rounding, which can lie above the concurrence's eps cut and
+            # which its square roots would then amplify to ~1e-8
+            out[(s == 0)[:, None] & (offsets == 0)] = start_rows.reshape(-1)
+        yield out.reshape(-1, *start_rows.shape)[: count - b * len(offsets)]
+
+
+def _envelope(w, power, size, t_from, t_max: float) -> np.ndarray:
+    """sum_m size[..., m] sup |f_m(t)| over t_from <= t <= t_max, for modes
+    f_m(t) = exp(w_m t) t^p_m / p_m! and size = |A| (..., modes), at each of
+    the times t_from (first axis): a bound on |sum_m A_m f_m(t)| at every
+    such t.  |f_m| = exp(a t) t^p / p!, a = Re w_m, rises up to t = p / -a
+    where a < 0 and throughout where a >= 0 (chains at exceptional points
+    and rates rounded above 0 included), so its supremum is its value there,
+    clipped to the interval."""
+    a = w.real
+    peak = np.divide(power, -a, out=np.full(len(w), t_max), where=a < 0)
+    peak = np.clip(peak, np.asarray(t_from)[..., None], t_max)
+    return (np.exp(a * peak) * peak**power / _FACTORIALS[power]) @ size.reshape(-1, len(w)).T
 
 
 def _last_time(times) -> float:
@@ -459,16 +482,30 @@ def _last_time(times) -> float:
     return float(times.max(initial=0.0))
 
 
-def _check_physical(top: np.ndarray, trace: np.ndarray, n: int, what: str) -> None:
-    leak = float(top.real.max())
-    if leak > LEAK_TOL:
-        raise TruncationLeakError(
-            f"{what}: top Fock level population {leak:.3e} at n_fock = {n} "
-            f"exceeds {LEAK_TOL:g}"
-        )
-    drift = float(np.abs(trace - 1.0).max())
-    if drift > TRACE_DRIFT_TOL:
-        raise NumericError(f"{what}: trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:g}")
+def _check_physical(guard, n: int, whats) -> None:
+    """The outcome of the leak and drift checks on every sample of guard
+    (_guard_rows), for the states named whats: the first state in order that
+    fails raises, its leak (top level above LEAK_TOL) before its drift
+    (trace more than TRACE_DRIFT_TOL from 1).  guard is read only until the
+    outcome is decided: a state's check is decided by a sample that fails it
+    or by a bound on every sample still to come that passes it.  An error
+    quotes the largest value sampled up to that point."""
+    tol = np.array([LEAK_TOL, TRACE_DRIFT_TOL])
+    peak = np.full((len(whats), 2), -np.inf)
+    for rows, bound in guard:
+        peak = np.maximum(peak, rows.max(axis=0, initial=-np.inf))
+        fails = (peak > tol).ravel()
+        first = (fails | ~(bound <= tol).ravel()).argmax()  # checks in order: state, then leak, drift
+        if fails[first]:
+            what, value = whats[first // 2], peak.flat[first]
+            if first % 2 == 0:
+                raise TruncationLeakError(
+                    f"{what}: top Fock level population {value:.3e} at n_fock = {n} "
+                    f"exceeds {LEAK_TOL:g}"
+                )
+            raise NumericError(f"{what}: trace drift {value:.3e} exceeds {TRACE_DRIFT_TOL:g}")
+        if bound.flat[first] <= tol[first % 2]:
+            return
 
 
 def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
@@ -481,8 +518,9 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     operators of _pseudomode's c0, with |g><e| taken as the adjoint of |e><g|.
     One mode build serves every state and every call.  Every rho passes the
     leak and drift checks at samples no further apart than GUARD_STEP over
-    all of [0, t_max], on the even sector's top-level and trace rows, before
-    the odd sector is decomposed: a truncation that leaks costs no state.
+    all of [0, t_max], each sampled or bounded from the spectral amplitudes,
+    on the even sector's top-level and trace rows, before the odd sector is
+    decomposed: a truncation that leaks costs no state.
     Each call validates the density of the states it returns, under the
     state's context name.  Strong drive on a weakly damped pseudomode can
     leak past a small truncation, so the pseudomode is truncated at each
@@ -497,37 +535,65 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     return _guarded(channel, FOCK_LADDER[-1], states, t_max)
 
 
-def _guard_rows(modes, rhos, t_max: float) -> np.ndarray:
-    """Top-level population and trace, (samples, state, 2) and real, of each
-    rho (x) |0><0| in rhos at samples no further apart than GUARD_STEP over
-    [0, t_max], from modes (w, p, A, start) of _sector_modes on the even
-    sector, with A and start cut to the top-level and trace rows.
+def _guard_rows(modes, rhos, t_max: float):
+    """Top-level population and distance of the trace from 1 of each
+    rho (x) |0><0| in rhos at the samples i GUARD_STEP' over [0, t_max],
+    GUARD_STEP' <= GUARD_STEP, from modes (w, p, A, start) of _sector_modes
+    on the even sector, with A and start cut to the top-level and trace rows.
+    Yields (rows, bound) in time order: rows (samples, state, 2), one block
+    of _trajectories at a time after an empty first one, and bound
+    (state, 2), a bound on both at every sample not yet yielded (0 after the
+    last).
 
     A state's rows are sum_ab q_ab (rows of |a><b|) for its qubit part
     q = Tr_ancilla rho.  q is Hermitian, so the |g><e| term is the adjoint
     of the |e><g| one, and on these real rows the sum reads
     Re(q_ee A_ee + 2 q_eg A_eg + q_gg A_gg).  Each q is folded into the
     amplitudes and into the exact rows at t = 0 before any sample is formed,
-    so one pass evaluates every state."""
+    so one pass evaluates every state.
+
+    The bound from a block's first time on is the envelope (_envelope) of
+    the top row, and for the trace row |A_k - 1| + |A_k| (exp(|w_k| t_max) - 1)
+    for its stationary mode k plus the envelope of its other modes; the
+    exact rows at t = 0 enter the first bound.  Each envelope is raised by a
+    rounding allowance, the factor 1 + (modes + 16 + 4 (t_max max|Re w| +
+    max p)) eps, which covers the floating-point sum over the modes of a
+    sample and the rounding of its exponents and of its time."""
     w, power, amps, start = modes
     parts = [np.einsum("xaxb->ab", rho.reshape(len(rho) // 2, 2, -1, 2)) for rho in rhos]
     fold = np.array([[q[0, 0], 2.0 * q[0, 1], q[1, 1]] for q in parts])
-    folded = (w, power, np.tensordot(fold, amps, axes=1), fold @ start)
-    checks = max(1, math.ceil(t_max / GUARD_STEP - 1e-9))
-    return _trajectories(folded, TimeGrid(t_max, checks)).real
+    amps, start = np.tensordot(fold, amps, axes=1), fold @ start
+    slack = (len(w) + 16 + 4 * (t_max * np.abs(w.real).max() + power.max())) * np.finfo(float).eps
+    live = (1.0 + slack) * np.abs(amps)  # the enveloped modes: all but the stationary trace mode
+    k = np.argmax(np.where(power == 0, live[:, 1], -1.0), axis=-1)  # each trace row's stationary mode
+    stationary = amps[np.arange(len(k)), 1, k]
+    live[np.arange(len(k)), 1, k] = 0.0
+    fixed = np.zeros((len(rhos), 2))
+    fixed[:, 1] = np.abs(stationary - 1.0) + np.abs(stationary) * (
+        (1.0 + slack) * np.exp(np.abs(w[k]) * t_max) - 1.0
+    )
+    grid = TimeGrid(t_max, max(1, math.ceil(t_max / GUARD_STEP - 1e-9)))
+    firsts = grid.spacing * np.arange(0, grid.n_steps + 1, _CHUNK)  # each block's first time
+    bounds = fixed + _envelope(w, power, live, firsts, t_max).reshape(-1, *fixed.shape)
+    bounds = np.concatenate([bounds, np.zeros((1, *fixed.shape))])
+    excess = np.stack([start[:, 0].real, np.abs(start[:, 1].real - 1.0)], axis=-1)
+    yield np.empty((0, *fixed.shape)), np.maximum(bounds[0], excess)
+    for rows, bound in zip(_trajectories((w, power, amps, start), grid), bounds[1:]):
+        excess = rows.real.copy()
+        excess[..., 1] = np.abs(excess[..., 1] - 1.0)
+        yield excess, bound
 
 
 def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> list:
     """_evolver at one truncation, n Fock levels.  Every state passes its
-    guard (_guard_rows), in the order of states, on the even sector's
-    top-level and trace rows before the odd sector is decomposed; a state
-    reads the reduced-state rows of both."""
+    guard (_guard_rows, _check_physical), in the order of states, on the
+    even sector's top-level and trace rows before the odd sector is
+    decomposed; a state reads the reduced-state rows of both."""
     even, c0, red, start, _ = _pseudomode(n)
     gen = _generator(channel, n)
     w, power, amps = _sector_modes(gen, c0, red, even, t_max)
     guard = _guard_rows((w, power, amps[:, 4:], start[:, 4:]), [rho for rho, _ in states], t_max)
-    for (_, what), rows in zip(states, np.moveaxis(guard, 1, 0)):
-        _check_physical(rows[:, 0], rows[:, 1], n, what)
+    _check_physical(guard, n, [what for _, what in states])
     odd = _sector_modes(gen, c0, red[:4], ~even, t_max)
     modes = [np.concatenate(part, axis=-1) for part in zip((w, power, amps[:, :4]), odd)]
     modes.append(start[:, :4])
@@ -539,7 +605,7 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
         def evaluate(times) -> np.ndarray:
             if _last_time(times) > t_max:
                 raise ConfigError(f"{what}: times past the guarded horizon {t_max}")
-            traj = _trajectories(modes, times)
+            traj = np.concatenate([*_trajectories(modes, times)])
             m = traj.shape[0]
             r_ee, r_eg, r_gg = (traj[:, j].reshape(m, 2, 2) for j in range(3))
             maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|

@@ -11,8 +11,10 @@ from the eigenvalues of their difference instead of |coherence|, the
 undriven channels as Kraus maps on density matrices instead of the closed
 forms of their coherence factor, their measures as grid sums of sampled
 series and as |coherence| read off at the revival peaks instead of the
-geometric peak sum, and the driven channel via scipy's expm of a separately
-built generator instead of its eigendecomposition.
+geometric peak sum, the driven channel via scipy's expm of a separately
+built generator instead of its eigendecomposition, and the outcome of the
+leak and drift guard from every one of its samples instead of from a bound
+on the samples it does not take.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from nonmarkov import channels, qmath
-from nonmarkov.errors import ConfigError
+from nonmarkov.errors import ConfigError, NumericError, TruncationLeakError
 
 # index 0 = excited |e>, index 1 = ground |g>, as in the package
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -284,3 +286,30 @@ def pseudomode_expm_evolve(rho_sys, times, lam, omega, n_fock, gamma0=1.0):
         x = (scipy.linalg.expm(gen * t) @ x0).reshape(dim, dim, order="F")
         out.append(np.einsum("iaib->ab", x.reshape(n_fock, d_sys, n_fock, d_sys)))
     return np.array(out)
+
+
+def full_guard_decision(channel, n_fock, states, t_max):
+    """The leak and drift guard of channels._guarded at one truncation,
+    decided from every one of its samples, as before the guard bounded its
+    tail: every state's top-level population and trace at all samples
+    i GUARD_STEP' over [0, t_max] (20 001 on the measure horizon), each
+    state's qubit part folded into the even sector's amplitudes as the guard
+    folds it.  Returns None if every state passes, else (error class, state
+    name, largest value) of the first state in order that fails, its leak
+    before its drift."""
+    even, c0, red, start, _ = channels._pseudomode(n_fock)
+    gen = channels._generator(channel, n_fock)
+    w, power, amps = channels._sector_modes(gen, c0, red, even, t_max)
+    checks = max(1, math.ceil(t_max / channels.GUARD_STEP - 1e-9))
+    grid = channels.TimeGrid(t_max, checks)
+    parts = [np.einsum("xaxb->ab", rho.reshape(len(rho) // 2, 2, -1, 2)) for rho, _ in states]
+    fold = np.array([[q[0, 0], 2.0 * q[0, 1], q[1, 1]] for q in parts])
+    folded = (w, power, np.tensordot(fold, amps[:, 4:], axes=1), fold @ start[:, 4:])
+    rows = np.concatenate([*channels._trajectories(folded, grid)]).real
+    for (_, what), top, trace in zip(states, rows[:, :, 0].T, rows[:, :, 1].T):
+        if top.max() > channels.LEAK_TOL:
+            return TruncationLeakError, what, top.max()
+        drift = np.abs(trace - 1.0).max()
+        if drift > channels.TRACE_DRIFT_TOL:
+            return NumericError, what, drift
+    return None

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonmarkov import channels, dataset, qmath
@@ -40,6 +41,11 @@ def operators(channel, n):
     channels._guarded reads: (gen, even, c0, red, start)."""
     even, c0, red, start, _ = channels._pseudomode(n)
     return channels._generator(channel, n), even, c0, red, start
+
+
+def trajectory(modes, times):
+    """Every row of channels._trajectories at times, its groups joined."""
+    return np.concatenate([*channels._trajectories(modes, times)])
 
 
 def lindblad(lam, omega, n):
@@ -352,7 +358,7 @@ class TestDrivenEvolve:
         ch = DrivenAmplitudeDamping(lam, 0.0)
         gen, even, c0, red, start = operators(ch, 2)
         modes = channels._sector_modes(gen, c0, red, even, t_zero)
-        rows = channels._trajectories((*modes, start), (0.0, t_zero))
+        rows = trajectory((*modes, start), (0.0, t_zero))
         assert np.abs(rows[:, :, 4]).max() < 1e-12  # empty at both samples
         with pytest.raises(TruncationLeakError):
             evolve(ch, qmath.ket2dm(qmath.KET_PLUS), (0.0, t_zero))
@@ -418,8 +424,8 @@ class TestTransposeSymmetry:
             assert len(w) == 136 and (amps[:, 4:] != 0).any(axis=(0, 1)).sum() == live
         full = [np.concatenate(part, axis=-1) for part in zip((w, power, amps), odd)]
         grid = TimeGrid(20.0, 20_000)
-        got = channels._trajectories((w, power, amps[:, 4:], start[:, 4:]), grid)
-        want = channels._trajectories((*full[:2], full[2][:, 4:], start[:, 4:]), grid)
+        got = trajectory((w, power, amps[:, 4:], start[:, 4:]), grid)
+        want = trajectory((*full[:2], full[2][:, 4:], start[:, 4:]), grid)
         assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("lam, omega", [(0.6, 0.15), (1.3, 0.05), (0.3, 0.0), (2.0, 0.0)])
@@ -427,13 +433,14 @@ class TestTransposeSymmetry:
         # _guard_rows folds each state's qubit part into the amplitudes before
         # any sample is formed; recombining the three operators' sampled rows
         # with that part gives the same rows, to 1e-15 on the top level and
-        # to a few ulps of 1 on the trace (5 ulps seen under two BLAS threads)
+        # to a few ulps of 1 on the trace's distance from 1 (5 ulps seen
+        # under two BLAS threads)
         gen, even, c0, red, start = operators(DrivenAmplitudeDamping(lam, omega), 8)
         w, power, amps = channels._sector_modes(gen, c0, red, even, 20.0)
         modes = (w, power, amps[:, 4:], start[:, 4:])
         rhos = [rho for rho, _ in channels._DRIVEN_STATES]
-        got = channels._guard_rows(modes, rhos, 20.0)
-        rows = channels._trajectories(modes, TimeGrid(20.0, 20_000))  # (sample, operator, row)
+        got = np.concatenate([rows for rows, _ in channels._guard_rows(modes, rhos, 20.0)])
+        rows = trajectory(modes, TimeGrid(20.0, 20_000))  # (sample, operator, row)
         assert got.shape == (20_001, len(rhos), 2) and got.dtype == float
         for i, rho in enumerate(rhos):
             k = len(rho) // 2
@@ -441,7 +448,7 @@ class TestTransposeSymmetry:
             want = (q[0, 0] * rows[:, 0] + q[1, 1] * rows[:, 2]).real
             want += 2.0 * (q[0, 1] * rows[:, 1]).real
             assert np.abs(got[:, i, 0] - want[:, 0]).max() <= 1e-15
-            assert np.abs(got[:, i, 1] - want[:, 1]).max() <= 8 * np.finfo(float).eps
+            assert np.abs(got[:, i, 1] - np.abs(want[:, 1] - 1.0)).max() <= 8 * np.finfo(float).eps
 
     def test_leaking_rung_decomposes_only_the_even_sector(self, monkeypatch):
         # (0.1, 0.5) leaks at 4, 6 and 8 over the measure horizon: each of
@@ -457,6 +464,118 @@ class TestTransposeSymmetry:
         ch = DrivenAmplitudeDamping(0.1, 0.5)
         channels._evolver(ch, channels._DRIVEN_STATES, channels.DEFAULT_T_MAX)
         assert sizes == [n * (2 * n + 1) for n in (4, 6, 8, 12)] + [12 * (2 * 12 - 1)]
+
+
+class TestGuardBound:
+    """The leak and drift guard bounds every sample it has not taken from the
+    even sector's amplitudes (channels._guard_rows) and samples, in time
+    order, only until its outcome is decided (channels._check_physical); the
+    outcome is the full pass's over all 20 001 samples
+    (oracles.full_guard_decision)."""
+
+    STATES = channels._DRIVEN_STATES
+    # the benchmark's driven slice, 7 couplings at each drive that runs the
+    # engine, and the pairs of test_truncation_error_against_next_rung
+    SLICE = [(lam, omega) for omega in (0.05, 0.5) for lam in dataset.param_grid("driven", 7)]
+    NEXT_RUNG = [(0.7, 0.5), (1.757, 0.5), (0.514, 0.05), (0.3, 0.0)]
+
+    @classmethod
+    def guard(cls, lam, omega, n):
+        """The powers of the even modes and every (rows, bound) of the guard
+        of the driven states at n."""
+        gen, even, c0, red, start = operators(DrivenAmplitudeDamping(lam, omega), n)
+        w, power, amps = channels._sector_modes(gen, c0, red, even, 20.0)
+        rhos = [rho for rho, _ in cls.STATES]
+        return power, list(channels._guard_rows((w, power, amps[:, 4:], start[:, 4:]), rhos, 20.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=st.floats(0.1, 3.0),
+        omega=st.floats(0.0, 0.5),
+        n=st.sampled_from([4, 6, 8, 12]),
+    )
+    @example(lam=2.0, omega=1e-100, n=8)  # built undriven: an exceptional point
+    def test_bound_covers_every_later_sample(self, lam, omega, n):
+        power, guard = self.guard(lam, omega, n)
+        if (lam, omega) == (2.0, 1e-100):
+            assert power.max() > 0  # chain modes: the generator is defective
+        assert sum(len(rows) for rows, _ in guard) == 20_001
+        peaks = np.array([np.abs(rows).max(axis=0, initial=0.0) for rows, _ in guard])
+        bounds = np.array([bound for _, bound in guard])
+        later = np.maximum.accumulate(peaks[::-1])[::-1]  # the largest at and after each yield
+        assert (bounds[:-1] >= later[1:]).all()
+        assert not bounds[-1].any()
+
+    def test_envelope_is_the_largest_modulus(self):
+        # one mode f(t) = exp(w t) t^p / p! at a time, decaying, flat and
+        # rising, with chain powers p up to 5: the envelope from each t_from
+        # is the largest |f| over a fine grid of [t_from, 20]
+        for a in (-2.0, -0.5, -0.05, 0.0, 1e-3):
+            for p in range(6):
+                w, power = np.array([a + 1.3j]), np.array([p])
+                for t_from in (0.0, 1.5, 10.0, 20.0):
+                    t = np.linspace(t_from, 20.0, 200_001)
+                    sampled = (np.exp(a * t) * t**p / math.factorial(p)).max()
+                    got = channels._envelope(w, power, np.ones((1, 1)), t_from, 20.0)
+                    assert sampled <= got[0] <= sampled * (1.0 + 1e-9), (a, p, t_from)
+
+    def test_drift_is_still_sampled(self):
+        # (1.0, 1e-14) drifts past TRACE_DRIFT_TOL on rung 8 (1.32e-8 at its
+        # worst sample, one BLAS thread) and, under one BLAS thread, on rung
+        # 12 (1.19e-8); the bound never passes a rung whose samples fail, and
+        # (2.9, 1e-13) passes rung 16
+        for lam, omega, n in ((1.0, 1e-14, 8), (1.0, 1e-14, 12), (2.9, 1e-13, 16)):
+            ch = DrivenAmplitudeDamping(lam, omega)
+            want = oracles.full_guard_decision(ch, n, self.STATES, 20.0)
+            if want is None:
+                assert n != 8
+                channels._guarded(ch, n, self.STATES, 20.0)
+                continue
+            assert want[0] is NumericError and want[2] > channels.TRACE_DRIFT_TOL
+            with pytest.raises(NumericError, match=rf"^{re.escape(want[1])}: trace drift "):
+                channels._guarded(ch, n, self.STATES, 20.0)
+
+    def test_samples_stop_once_decided(self, monkeypatch):
+        counts, trajectories = [], channels._trajectories
+
+        def counting(modes, times):
+            for rows in trajectories(modes, times):
+                if modes[3].shape[1] == 2:  # the guard's rows: top level and trace
+                    counts.append(len(rows))
+                yield rows
+
+        monkeypatch.setattr(channels, "_trajectories", counting)
+        # sum |A_top| = 1.5e-9 certifies every t of rung 6 before any sample
+        channels._guarded(DrivenAmplitudeDamping(2.171, 0.5), 6, self.STATES, 20.0)
+        assert counts == []
+        # rung 4 of (0.1, 0.5) first leaks at sample 1 255
+        with pytest.raises(TruncationLeakError):
+            channels._guarded(DrivenAmplitudeDamping(0.1, 0.5), 4, self.STATES, 20.0)
+        assert 1_256 <= sum(counts) < 20_001
+
+    @pytest.mark.parametrize(
+        "pairs, settled",
+        [(SLICE, {4: 5, 6: 7, 8: 1, 12: 1}), (NEXT_RUNG, None)],
+        ids=["slice", "next-rung"],
+    )
+    def test_decisions_match_full_pass(self, pairs, settled):
+        # every rung the ladder tries: the same pass, or the same error for
+        # the same state, quoting a sampled value no larger than the full
+        # pass's worst
+        rungs = {}
+        for lam, omega in pairs:
+            ch = DrivenAmplitudeDamping(lam, omega)
+            for n in channels.FOCK_LADDER:
+                want = oracles.full_guard_decision(ch, n, self.STATES, 20.0)
+                if want is None:
+                    channels._guarded(ch, n, self.STATES, 20.0)
+                    rungs[n] = rungs.get(n, 0) + 1
+                    break
+                with pytest.raises(want[0], match=rf"^{re.escape(want[1])}: ") as info:
+                    channels._guarded(ch, n, self.STATES, 20.0)
+                quoted = float(re.search(r"(?:population|drift) (\S+)", str(info.value))[1])
+                assert channels.LEAK_TOL < quoted <= float(f"{want[2]:.3e}")
+        assert settled is None or rungs == settled
 
 
 class TestPseudomodeFrame:
