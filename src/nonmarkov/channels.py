@@ -436,8 +436,10 @@ def _trajectories(modes, times):
         offsets = h * np.arange(_CHUNK)
     else:
         count, starts, offsets = len(times), np.asarray(times, dtype=float), np.zeros(1)
-    table = np.exp(np.outer(offsets, w)) * (offsets[:, None] ** power / _FACTORIALS[power])
+    table = np.exp(np.outer(offsets, w))
     chains = [(q, np.flatnonzero(power >= q)) for q in range(1, power.max(initial=0) + 1)]
+    if chains:  # d^p / p! is exactly 1 where every p = 0
+        table *= offsets[:, None] ** power / _FACTORIALS[power]
     # starts per group: one block of a TimeGrid, or single times whose
     # coefficients fill _CHUNK x modes
     step = max(1, _CHUNK // (len(offsets) * amps_t.shape[1]))
