@@ -12,8 +12,11 @@ a = lambda/2 and w^2 = (2 lambda - lambda^2)/4, and the excited population
 with P_t = G^2, so |+> goes to (G, 0, G^2 - 1); lambda is in units of the
 coupling gamma0 and t in units of 1/gamma0, for both amplitude-damping
 channels.  Where w^2 < 0 the hyperbolic rewrite keeps every output
-manifestly real, and the degenerate points 4 tau = 1 and lambda = 2 take the
-analytic limit.
+manifestly real, and where some a t exceeds 700, past which exp(-a t)
+underflows and cosh(w t) overflows, it is evaluated as its two decaying
+exponentials; the degenerate points 4 tau = 1 and lambda = 2 take the
+analytic limit.  A parameter whose rates overflow (lambda above 1.3e154,
+tau above 3.3e153) is a ConfigError.
 
 The driven case has no closed form (closed_form = False) and is solved as a
 qubit coupled to a damped pseudomode oscillator,
@@ -21,9 +24,12 @@ d rho/dt = -i[H, rho] + lambda (2 b rho b+ - b+b rho - rho b+b),
 H = Omega (s+ + s-) + sqrt(lambda / 2) (s+ b + b+ s-),
 in a frame rotating with the drive.  The generator is time independent and
 linear in its parameters, L = lambda D + sqrt(lambda / 2) G + Omega W, and
-real in an orthonormal Hermitian operator basis; its parts (dissipator,
-coupling, drive) are built once per n_fock (_pseudomode), and a pair
-(lambda, omega) only sums them (_generator).  The propagator exp(L t) is
+real in an orthonormal Hermitian operator basis B_k; its parts (dissipator,
+coupling, drive), the matrices Tr(B_j P(B_k)), are built once per n_fock
+(_pseudomode), and a pair (lambda, omega) only sums them (_generator).
+The four initial operators |a><b| (x) |0><0| evolve together, and a state's
+trajectory is their combination, folded into their amplitudes before any
+sample is formed (_fold).  The propagator exp(L t) is
 exact by eigendecomposition of L, evaluated at any set of times with no time
 step.  Where L is defective or nearly so (the exceptional points
 omega = 0, lambda = 2N, and their neighbourhood), each cluster of
@@ -115,6 +121,10 @@ class PhaseDamping:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        if not math.isfinite((4.0 * self.tau) * (4.0 * self.tau)):  # w^2 of rates
+            raise ConfigError(
+                f"tau = {self.tau:g} is too large: the rates of its coherence overflow"
+            )
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -141,6 +151,10 @@ class AmplitudeDamping:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
+        if not math.isfinite(self.lam * self.lam):  # w^2 of rates
+            raise ConfigError(
+                f"lambda = {self.lam:g} is too large: the rates of its coherence overflow"
+            )
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -209,21 +223,27 @@ class TimeGrid:
 def _oscillation(t, a: float, w2: float):
     """exp(-a t) [cos(w t) + (a/w) sin(w t)], w = sqrt(w2), at times t >= 0:
     the coherence of both undriven channels, given their rates.  For w2 < 0
-    the hyperbolic rewrite with sqrt(-w2) keeps the value manifestly real;
+    the hyperbolic rewrite with sqrt(-w2) keeps the value manifestly real,
+    and where some a t exceeds 700 it is taken as
+    ((1 + a/w) exp(-(a - w) t) + (1 - a/w) exp(-(a + w) t)) / 2;
     where |w2| < _DEGENERATE_TOL^2 the limit exp(-a t) (1 + a t) is taken."""
     t = np.asarray(t, dtype=float)
     if not (t >= 0).all():
         raise ConfigError("times must be >= 0")
     env = np.exp(-a * t)
     if abs(w2) < _DEGENERATE_TOL**2:
-        amp = 1.0 + a * t
+        out = env * (1.0 + a * t)
     elif w2 > 0:
         w = math.sqrt(w2)
-        amp = np.cos(w * t) + (a / w) * np.sin(w * t)
-    else:
+        out = env * (np.cos(w * t) + (a / w) * np.sin(w * t))
+    elif a * t.max(initial=0.0) <= 700.0:
         w = math.sqrt(-w2)
-        amp = np.cosh(w * t) + (a / w) * np.sinh(w * t)
-    out = env * amp
+        out = env * (np.cosh(w * t) + (a / w) * np.sinh(w * t))
+    else:
+        # past a t = 700 exp(-a t) leaves the normal range and cosh(w t)
+        # overflows; w < a for both channels, so both exponentials decay
+        w = math.sqrt(-w2)
+        out = ((1.0 + a / w) * np.exp((w - a) * t) + (1.0 - a / w) * np.exp(-(a + w) * t)) / 2.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -233,48 +253,43 @@ def _pseudomode(n: int):
     omega), read-only: (even, c0, red, start, parts).
 
     Operators of qubit (x) pseudomode, d = 2n (index a * n + i for qubit a,
-    Fock level i), are row-major vectorized with coordinates Tr(B_k X) in the
-    orthonormal Hermitian basis B_k, the columns of U: E_pp, then
-    (E_pq + E_qp)/sqrt(2) and i(E_pq - E_qp)/sqrt(2) for p < q.  S(X) keeps
-    the elements that even marks and negates the others: with s_p = +1 on the
-    excited block and -1 on the ground block, it takes E_pp to itself, the
-    symmetric element to s_p s_q times it and the antisymmetric one to
-    -s_p s_q times it.  c0 holds the coordinates of x_j (x) |0><0|,
-    x_j = |e><e|, |e><g|, |g><g|; red the rows that read an operator's
-    qubit-reduced entries ee, eg, ge, gg, its top Fock level population and
-    its trace (diagonal, so even) from its coordinates; start the exact rows
-    at t = 0, a row of red per x_j.  parts holds the dissipator
-    D(X) = 2 b X b+ - b+b X - X b+b, the coupling G(X) = -i[s+ b + b+ s-, X]
-    and the drive W(X) = -i[sx, X], each as the nonzero entries
-    (where, values) of Re(U+ P U), checked to couple no even element to an
-    odd one (H is real, sz H sz flips the sign of the drive and the coupling,
-    and b is real)."""
+    Fock level i), have coordinates Tr(B_k X) in the orthonormal Hermitian
+    basis B_k: E_pp, then (E_pq + E_qp)/sqrt(2) and i(E_pq - E_qp)/sqrt(2)
+    for p < q, so X_pp, (X_pq + X_qp)/sqrt(2) and i(X_qp - X_pq)/sqrt(2).
+    S(X) keeps the elements that even marks and negates the others: with
+    s_p = +1 on the excited block and -1 on the ground block, it takes E_pp
+    to itself, the symmetric element to s_p s_q times it and the
+    antisymmetric one to -s_p s_q times it.  c0 holds the coordinates of the
+    initial operators |a><b| (x) |0><0|, ab = ee, eg, ge, gg, one column
+    each; red the six read-outs of the B_k, one row each: the qubit-reduced
+    entries ee, eg, ge, gg, the top Fock level population and the trace
+    (diagonal, so even); start the same read-outs of the initial operators,
+    the exact rows at t = 0, one row per operator.  parts holds the
+    dissipator D(X) = 2 b X b+ - b+b X - X b+b, the coupling
+    G(X) = -i[s+ b + b+ s-, X] and the drive W(X) = -i[sx, X], each as the
+    nonzero entries (where, values) of Tr(B_j P(B_k)), P applied to 2n basis
+    matrices at a time, and checked to couple no even element to an odd one
+    (H is real, sz H sz flips the sign of the drive and the coupling, and b
+    is real)."""
     d = 2 * n
     p, q = np.triu_indices(d, 1)
-    diag = np.arange(d) * (d + 1)
-    upper, lower = p * d + q, q * d + p
-    r = np.full(len(p), 1.0 / math.sqrt(2.0))
-    pos_a = np.concatenate([diag, upper, upper])
-    pos_b = np.concatenate([diag, lower, lower])
-    val_a = np.concatenate([np.ones(d), r, 1j * r])
-    val_b = np.concatenate([np.zeros(d), r, -1j * r])  # a diagonal element has one position
+    diag, r = np.arange(d), 1.0 / math.sqrt(2.0)
+    sym, anti = d + np.arange(len(p)), d + len(p) + np.arange(len(p))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[sym, p, q] = basis[sym, q, p] = r
+    basis[anti, p, q], basis[anti, q, p] = 1j * r, -1j * r
     same = (p < n) == (q < n)  # s_p s_q = +1
     even = np.concatenate([np.ones(d, dtype=bool), same, ~same])
 
-    def from_basis(rows):  # rows U: row functionals of X as functionals of its coordinates
-        out = rows[:, pos_a] * val_a
-        part = rows[:, pos_b]
-        part *= val_b
-        out += part
-        return out
+    def coords(x):  # Tr(B_k x) of each operator of a stack, k along the last axis
+        upper, lower = x[:, p, q], x[:, q, p]
+        return np.concatenate([x[:, diag, diag], r * (upper + lower), 1j * r * (lower - upper)], 1)
 
-    def nonzero(terms):  # P(X) = sum_k a_k X c_k^T, row-major: P = sum_k a_k (x) c_k
-        lsuper = np.zeros((d * d, d * d), dtype=complex)
-        for a, c in terms:
-            lsuper += np.kron(a, c)
-        adjoint = from_basis(lsuper).conj().T  # (P U)+
-        del lsuper  # one d^2 x d^2 intermediate fewer at the peak
-        gen = from_basis(adjoint).real.T  # Re(U+ P U) = Re((P U)+ U)^T
+    def nonzero(apply):  # Tr(B_j P(B_k)), P applied to 2n basis matrices B_k at a time
+        gen = np.empty((d * d, d * d))
+        for k in range(0, d * d, d):
+            gen[:, k : k + d] = coords(apply(basis[k : k + d])).real.T
         where = np.nonzero(gen)
         values = gen[where]
         cross = np.abs(values[even[where[0]] != even[where[1]]])
@@ -284,32 +299,26 @@ def _pseudomode(n: int):
             array.flags.writeable = False
         return where, values
 
-    levels = np.arange(n)
-    rows = np.zeros((6, d * d), dtype=complex)
-    for k, (u, v) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        rows[k, (u * n + levels) * d + v * n + levels] = 1.0
-    rows[4, np.array([n - 1, d - 1]) * (d + 1)] = 1.0  # the top Fock level
-    rows[5, diag] = 1.0
-    x0 = np.zeros((d * d, 3), dtype=complex)
-    x0[[0, n, n * d + n], [0, 1, 2]] = 1.0  # |e><e|, |e><g|, |g><g| (x) |0><0|
-
     b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     low = np.kron(qmath.IDENTITY_2, b)
     num = low.T @ low
     hop = np.kron([[0.0, 1.0], [0.0, 0.0]], b)  # s+ b
     hop += hop.T
     drive = np.kron(qmath.SIGMA_X, np.eye(n))
-    eye = np.eye(d)
     parts = tuple(
-        nonzero(terms)  # one part at a time: its complex intermediates go before the next
-        for terms in (
-            ((2.0 * low, low), (-num, eye), (eye, -num)),
-            ((-1j * hop, eye), (eye, 1j * hop)),
-            ((-1j * drive, eye), (eye, 1j * drive)),
+        nonzero(apply)
+        for apply in (
+            lambda x: 2.0 * low @ x @ low.T - num @ x - x @ num,
+            lambda x: -1j * (hop @ x - x @ hop),
+            lambda x: -1j * (drive @ x - x @ drive),
         )
     )
-    c0 = from_basis(x0.T).conj().T  # U+ x0 = (x0^T U)+, as x0 is real
-    frame = (even, c0, from_basis(rows), (rows @ x0).T)
+    fock = np.eye(n)
+    units = np.eye(4).reshape(4, 2, 2)  # |a><b|, ab = ee, eg, ge, gg
+    ops = np.array([np.kron(u, np.diag(fock[0])) for u in units])
+    reads = [np.kron(u.T, fock) for u in units]  # entry ab: Tr((|b><a| (x) 1) X)
+    reads = np.array([*reads, np.kron(np.eye(2), np.diag(fock[-1])), np.eye(d)])
+    frame = (even, coords(ops).T, coords(reads), np.einsum("jab,rba->jr", ops, reads))
     for array in frame:
         array.flags.writeable = False
     return (*frame, parts)
@@ -368,13 +377,14 @@ def _invariant_blocks(gen: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> list:
 def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
     """Modes (w, p, A) of the invariant sector (a mask) of the generator gen
     (_generator), with rows(t) = sum_m A[:, :, m] f_m(t) for 0 <= t <= t_max,
-    f_m(t) = exp(w_m t) t^p_m / p_m!: one row of red per initial operator, a
-    column of c0 (both of _pseudomode).  The eigendecomposition V diag(w) V^-1
-    gives A = (R V) o (V^-1 x_j), each mode with p = 0.  A nearly defective
-    eigenvalue cluster (see _invariant_blocks) enters instead as an
-    invariant subspace Q with block mu + N: its modes are the columns of
-    (R Q) o (N^k y) with rate mu and p = k, y = Q^-1 x_j, the Taylor series
-    of exp(N t) y taken until its tail is below rounding at t_max."""
+    f_m(t) = exp(w_m t) t^p_m / p_m!: A[j, r] for each initial operator x_j,
+    a column of c0, and each row r of red (both of _pseudomode).  The
+    eigendecomposition V diag(w) V^-1 gives A = (R V) o (V^-1 x_j), each mode
+    with p = 0.  A nearly defective eigenvalue cluster (see
+    _invariant_blocks) enters instead as an invariant subspace Q with block
+    mu + N: its modes are the columns of (R Q) o (N^k y) with rate mu and
+    p = k, y = Q^-1 x_j, the Taylor series of exp(N t) y taken until its tail
+    is below rounding at t_max."""
     gen, c0, red = gen[np.ix_(sector, sector)], c0[sector], red[:, sector]
     try:
         blocks = _invariant_blocks(gen, *np.linalg.eig(gen))
@@ -403,7 +413,7 @@ def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
                 break
             if len(terms) == _MAX_TERMS:
                 raise NumericError(f"exp(N t) series near {mu[0]:.6g} does not converge")
-        amps.append(np.stack(terms, axis=-1).reshape(3, len(red), -1))  # chains contiguous
+        amps.append(np.stack(terms, axis=-1).reshape(len(y.T), len(red), -1))  # chains contiguous
         rates.append(np.repeat(mu, len(terms)))
         powers.append(np.tile(np.arange(len(terms)), len(mu)))
     return np.concatenate(rates), np.concatenate(powers), np.concatenate(amps, axis=-1)
@@ -412,9 +422,10 @@ def _sector_modes(gen, c0, red, sector: np.ndarray, t_max: float):
 def _trajectories(modes, times):
     """Rows of modes (w, p, A, start) at times, yielded in time order as
     groups of shape (samples, j, k), for A of shape (j, k, modes) and start,
-    the exact rows at t = 0, of shape (j, k): j operators with k = 4 rows
-    (ee, eg, ge, gg) for the states, and j states with k = 2 rows (top level,
-    trace) for the guard.  times is a TimeGrid or a sequence of times >= 0;
+    the exact rows at t = 0, of shape (j, k): the four initial operators or
+    the entries |x><y| of a folded state's ancilla (_fold), each with k = 4
+    rows (ee, eg, ge, gg), and j states with k = 2 rows (top level, trace)
+    for the guard.  times is a TimeGrid or a sequence of times >= 0;
     at least one group is yielded, empty when times is.
 
     Within one mode chain f_k(s + d) = sum_q f_q(s) f_(k-q)(d), which for
@@ -516,8 +527,9 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     states at times (a TimeGrid or a sequence of times in [0, t_max]).
 
     Each rho is a qubit state (2 x 2) or an untouched ancilla followed by the
-    qubit (4 x 4); by linearity its trajectory combines those of the three
-    operators of _pseudomode's c0, with |g><e| taken as the adjoint of |e><g|.
+    qubit (4 x 4); by linearity its trajectory combines those of the four
+    operators |a><b| (x) |0><0| of _pseudomode's c0, and each state is folded
+    into their amplitudes once (_fold), so a call evaluates its own rows only.
     One mode build serves every state and every call.  Every rho passes the
     leak and drift checks at samples no further apart than GUARD_STEP over
     all of [0, t_max], each sampled or bounded from the spectral amplitudes,
@@ -537,6 +549,13 @@ def _evolver(channel: DrivenAmplitudeDamping, states, t_max: float) -> list:
     return _guarded(channel, FOCK_LADDER[-1], states, t_max)
 
 
+def _fold(weights, modes):
+    """Modes (w, p, A, start) of the initial operators recombined: those of
+    sum_j weights[i, j] x_j for each row i of weights (rows, operators)."""
+    w, power, amps, start = modes
+    return w, power, np.tensordot(weights, amps, axes=1), weights @ start
+
+
 def _guard_rows(modes, rhos, t_max: float):
     """Top-level population and distance of the trace from 1 of each
     rho (x) |0><0| in rhos at the samples i GUARD_STEP' over [0, t_max],
@@ -547,12 +566,11 @@ def _guard_rows(modes, rhos, t_max: float):
     (state, 2), a bound on both at every sample not yet yielded (0 after the
     last).
 
-    A state's rows are sum_ab q_ab (rows of |a><b|) for its qubit part
-    q = Tr_ancilla rho.  q is Hermitian, so the |g><e| term is the adjoint
-    of the |e><g| one, and on these real rows the sum reads
-    Re(q_ee A_ee + 2 q_eg A_eg + q_gg A_gg).  Each q is folded into the
-    amplitudes and into the exact rows at t = 0 before any sample is formed,
-    so one pass evaluates every state.
+    A state's rows are sum_ab q_ab (rows of |a><b|) over the four initial
+    operators, for its qubit part q = Tr_ancilla rho, and are real.  Each q
+    is folded into the amplitudes and into the exact rows at t = 0 before any
+    sample is formed (_fold, with weights q.ravel()), so one pass evaluates
+    every state.
 
     The bound from a block's first time on is the envelope (_envelope) of
     the top row, and for the trace row |A_k - 1| + |A_k| (exp(|w_k| t_max) - 1)
@@ -561,10 +579,8 @@ def _guard_rows(modes, rhos, t_max: float):
     rounding allowance, the factor 1 + (modes + 16 + 4 (t_max max|Re w| +
     max p)) eps, which covers the floating-point sum over the modes of a
     sample and the rounding of its exponents and of its time."""
-    w, power, amps, start = modes
     parts = [np.einsum("xaxb->ab", rho.reshape(len(rho) // 2, 2, -1, 2)) for rho in rhos]
-    fold = np.array([[q[0, 0], 2.0 * q[0, 1], q[1, 1]] for q in parts])
-    amps, start = np.tensordot(fold, amps, axes=1), fold @ start
+    w, power, amps, start = _fold(np.array([q.ravel() for q in parts]), modes)
     slack = (len(w) + 16 + 4 * (t_max * np.abs(w.real).max() + power.max())) * np.finfo(float).eps
     live = (1.0 + slack) * np.abs(amps)  # the enveloped modes: all but the stationary trace mode
     k = np.argmax(np.where(power == 0, live[:, 1], -1.0), axis=-1)  # each trace row's stationary mode
@@ -602,20 +618,15 @@ def _guarded(channel: DrivenAmplitudeDamping, n: int, states, t_max: float) -> l
 
     def evaluator(rho, what):
         k = rho.shape[0] // 2
-        r4 = rho.reshape(k, 2, k, 2)  # ancilla, qubit, ancilla, qubit
+        # rho[(x, a), (y, b)] as weights of |x><y| (x) |a><b|: rows (x, y), columns ab
+        folded = _fold(rho.reshape(k, 2, k, 2).transpose(0, 2, 1, 3).reshape(k * k, 4), modes)
 
         def evaluate(times) -> np.ndarray:
             if _last_time(times) > t_max:
                 raise ConfigError(f"{what}: times past the guarded horizon {t_max}")
-            traj = np.concatenate([*_trajectories(modes, times)])
-            m = traj.shape[0]
-            r_ee, r_eg, r_gg = (traj[:, j].reshape(m, 2, 2) for j in range(3))
-            maps = ((r_ee, r_eg), (qmath.dag(r_eg), r_gg))  # maps[a][b]: trajectory of |a><b|
-            state = np.zeros((m, k, 2, k, 2), dtype=complex)
-            for (x, a, y, b), c in np.ndenumerate(r4):
-                if c != 0:
-                    state[:, x, :, y, :] += c * maps[a][b]
-            state = state.reshape(m, 2 * k, 2 * k)
+            rows = np.concatenate([*_trajectories(folded, times)])  # (time, xy, cd)
+            m = rows.shape[0]
+            state = rows.reshape(m, k, k, 2, 2).transpose(0, 1, 3, 2, 4).reshape(m, 2 * k, 2 * k)
             state += qmath.dag(state)  # scrub 1e-16 asymmetry
             state *= 0.5
             return qmath.validate_density(state, what) if m else state

@@ -75,12 +75,15 @@ def revival_measure(channel: Channel, horizon: float = DEFAULT_T_MAX) -> Measure
     if w2 <= 0.0:
         return MeasureResult(0.0, 0.0, horizon, 0.0)
     w = math.sqrt(w2)
-    q = math.exp(-a * math.pi / w)
+    x = a * math.pi / w
+    q = math.exp(-x)
     k = math.floor(horizon * w / math.pi)
-    value = q * (1.0 - q**k) / (1.0 - q)
+    # where q rounds to 1 (lambda below 2.5e-33, tau above 1.4e16), 1 - q^j is -expm1(-j x)
+    rest, gap = (1.0 - q**k, 1.0 - q) if q < 1.0 else (-math.expm1(-k * x), -math.expm1(-x))
+    value = q * rest / gap if k else 0.0
     if horizon > (math.pi - math.atan(w / a) + k * math.pi) / w:
         value += abs(float(channel.coherence(horizon)))
-    return MeasureResult(value, 0.0, horizon, q / (1.0 - q) - value)
+    return MeasureResult(value, 0.0, horizon, q / gap - value)
 
 
 def _turns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

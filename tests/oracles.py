@@ -303,7 +303,7 @@ def full_guard_decision(channel, n_fock, states, t_max):
     checks = max(1, math.ceil(t_max / channels.GUARD_STEP - 1e-9))
     grid = channels.TimeGrid(t_max, checks)
     parts = [np.einsum("xaxb->ab", rho.reshape(len(rho) // 2, 2, -1, 2)) for rho, _ in states]
-    fold = np.array([[q[0, 0], 2.0 * q[0, 1], q[1, 1]] for q in parts])
+    fold = np.array([q.ravel() for q in parts])  # weights of |a><b|, ab = ee, eg, ge, gg
     folded = (w, power, np.tensordot(fold, amps[:, 4:], axes=1), fold @ start[:, 4:])
     rows = np.concatenate([*channels._trajectories(folded, grid)]).real
     for (_, what), top, trace in zip(states, rows[:, :, 0].T, rows[:, :, 1].T):

@@ -48,6 +48,15 @@ def trajectory(modes, times):
     return np.concatenate([*channels._trajectories(modes, times)])
 
 
+def operator_modes(channel, n, t_max=20.0):
+    """Modes of both sectors of the four initial operators' reduced-state
+    rows (ee, eg, ge, gg), joined as channels._guarded joins them, with
+    their exact rows at t = 0."""
+    gen, even, c0, red, start = operators(channel, n)
+    sectors = [channels._sector_modes(gen, c0, red[:4], part, t_max) for part in (even, ~even)]
+    return (*(np.concatenate(part, axis=-1) for part in zip(*sectors)), start[:, :4])
+
+
 def lindblad(lam, omega, n):
     """The pseudomode master equation's generator on row-major vectorized
     operators of qubit (x) pseudomode, vec(A X C) = (A kron C^T) vec(X), built
@@ -215,6 +224,26 @@ class TestAdAmplitude:
         for lam in (0.4, 2.0, 2.7):
             g = AmplitudeDamping(lam).coherence(t)
             assert np.abs(oracles.ad_survival(t, lam) - g**2).max() < 1e-15
+
+    @pytest.mark.parametrize("lam", [100.0, 800.0, 1e6])
+    def test_overdamped_closed_form_stays_finite(self, lam):
+        # exp(-a t) underflows and cosh(w t) overflows once w t > 710 (t = 14.3
+        # at lambda = 100); G is the two decaying exponentials
+        a, w2 = AmplitudeDamping(lam).rates
+        w = math.sqrt(-w2)
+        t = np.linspace(0.0, 20.0, 2001)
+        want = ((1 + a / w) * np.exp(-(a - w) * t) + (1 - a / w) * np.exp(-(a + w) * t)) / 2
+        got = AmplitudeDamping(lam).coherence(t)
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        assert np.isfinite(AmplitudeDamping(lam).bloch_plus([20.0])).all()
+
+    @pytest.mark.parametrize("lam", [1e300, 1e160, float(2**512)])
+    def test_overflowing_rates_are_config_errors(self, lam):
+        with pytest.raises(ConfigError, match="rates of its coherence overflow"):
+            AmplitudeDamping(lam)
+        with pytest.raises(ConfigError, match="rates of its coherence overflow"):
+            PhaseDamping(lam)
 
 
 class TestAdApply:
@@ -390,19 +419,14 @@ class TestTransposeSymmetry:
         assert not gen[np.ix_(~even, even)].any()
 
     def test_coupled_sectors_raise(self, monkeypatch):
-        kron = np.kron
-
-        def coupled(a, c):
-            lsuper = kron(a, c)
-            if lsuper.shape == (256, 256):  # a superoperator at n = 8
-                lsuper[0, 8] += 1e-14  # d X_ee,00 / dt gains X_eg,00: odd into even
-            return lsuper
-
+        # a 1e-14 sigma_y part in the drive makes H complex: sz H^T sz no
+        # longer flips its sign, and W couples the sectors
+        sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
         # a frame built or cached elsewhere must neither hide nor keep the coupling
         channels._pseudomode.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(np, "kron", coupled)
+                patch.setattr(qmath, "SIGMA_X", qmath.SIGMA_X + 1e-14 * sigma_y)
                 with pytest.raises(NumericError, match="couples the sectors"):
                     channels._generator(DrivenAmplitudeDamping(0.6, 0.15), 8)
         finally:
@@ -431,7 +455,7 @@ class TestTransposeSymmetry:
     @pytest.mark.parametrize("lam, omega", [(0.6, 0.15), (1.3, 0.05), (0.3, 0.0), (2.0, 0.0)])
     def test_folded_guard_matches_operator_rows(self, lam, omega):
         # _guard_rows folds each state's qubit part into the amplitudes before
-        # any sample is formed; recombining the three operators' sampled rows
+        # any sample is formed; recombining the four operators' sampled rows
         # with that part gives the same rows, to 1e-15 on the top level and
         # to a few ulps of 1 on the trace's distance from 1 (5 ulps seen
         # under two BLAS threads)
@@ -445,10 +469,47 @@ class TestTransposeSymmetry:
         for i, rho in enumerate(rhos):
             k = len(rho) // 2
             q = np.einsum("xaxb->ab", rho.reshape(k, 2, k, 2))
-            want = (q[0, 0] * rows[:, 0] + q[1, 1] * rows[:, 2]).real
-            want += 2.0 * (q[0, 1] * rows[:, 1]).real
+            want = np.einsum("j,sjr->sr", q.ravel(), rows).real  # ab = ee, eg, ge, gg
             assert np.abs(got[:, i, 0] - want[:, 0]).max() <= 1e-15
             assert np.abs(got[:, i, 1] - np.abs(want[:, 1] - 1.0)).max() <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("lam, omega", [(0.6, 0.15), (1.3, 0.05), (0.3, 0.0), (2.0, 0.0)])
+    def test_adjoint_operator_evolves_to_the_adjoint(self, lam, omega):
+        # the map preserves Hermiticity, so |g><e| = (|e><g|)+ evolves into
+        # the adjoint of |e><g|'s trajectory; the frame evolves both
+        modes = operator_modes(DrivenAmplitudeDamping(lam, omega), 8)
+        rows = trajectory(modes, TimeGrid(20.0, 2000))
+        eg, ge = rows[:, 1].reshape(-1, 2, 2), rows[:, 2].reshape(-1, 2, 2)
+        assert np.abs(ge - qmath.dag(eg)).max() <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lam=st.floats(0.5, 3.0),
+        omega=st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lam=2.0, omega=0.0, seed=0)  # an exceptional point
+    @example(lam=2.0, omega=0.012244495987297602, seed=2)  # and near one
+    def test_states_combine_operator_trajectories(self, lam, omega, seed):
+        # each evaluator folds its state into the amplitudes; its states are
+        # the Hermitian part of sum rho[(x, a), (y, b)] |x><y| (x) Phi_t(|a><b|),
+        # from the four operators' own trajectories (whose sum is Hermitian
+        # only to 4e-14 at the exceptional point (2, 0)), to 1e-14 or, where
+        # the modes' amplitudes cancel (their sum reaches 240 near (2, 0.01)),
+        # to 4 eps times that sum
+        rng = np.random.default_rng(seed)
+        ch = DrivenAmplitudeDamping(lam, omega)
+        states = [(oracles.random_density(d, rng), f"{d} x {d}") for d in (2, 4)]
+        grid = TimeGrid(20.0, 400)
+        modes = operator_modes(ch, 8)
+        tol = max(1e-14, 4 * np.finfo(float).eps * np.abs(modes[2]).sum(axis=-1).max())
+        phi = trajectory(modes, grid).reshape(-1, 2, 2, 2, 2)  # (t, a, b, c, d)
+        for (rho, _), evaluate in zip(states, channels._guarded(ch, 8, states, 20.0)):
+            k = len(rho) // 2
+            want = np.einsum("xayb,tabcd->txcyd", rho.reshape(k, 2, k, 2), phi)
+            want = want.reshape(-1, 2 * k, 2 * k)
+            want = 0.5 * (want + qmath.dag(want))
+            assert np.abs(evaluate(grid) - want).max() <= tol
 
     def test_leaking_rung_decomposes_only_the_even_sector(self, monkeypatch):
         # (0.1, 0.5) leaks at 4, 6 and 8 over the measure horizon: each of
@@ -520,20 +581,25 @@ class TestGuardBound:
                     assert sampled <= got[0] <= sampled * (1.0 + 1e-9), (a, p, t_from)
 
     def test_drift_is_still_sampled(self):
-        # (1.0, 1e-14) drifts past TRACE_DRIFT_TOL on rung 8 (1.32e-8 at its
-        # worst sample, one BLAS thread) and, under one BLAS thread, on rung
-        # 12 (1.19e-8); the bound never passes a rung whose samples fail, and
-        # (2.9, 1e-13) passes rung 16
-        for lam, omega, n in ((1.0, 1e-14, 8), (1.0, 1e-14, 12), (2.9, 1e-13, 16)):
+        # drives just above the eps cut, where the eigenproblem is
+        # ill-conditioned: (0.5, 3e-15) drifts past TRACE_DRIFT_TOL on rung 6
+        # (1.55e-8 at its worst sample) and (1.5, 3e-15) on rung 4 (2.94e-8),
+        # under one and two BLAS threads, and (1.0, 1e-14) on rung 12 under
+        # one (2.09e-8); the bound never passes a rung whose samples fail, and
+        # every other rung passes
+        drifts = 0
+        for lam, omega in ((1.0, 1e-14), (0.5, 3e-15), (1.5, 3e-15)):
             ch = DrivenAmplitudeDamping(lam, omega)
-            want = oracles.full_guard_decision(ch, n, self.STATES, 20.0)
-            if want is None:
-                assert n != 8
-                channels._guarded(ch, n, self.STATES, 20.0)
-                continue
-            assert want[0] is NumericError and want[2] > channels.TRACE_DRIFT_TOL
-            with pytest.raises(NumericError, match=rf"^{re.escape(want[1])}: trace drift "):
-                channels._guarded(ch, n, self.STATES, 20.0)
+            for n in channels.FOCK_LADDER:
+                want = oracles.full_guard_decision(ch, n, self.STATES, 20.0)
+                if want is None:
+                    channels._guarded(ch, n, self.STATES, 20.0)
+                    continue
+                assert want[0] is NumericError and want[2] > channels.TRACE_DRIFT_TOL
+                with pytest.raises(NumericError, match=rf"^{re.escape(want[1])}: trace drift "):
+                    channels._guarded(ch, n, self.STATES, 20.0)
+                drifts += 1
+        assert drifts >= 2
 
     def test_samples_stop_once_decided(self, monkeypatch):
         counts, trajectories = [], channels._trajectories
@@ -598,6 +664,26 @@ class TestPseudomodeFrame:
             assert np.abs(want.imag).max() <= 1e-14 * scale
             assert np.abs(got - want.real).max() <= 1e-14 * scale
             assert np.array_equal(got, undriven) != kept
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_readouts_match_dense_basis(self, n):
+        # on row-major vectorized operators: x0 holds vec(|a><b| (x) |0><0|),
+        # ab = ee, eg, ge, gg, and the rows read the reduced entries, the top
+        # Fock level and the trace off vec(X)
+        d, levels = 2 * n, np.arange(n)
+        u = hermitian_basis(n)
+        vacuum = np.zeros((n, n))
+        vacuum[0, 0] = 1.0
+        x0 = np.stack([np.kron(e, vacuum).reshape(-1) for e in np.eye(4).reshape(4, 2, 2)], axis=1)
+        rows = np.zeros((6, d * d))
+        for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            rows[k, (a * n + levels) * d + b * n + levels] = 1.0
+        rows[4, np.array([n - 1, d - 1]) * (d + 1)] = 1.0
+        rows[5, np.arange(d) * (d + 1)] = 1.0
+        _, c0, red, start, _ = channels._pseudomode(n)
+        assert np.abs(c0 - u.conj().T @ x0).max() <= 1e-15
+        assert np.abs(red - rows @ u).max() <= 1e-15
+        assert np.abs(start - (rows @ x0).T).max() <= 1e-15
 
     def test_table_builds_each_frame_once(self, monkeypatch):
         sizes, generator = set(), channels._generator

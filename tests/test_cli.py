@@ -434,6 +434,45 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    def test_overdamped_ox_sweep_is_finite(self, tmp_path):
+        # at lambda = 800, exp(-a t) underflows and cosh(w t) overflows past
+        # t = 1.75; the closed form takes their decaying exponentials apart
+        out = tmp_path / "x.csv"
+        code = run(
+            "sweep", "--kind", "ox", "--channel", "ad", "--lambdas", "800",
+            "--tmax", "5", "--points", "3", "--out", str(out),
+        )
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(rows).all() and (rows[1:, 3] > 0.0).all()
+
+    @pytest.mark.parametrize(
+        "channel, flag, value", [("ad", "--lambdas", "1e300"), ("pd", "--taus", "1e200")]
+    )
+    @pytest.mark.parametrize("kind", ["ox", "measure"])
+    def test_overflowing_rates_are_config_errors(self, tmp_path, capsys, kind, channel, flag,
+                                                 value):
+        out = tmp_path / "x.csv"
+        code = run("sweep", "--kind", kind, "--channel", channel, flag, value, "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert "rates of its coherence overflow" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "channel, flag, value, want",
+        # q = exp(-x), x = a pi / w, rounds to 1: no revival within the
+        # horizon for the weak coupling, and (1 - e^-20) / x = 1.27e17 peaks
+        # of height about 1 for the long memory
+        [("ad", "--lambdas", "1e-40", 0.0),
+         ("pd", "--taus", "1e17", -np.expm1(-20.0) * 4e17 / np.pi)],
+    )
+    def test_revival_sum_where_q_rounds_to_one(self, tmp_path, channel, flag, value, want):
+        out = tmp_path / "m.csv"
+        argv = ["sweep", "--kind", "measure", "--channel", channel, flag, value, "--out", str(out)]
+        assert run(*argv) == 0
+        got = float(out.read_text().splitlines()[1].split(",")[-1])
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_ox_curves_separated_by_critical_coupling(self, tmp_path):
         # at t = 1/gamma0 every lambda < 2 curve sits above the lambda = 2
         # one, every lambda > 2 curve below
