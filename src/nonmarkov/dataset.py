@@ -9,11 +9,12 @@ expectation values O_k = Tr[sigma_k rho(t)] of the state evolved from |+>
 (the +1 eigenstate of sigma_x, inferred from the initial value O_x(0) = 1),
 concatenated over the tomography times.  Targets are the non-Markovianity
 measures up to the horizon in #meta.  make_channel builds a row's channel,
-undriven wherever the drive is exactly 0, and measures.table_row, the one
-route of every row, its target and features: exact revival-peak sums and
-closed forms for the undriven channels, and for the driven one the refined
-concurrence sum and the features from one propagator build.  A driven
-table's #meta also records the largest stated grid error of its targets.
+undriven wherever the drive is below channels.DRIVE_CUT, and
+measures.table_row, the one route of every row, its target and features:
+exact revival-peak sums and closed forms for the undriven channels, and for
+the driven one the refined concurrence sum and the features from one
+propagator build.  A driven table's #meta also records the largest stated
+grid error of its targets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import measures
-from .channels import AmplitudeDamping, Channel, DrivenAmplitudeDamping, PhaseDamping
+from .channels import DRIVE_CUT, AmplitudeDamping, Channel, DrivenAmplitudeDamping, PhaseDamping
 from .errors import ConfigError, DataFormatError
 
 FEATURE_INITIAL_STATE = "+x"  # recorded in metadata; see ledger
@@ -159,10 +160,11 @@ class DataTable:
 def make_channel(kind: str, param: float, omega: float) -> Channel:
     """The channel of a row of kind (a key of KINDS) at (param, omega):
     amplitude damping, whose closed form is exact, wherever the drive is
-    exactly 0, for the driven kind too, and the driven channel otherwise."""
+    below DRIVE_CUT, for the driven kind too, and the driven channel
+    otherwise, which refuses a negative drive."""
     if kind == "pd":
         return PhaseDamping(param)
-    if omega == 0.0:
+    if 0.0 <= omega < DRIVE_CUT:
         return AmplitudeDamping(param)
     return DrivenAmplitudeDamping(param, omega)
 

@@ -9,14 +9,16 @@ instead of svr.rbf_gram's in-place build, measure accumulation via a scalar
 loop instead of vectorized diffs, the trace distance of two evolved states
 from the eigenvalues of their difference instead of |coherence|, the
 undriven channels as Kraus maps on density matrices instead of the closed
-forms of their coherence factor, their measures as grid sums of sampled
-series and as |coherence| read off at the revival peaks instead of the
-geometric peak sum, the driven channel via scipy's expm of a separately
+forms of their coherence factor, the overdamped coherence in 400-digit
+decimal arithmetic instead of from rounded float rates, their measures as
+grid sums of sampled series and as |coherence| read off at the revival
+peaks instead of the geometric peak sum, the driven channel via scipy's expm of a separately
 built generator instead of its eigendecomposition, and the outcome of the
 leak and drift guard from every one of its samples instead of from a bound
 on the samples it does not take.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -187,6 +189,17 @@ def pd_apply(rho, nu, tau):
     m2 = math.sqrt(max(0.0, (1.0 - lam_nu) / 2.0)) * SIGMA_Z
     out = m1 @ rho @ qmath.dag(m1) + m2 @ rho @ qmath.dag(m2)
     return qmath.validate_density(out, "pd_apply output")
+
+
+def overdamped_coherence(a, k, t):
+    """((1 + a/w) exp(-(a - w) t) + (1 - a/w) exp(-(a + w) t)) / 2 with
+    w = sqrt(a^2 - k), for k < a^2 (k = a^2 + w^2 of the channels' rates),
+    in 400-digit decimal arithmetic from a, k and t taken exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        a, k, t = (decimal.Decimal(x) for x in (a, k, t))
+        w = (a * a - k).sqrt()
+        return float(((1 + a / w) * (-(a - w) * t).exp() + (1 - a / w) * (-(a + w) * t).exp()) / 2)
 
 
 def ad_kraus(g):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonmarkov import channels, dataset, qmath
+from nonmarkov import channels, dataset, measures, qmath
 from nonmarkov.channels import (
     AmplitudeDamping,
     DrivenAmplitudeDamping,
@@ -149,6 +149,15 @@ class TestPdLambda:
         above = PhaseDamping(0.25 + 1e-6).coherence(nu)
         assert np.abs(np.abs(below) - np.abs(above)).max() < 1e-4
 
+    @pytest.mark.parametrize("tau", [1e-6, 0.01, 0.2])
+    def test_overdamped_past_nu_700(self, tau):
+        # past a nu = 700 the two decaying exponentials, the slow rate from
+        # a^2 + w^2 = (4 tau)^2
+        nu = [0.0, 1.0, 700.5, 1000.0]
+        got = PhaseDamping(tau).coherence(nu)
+        want = np.array([oracles.overdamped_coherence(1.0, (4.0 * tau) ** 2, t) for t in nu])
+        assert (np.abs(got - want) <= 1e-12 * want).all()
+
     def test_domain_errors(self):
         for nu in (-0.1, float("nan"), [0.0, -1e-3]):
             with pytest.raises(ConfigError):
@@ -237,6 +246,16 @@ class TestAdAmplitude:
         assert np.isfinite(got).all()
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
         assert np.isfinite(AmplitudeDamping(lam).bloch_plus([20.0])).all()
+
+    @pytest.mark.parametrize("lam", [1e8, 1e16, 1e100])
+    def test_strongly_overdamped_slow_rate(self, lam):
+        # a - w = (lambda / 2) / (a + w): a^2 + w^2 = lambda / 2 taken
+        # exactly, not a^2 - |w|^2 from rounded rates, which cancels (at 1e16
+        # it read G(20) = 1.0 for e^-10 = 4.54e-5)
+        times = [0.0, 1e-9, 0.5, 3.0, 20.0]
+        got = AmplitudeDamping(lam).coherence(times)
+        want = np.array([oracles.overdamped_coherence(lam / 2.0, lam / 2.0, t) for t in times])
+        assert (np.abs(got - want) <= 1e-12 * want).all()
 
     @pytest.mark.parametrize("lam", [1e300, 1e160, float(2**512)])
     def test_overflowing_rates_are_config_errors(self, lam):
@@ -327,6 +346,14 @@ class TestDrivenEvolve:
             (2.0 + 1e-6, 0.0, 8, (2, 2)),
             (2.0, 1e-5, 8, (2, 2)),
             (4.0, 0.0, 8, (2, 2)),
+            # lambda = 4, 6 and 8, driven or not: eigenvalue clusters whose
+            # invariant subspaces the block search finds by solving with
+            # gen - sigma, and not by multiplying with its inverse
+            (4.0, 0.0, 4, (2, 2)),
+            (6.0, 0.0, 4, (2, 2)),
+            (4.0, 1e-4, 4, (2, 2)),
+            (6.0, 1e-4, 6, (2, 2)),
+            (8.0, 1e-6, 6, (2, 2)),
         ],
     )
     def test_matches_expm_oracle(self, monkeypatch, lam, omega, n_fock, dims):
@@ -580,13 +607,14 @@ class TestGuardBound:
                     got = channels._envelope(w, power, np.ones((1, 1)), t_from, 20.0)
                     assert sampled <= got[0] <= sampled * (1.0 + 1e-9), (a, p, t_from)
 
-    def test_drift_is_still_sampled(self):
-        # drives just above the eps cut, where the eigenproblem is
+    def test_drift_is_still_sampled(self, monkeypatch):
+        # drives below DRIVE_CUT, kept here, where the eigenproblem is
         # ill-conditioned: (0.5, 3e-15) drifts past TRACE_DRIFT_TOL on rung 6
         # (1.55e-8 at its worst sample) and (1.5, 3e-15) on rung 4 (2.94e-8),
         # under one and two BLAS threads, and (1.0, 1e-14) on rung 12 under
         # one (2.09e-8); the bound never passes a rung whose samples fail, and
         # every other rung passes
+        monkeypatch.setattr(channels, "DRIVE_CUT", 0.0)
         drifts = 0
         for lam, omega in ((1.0, 1e-14), (0.5, 3e-15), (1.5, 3e-15)):
             ch = DrivenAmplitudeDamping(lam, omega)
@@ -653,10 +681,10 @@ class TestPseudomodeFrame:
     def test_generator_matches_lindblad_superoperator(self, lam, omega, n):
         u = hermitian_basis(n)
         undriven = channels._generator(DrivenAmplitudeDamping(lam, 0.0), n)
-        cut = np.finfo(float).eps * np.abs(undriven).max()
-        # the drives next to the cut: the one just above it enters, the one
-        # just below it is left out
-        for om in (omega, np.nextafter(cut, np.inf), np.nextafter(cut, 0.0)):
+        cut = channels.DRIVE_CUT
+        # the drives next to the cut: the cut and the one just above it
+        # enter, the one just below it is left out
+        for om in (omega, cut, np.nextafter(cut, np.inf), np.nextafter(cut, 0.0)):
             kept = not om < cut
             want = u.conj().T @ lindblad(lam, om if kept else 0.0, n) @ u
             got = channels._generator(DrivenAmplitudeDamping(lam, om), n)
@@ -700,16 +728,16 @@ class TestPseudomodeFrame:
 
 
 class TestUnresolvableDrive:
-    """A drive below eig's own backward error, eps times the largest entry of
-    the undriven generator, is built as omega = 0."""
+    """A drive below DRIVE_CUT, which moves no feature by more than LEAK_TOL
+    on the horizon, is built as omega = 0."""
 
     LAMS = (0.0625, 0.5, 1.0, 2.9)
 
     @pytest.mark.parametrize("n", channels.FOCK_LADDER)
     def test_generator_is_undriven(self, n):
-        # omega = 10^-k, k = 20..300, lies below the cut at every rung (the cut
-        # grows with n); every k at the first rung, where a build is cheap,
-        # and at the others a spread that holds the drives once seen to fail
+        # omega = 10^-k, k = 20..300, lies below the cut; every k at the first
+        # rung, where a build is cheap, and at the others a spread that holds
+        # the drives once seen to fail
         ks = range(20, 301) if n == channels.FOCK_LADDER[0] else (20, 45, 100, 127, 273, 300)
         for lam in self.LAMS:
             want = channels._generator(DrivenAmplitudeDamping(lam, 0.0), n)
@@ -734,7 +762,7 @@ class TestUnresolvableDrive:
 
     def test_resolvable_drive_is_kept(self):
         # just above the cut the drive enters the generator
-        ch = DrivenAmplitudeDamping(0.5, 1e-12)
+        ch = DrivenAmplitudeDamping(0.5, np.nextafter(channels.DRIVE_CUT, 1.0))
         assert not np.array_equal(
             channels._generator(ch, 4), channels._generator(DrivenAmplitudeDamping(0.5, 0.0), 4)
         )
@@ -806,3 +834,47 @@ class TestDrivenBellAndPlus:
         for bad in ((2.5,), TimeGrid(3.0, 6), (float("nan"),)):
             with pytest.raises(ConfigError):
                 plus(bad)
+
+
+class TestEveryDriveAnswers:
+    """Every coupling and drive gives valid output or the last rung's leak:
+    below DRIVE_CUT a drive is left out, which moves a feature by at most
+    2 omega t, and the block search holds at the exceptional points
+    lambda = 2N."""
+
+    TIMES = (3.0, 5.0, 6.0, 10.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.05, 10.0),
+        omega=st.just(0.0) | st.floats(-16.0, 0.0).map(lambda x: 10.0**x),
+    )
+    @example(lam=2.0, omega=0.0)
+    @example(lam=4.0, omega=1e-4)
+    @example(lam=6.0, omega=3e-15)
+    @example(lam=8.0, omega=1e-6)
+    def test_both_routes_answer(self, lam, omega):
+        for route in (
+            lambda: measures.table_row(dataset.make_channel("driven", lam, omega), times=self.TIMES),
+            lambda: measures.driven_entanglement(DrivenAmplitudeDamping(lam, omega), times=self.TIMES),
+        ):
+            try:
+                result, features = route()
+            except TruncationLeakError as exc:
+                assert f"at n_fock = {channels.FOCK_LADDER[-1]} " in str(exc)
+                continue
+            assert math.isfinite(result.value) and result.value >= 0.0
+            assert math.isfinite(result.grid_error) and result.grid_error >= 0.0
+            assert features.shape == (3 * len(self.TIMES),)
+            assert np.isfinite(features).all() and np.abs(features).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, 4.0, 7.0])
+    def test_drive_above_the_cut_stays_within_its_bound(self, lam):
+        # ||rho_omega(t) - rho_0(t)||_1 <= 2 omega t bounds every Bloch
+        # component of |+>, since |Tr(sigma (a - b))| <= ||a - b||_1
+        times = np.array([3.0, 5.0, 6.0, 10.0, 20.0])
+        want = AmplitudeDamping(lam).bloch_plus(times)
+        for k in range(1, 11):
+            omega = k * channels.DRIVE_CUT
+            got = DrivenAmplitudeDamping(lam, omega).bloch_plus(times)
+            assert (np.abs(got - want) <= 2.0 * omega * times[:, None]).all(), (lam, k)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli, dataset, measures, svr
+from nonmarkov.channels import DrivenAmplitudeDamping
 
 
 def run(*argv):
@@ -120,9 +121,10 @@ class TestGenerate:
     def test_driven_undriven_grid_through_critical_coupling(self, tmp_path):
         # the 29-coupling grid holds lambda = 0.1 + 19 * 0.1 = 2.0, the
         # exceptional point of the undriven generator.  A drive of 1e-100,
-        # below the eps cut, is built undriven in the engine; a drive of 0
-        # takes the closed form, whose degenerate limit w -> 0 holds there
-        tables = {}
+        # below channels.DRIVE_CUT, takes the closed form as a drive of 0
+        # does, whose degenerate limit w -> 0 holds there: the tables differ
+        # only in their drive column
+        rows = {}
         for omega in ("1e-100", "0"):
             out = tmp_path / f"driven{omega}.csv"
             code = run(
@@ -130,13 +132,24 @@ class TestGenerate:
                 "--count", "29", "--omegas", omega, "--out", str(out),
             )
             assert code == 0
-            tables[omega] = table = dataset.load_table(out)
+            table = dataset.load_table(out)
             assert len(table) == 29
             assert np.isclose(table.params[19, 0], 2.0)
-        engine, closed = tables["1e-100"], tables["0"]
-        assert engine.grid_errors.max() > 0.0 and closed.grid_errors.max() == 0.0
-        assert np.abs(engine.features - closed.features).max() < 1e-10
-        assert np.abs(engine.targets - closed.targets).max() <= engine.grid_errors.max() + 1e-6
+            rows[omega] = [ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()[1:]]
+        assert rows["1e-100"] == rows["0"]
+        # the engine, built undriven at that drive, against the closed form
+        closed = dataset.load_table(tmp_path / "driven0.csv")
+        assert closed.grid_errors.max() == 0.0
+        results = [
+            measures.driven_entanglement(DrivenAmplitudeDamping(lam, 1e-100), times=(3.0,))
+            for lam in closed.params[:, 0]
+        ]
+        grid_errors = np.array([result.grid_error for result, _ in results])
+        targets = np.array([result.value for result, _ in results])
+        features = np.array([features for _, features in results])
+        assert grid_errors.max() > 0.0
+        assert np.abs(features - closed.features).max() < 1e-10
+        assert np.abs(targets - closed.targets).max() <= grid_errors.max() + 1e-6
 
     def test_driven_times_past_horizon_without_drive(self, tmp_path):
         # the horizon rule of a driven table does not depend on its drives
@@ -387,6 +400,25 @@ class TestSweep:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 500
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # below channels.DRIVE_CUT: the closed form, not an ill-conditioned engine
+            ["generate", "--channel", "driven", "--count", "5", "--omegas", "1e-13", "--tc", "3"],
+            ["sweep", "--kind", "measure", "--channel", "ad", "--lambdas", "1.5", "--omegas", "3e-15"],
+            # lambda = 4: a threefold cluster, found by the block search
+            ["sweep", "--kind", "measure", "--channel", "ad", "--lambdas", "4", "--omegas", "1e-4"],
+        ],
+        ids=["generate-1e-13", "sweep-3e-15", "sweep-lambda-4"],
+    )
+    def test_small_drives_and_exceptional_couplings_answer(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert len(values) == (5 if argv[0] == "generate" else 1)
+        assert np.isfinite(values).all()
 
     @pytest.mark.parametrize("points", ["0", "1", "-3"])
     def test_fewer_than_two_points_is_config_error(self, tmp_path, points):

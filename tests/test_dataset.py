@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nonmarkov import dataset, measures, qmath
+from nonmarkov import channels, dataset, measures, qmath
 from nonmarkov.channels import AmplitudeDamping, DrivenAmplitudeDamping, PhaseDamping
 from nonmarkov.errors import ConfigError, DataFormatError
 
@@ -184,8 +184,13 @@ class TestGenerateDriven:
         assert np.array_equal(driven.targets, undriven.targets)
         assert np.array_equal(driven.features, undriven.features)
         assert np.array_equal(driven.grid_errors, np.zeros(7))
-        assert isinstance(dataset.make_channel("driven", 0.5, 0.0), AmplitudeDamping)
-        assert isinstance(dataset.make_channel("driven", 0.5, 1e-100), DrivenAmplitudeDamping)
+        # so does a drive below channels.DRIVE_CUT, and the cut itself drives
+        for omega in (0.0, 1e-100, np.nextafter(channels.DRIVE_CUT, 0.0)):
+            assert isinstance(dataset.make_channel("driven", 0.5, omega), AmplitudeDamping)
+        for omega in (channels.DRIVE_CUT, np.nextafter(channels.DRIVE_CUT, 1.0)):
+            assert isinstance(dataset.make_channel("driven", 0.5, omega), DrivenAmplitudeDamping)
+        with pytest.raises(ConfigError, match="omega must be finite and >= 0"):
+            dataset.make_channel("driven", 0.5, -1e-12)
 
     def test_rows_are_omega_major(self):
         table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.1, 0.2))
