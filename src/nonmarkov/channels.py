@@ -285,11 +285,10 @@ def _pseudomode(n: int):
     d = 2 * n
     p, q = np.triu_indices(d, 1)
     diag, r = np.arange(d), 1.0 / math.sqrt(2.0)
-    sym, anti = d + np.arange(len(p)), d + len(p) + np.arange(len(p))
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[diag, diag, diag] = 1.0
-    basis[sym, p, q] = basis[sym, q, p] = r
-    basis[anti, p, q], basis[anti, q, p] = 1j * r, -1j * r
+    # B_k holds entry[k] at (first[k], second[k]) and its conjugate at
+    # (second[k], first[k]), which is the same place for E_pp
+    first, second = np.concatenate([diag, p, p]), np.concatenate([diag, q, q])
+    entry = np.concatenate([np.ones(d), np.full(len(p), r), np.full(len(p), 1j * r)])
     same = (p < n) == (q < n)  # s_p s_q = +1
     even = np.concatenate([np.ones(d, dtype=bool), same, ~same])
 
@@ -297,10 +296,17 @@ def _pseudomode(n: int):
         upper, lower = x[:, p, q], x[:, q, p]
         return np.concatenate([x[:, diag, diag], r * (upper + lower), 1j * r * (lower - upper)], 1)
 
+    def basis(k):  # B_k, ..., B_{k + d - 1}; all d^2 at once are 16.8 MB at n = 16
+        at = slice(k, k + d)
+        out = np.zeros((d, d, d), dtype=complex)
+        out[diag, first[at], second[at]] = entry[at]
+        out[diag, second[at], first[at]] = entry[at].conj()
+        return out
+
     def nonzero(apply):  # Tr(B_j P(B_k)), P applied to 2n basis matrices B_k at a time
         gen = np.empty((d * d, d * d))
         for k in range(0, d * d, d):
-            gen[:, k : k + d] = coords(apply(basis[k : k + d])).real.T
+            gen[:, k : k + d] = coords(apply(basis(k))).real.T
         where = np.nonzero(gen)
         values = gen[where]
         cross = np.abs(values[even[where[0]] != even[where[1]]])

@@ -1,12 +1,14 @@
 """Command-line orchestration: dataset generation, training, evaluation,
 prediction, parameter sweeps, and the figure-reproduction meta-command.
 
-Every option is declared once, in build_parser.  A --config file holds
-key=value lines; each becomes the flag --key=value in front of the command's
-own flags, so one parser checks both and a flag wins.  Every command writes
-its resolved options next to its outputs, in the same key=value form, and
-refuses to overwrite existing paths.  Exit codes: 0 success, 2
-configuration/schema error, 3 numeric failure, 4 I/O failure.
+Every option is declared once, in build_parser, which runs once, when the
+module is imported: main parses every call with that one parser, which
+parse_args leaves as it found it.  A --config file holds key=value lines;
+each becomes the flag --key=value in front of the command's own flags, so
+one parser checks both and a flag wins.  Every command writes its resolved
+options next to its outputs, in the same key=value form, and refuses to
+overwrite existing paths.  Exit codes: 0 success, 2 configuration/schema
+error, 3 numeric failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _write_resolved(args: argparse.Namespace, path) -> None:
     resolved = vars(args)
     for key in sorted(resolved):
         val = resolved[key]
-        if val is None or key in ("command", "config", "func"):
+        if val is None or key in ("command", "config"):
             continue
         if isinstance(val, tuple):
             val = ",".join(FMT % v if isinstance(v, float) else str(v) for v in val)
@@ -407,15 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
+    def command(name, summary):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument(
             "--config", help="key=value file; each key is an option name, flags win"
         )
-        p.set_defaults(func=func)
         return p
 
-    p = command("generate", cmd_generate, "generate a feature/target dataset")
+    p = command("generate", "generate a feature/target dataset")
     p.add_argument("--channel", choices=("ad", "pd", "driven"), required=True)
     p.add_argument("--measure", choices=("trace", "entanglement"), default="entanglement")
     p.add_argument(
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
     p.add_argument("--out", required=True)
 
-    p = command("train", cmd_train, "fit the epsilon-SVR on a dataset")
+    p = command("train", "fit the epsilon-SVR on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED, help="70/30 split seed")
@@ -442,21 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip feature standardization",
     )
 
-    p = command("evaluate", cmd_evaluate, "evaluate a model on a dataset")
+    p = command("evaluate", "evaluate a model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
     p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
     p.add_argument("--out", required=True)
 
-    p = command("predict", cmd_predict, "predict from a feature vector or dataset")
+    p = command("predict", "predict from a feature vector or dataset")
     p.add_argument("--model", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--features", type=_parse_floats)
     source.add_argument("--data")
     p.add_argument("--out")
 
-    p = command("sweep", cmd_sweep, "trajectory or measure-vs-parameter tables")
+    p = command("sweep", "trajectory or measure-vs-parameter tables")
     p.add_argument("--kind", choices=("ox", "measure"), required=True)
     p.add_argument("--channel", choices=("ad", "pd"), default="ad")
     p.add_argument("--measure", choices=("trace", "entanglement"), default="entanglement")
@@ -467,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--out", required=True)
 
-    p = command("reproduce", cmd_reproduce, "run the five figure pipelines end to end")
+    p = command("reproduce", "run the five figure pipelines end to end")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=dataset.DEFAULT_SEED)
     p.add_argument(
@@ -477,12 +478,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built at import rather than on first use, so train's defaults are always
+# those of SvrConfig() as imported, whatever a caller patches later.  The
+# parser holds each command's name, not its function: main looks that up per
+# call, so a function put in place of a cmd_* (a test's stub, a tracer's
+# wrapper) is the one run.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_with_config(argv))
-        return args.func(args)
+        args = _PARSER.parse_args(_with_config(argv))
+        command = {
+            "generate": cmd_generate,
+            "train": cmd_train,
+            "evaluate": cmd_evaluate,
+            "predict": cmd_predict,
+            "sweep": cmd_sweep,
+            "reproduce": cmd_reproduce,
+        }[args.command]
+        return command(args)
     except (ConfigError, DataFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

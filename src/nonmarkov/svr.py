@@ -38,6 +38,7 @@ from .errors import ConfigError, DataFormatError
 
 DEFAULT_MAX_ITER = 10_000_000
 SUPPORT_TOL = 1e-12  # dual coefficients at or below this are dropped
+_BLOCK = 256  # rows per kernel block of predict: two 256 x m buffers serve every block
 _MODEL_MAGIC = "nonmarkov-svr v1"
 
 
@@ -85,16 +86,24 @@ def resolve_gamma(config_gamma, features: np.ndarray) -> float:
     return 1.0 / (features.shape[1] * var)
 
 
-def rbf_gram(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel matrix k(x_i, y_j), shape (len(x), len(y))."""
+def rbf_gram(
+    x: np.ndarray, y: np.ndarray, gamma: float, buffers: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Kernel matrix k(x_i, y_j), shape (len(x), len(y)), built in buffers
+    (out, scratch) of that shape when given, else in two new ones."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
         raise ConfigError(f"feature length mismatch {x.shape} vs {y.shape}")
-    # |x_i|^2 + |y_j|^2 - 2 x_i.y_j, built in place: two (len(x), len(y))
-    # buffers at most, and the same rounding as the plain expression
-    sq = np.add.outer((x**2).sum(axis=1), (y**2).sum(axis=1))
-    cross = x @ y.T
+    # |x_i|^2 + |y_j|^2 - 2 x_i.y_j, built in place: the same rounding as
+    # the plain expression
+    x_sq, y_sq = (x**2).sum(axis=1), (y**2).sum(axis=1)
+    if buffers is None:
+        sq, cross = np.add.outer(x_sq, y_sq), x @ y.T
+    else:
+        sq, cross = buffers
+        np.add.outer(x_sq, y_sq, out=sq)
+        np.matmul(x, y.T, out=cross)
     cross *= 2.0
     sq -= cross
     np.maximum(sq, 0.0, out=sq)
@@ -256,14 +265,24 @@ def fit(
 
 
 def predict(model: SvrModel, features: np.ndarray):
-    """Apply the stored scaler, then the kernel expansion."""
+    """Apply the stored scaler, then the kernel expansion.  Past _BLOCK rows
+    the kernel is built _BLOCK rows at a time in one pair of buffers, not
+    all at once in two (rows, support vectors) arrays."""
     features = np.asarray(features, dtype=float)
     x_std = model.scaler.transform(np.atleast_2d(features))
-    if len(model.dual_coefs) == 0:
+    sv, beta, gamma = model.support_vectors, model.dual_coefs, model.kernel_gamma
+    if len(beta) == 0:
         out = np.full(len(x_std), model.intercept)
+    elif len(x_std) <= _BLOCK:  # one block, in buffers of its own size
+        out = rbf_gram(x_std, sv, gamma) @ beta + model.intercept
     else:
-        kernel = rbf_gram(x_std, model.support_vectors, model.kernel_gamma)
-        out = kernel @ model.dual_coefs + model.intercept
+        out = np.empty(len(x_std))
+        sq, cross = np.empty((_BLOCK, len(sv))), np.empty((_BLOCK, len(sv)))
+        for start in range(0, len(x_std), _BLOCK):
+            x = x_std[start : start + _BLOCK]
+            kernel = rbf_gram(x, sv, gamma, (sq[: len(x)], cross[: len(x)]))
+            np.matmul(kernel, beta, out=out[start : start + len(x)])
+        out += model.intercept
     return float(out[0]) if features.ndim == 1 else out
 
 

@@ -791,3 +791,61 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         table = dataset.load_table(out)
         assert table.schema.channel == "pd" and len(table) == 4
+
+
+class TestOneParser:
+    """main parses every call with the parser built at import; no call leaves
+    anything in it for the next one."""
+
+    def test_main_never_rebuilds_the_parser(self, ad_table, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        table, model = tmp_path / "t.csv", tmp_path / "m"
+        assert run("generate", "--channel", "pd", "--count", "8", "--out", str(table)) == 0
+        assert run("train", "--data", str(ad_table), "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--data", str(ad_table),
+                   "--out", str(tmp_path / "p")) == 0
+
+    def test_command_function_is_looked_up_per_call(self, trained_model, monkeypatch, capsys):
+        # a function put in place of cmd_<name> after import is the one run,
+        # as a tracer's wrapper must be
+        calls, predict = [], cli.cmd_predict
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: calls.append(args) or predict(args))
+        assert run("predict", "--model", str(trained_model), "--features", "0.3,0,-0.7") == 0
+        assert len(calls) == 1 and calls[0].features == (0.3, 0.0, -0.7)
+        assert float(capsys.readouterr().out) == svr.predict(
+            svr.load_model(trained_model), np.array([0.3, 0.0, -0.7])
+        )
+
+    def test_no_option_leaks_into_the_next_call(self, ad_table, tmp_path):
+        def resolved(name):
+            lines = (tmp_path / f"{name}.config").read_text().splitlines()[1:]
+            return dict(line.split("=", 1) for line in lines)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=0.01\nmax_iter=90000\n")
+        data = ["--data", str(ad_table)]
+        assert run("train", *data, "--cost", "5", "--out", str(tmp_path / "cost")) == 0
+        assert run("train", "--config", str(cfg), *data, "--out", str(tmp_path / "tol")) == 0
+        assert run("train", *data, "--out", str(tmp_path / "plain")) == 0
+        assert resolved("cost")["cost"] == "5.0"
+        assert (resolved("tol")["tol"], resolved("tol")["max_iter"]) == ("0.01", "90000")
+        defaults = svr.SvrConfig()
+        plain = resolved("plain")
+        assert plain["cost"] == str(defaults.C) and plain["tol"] == str(defaults.tol)
+        assert plain["epsilon"] == str(defaults.epsilon)
+        assert plain["gamma"] == str(defaults.kernel_gamma)
+        assert plain["max_iter"] == str(defaults.max_iter)
+        assert plain["seed"] == str(dataset.DEFAULT_SEED) and plain["no_scale"] == "False"
+
+    def test_call_after_a_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "pd.csv"
+        assert run("generate", "--channel", "pd", "--count", "x", "--out", str(out)) == 2
+        assert run("generate", "--channel", "pd", "--count", "4", "--out", str(out)) == 0
+        assert len(dataset.load_table(out)) == 4
+        assert "configuration error: " in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("--version")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == cli.__version__ + "\n"

@@ -274,6 +274,21 @@ class TestPredict:
         direct = kernel @ model.dual_coefs + model.intercept
         assert np.abs(svr.predict(model, x) - direct).max() < 1e-14
 
+    def test_blocks_match_one_block(self, monkeypatch):
+        # rows past one block: each block's kernel sums in its own order, so
+        # the rows may move in the last bits, but not further
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-2.0, 2.0, (200, 2))
+        model = svr.fit(x, np.sin(x).sum(axis=1))
+        probe = rng.uniform(-2.5, 2.5, (2 * svr._BLOCK + 37, 2))
+        blocked = svr.predict(model, probe)
+        direct = oracles.naive_rbf_gram(probe, model.support_vectors, model.kernel_gamma)
+        assert np.abs(blocked - (direct @ model.dual_coefs + model.intercept)).max() <= 1e-13
+        monkeypatch.setattr(svr, "_BLOCK", len(probe))
+        assert np.abs(blocked - svr.predict(model, probe)).max() <= 1e-13
+        for i in rng.choice(len(probe), 25, replace=False):
+            assert svr.predict(model, probe[i]) == pytest.approx(blocked[i], rel=1e-12, abs=0)
+
     def test_length_mismatch(self):
         x, y = smooth_problem(11)
         model = svr.fit(x, y)
