@@ -5,7 +5,12 @@ evolved |+> (bloch_plus, the tomography features) and, for the two undriven
 channels, the coherence factor that scales the off-diagonals (coherence;
 closed_form = True).  Both undriven coherences are one damped oscillation,
 exp(-a t) [cos(w t) + (a/w) sin(w t)] (_oscillation), and each class states
-only its rates (a, w^2) and, exactly, a^2 + w^2.  Phase damping dephases
+only its rates (a, w^2) and, exactly, a^2 + w^2, at an array of its
+parameter (rates_at), and its Bloch vector of |+> as a function of its
+coherence (plus_from).  _oscillation takes arrays of rates, one channel
+each, and picks each channel's branch by masks, so a whole table's
+coherences are one array pass (coherence_at), and every method of one
+channel is its one-element case, bit for bit.  Phase damping dephases
 with Lambda(nu), a = 1 and w^2 = (4 tau)^2 - 1 at dimensionless time nu, so
 |+> goes to (Lambda, 0, 0).  Undriven amplitude damping scales coherences
 with the signed amplitude G(t), a = lambda/2 and w^2 = (2 lambda -
@@ -17,7 +22,8 @@ exceeds 700, past which exp(-a t) underflows and cosh(w t) overflows, it is
 evaluated as its two decaying exponentials, the slow rate a - w as
 (a^2 + w^2) / (a + w); the degenerate points 4 tau = 1 and lambda = 2 take
 the analytic limit.  A parameter whose rates overflow (lambda above 1.3e154,
-tau above 3.3e153) is a ConfigError.
+tau above 3.3e153) is a ConfigError, and one check over an array of them
+names the first bad value.
 
 The driven case has no closed form (closed_form = False) and is solved as a
 qubit coupled to a damped pseudomode oscillator,
@@ -121,64 +127,109 @@ _DRIVEN_STATES = (
 )
 
 
-@dataclass(frozen=True)
-class PhaseDamping:
-    """Colored dephasing with memory parameter tau (> 0); time is nu = t/2tau."""
+def _check(values: np.ndarray, square: np.ndarray, name: str) -> None:
+    """A ConfigError naming the first of the parameter values that is not
+    finite and > 0, or whose square (the rates' square, computed with
+    overflow to inf) overflows."""
+    domain = ~(np.isfinite(values) & (values > 0))
+    bad = np.flatnonzero(domain | ~np.isfinite(square))
+    if not bad.size:
+        return
+    value = float(values.flat[bad[0]])
+    if domain.flat[bad[0]]:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    raise ConfigError(f"{name} = {value:g} is too large: the rates of its coherence overflow")
 
-    tau: float
+
+class _Undriven:
+    """What both undriven channels share.  A subclass states its one
+    parameter (param), its rates at an array of parameter values (rates_at)
+    and the Bloch vector of |+> as a function of its coherence (plus_from);
+    coherence_at evaluates a whole table of them in one array pass, and every
+    method of a channel is its one-element case."""
+
     closed_form: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
-        if not math.isfinite((4.0 * self.tau) * (4.0 * self.tau)):  # w^2 of rates
-            raise ConfigError(
-                f"tau = {self.tau:g} is too large: the rates of its coherence overflow"
-            )
+        self.rates_at(self.param)
 
     @property
     def rates(self) -> tuple[float, float]:
-        """(a, w^2) = (1, (4 tau)^2 - 1) of Lambda(nu)."""
-        return 1.0, (4.0 * self.tau) ** 2 - 1.0
+        """(a, w^2) of the coherence."""
+        a, w2, _ = self.rates_at(self.param)
+        return float(a), float(w2)
 
-    def coherence(self, nu):
-        """Dephasing factor Lambda(nu)."""
-        return _oscillation(nu, *self.rates, (4.0 * self.tau) ** 2)
+    @classmethod
+    def coherence_at(cls, params, times):
+        """The coherence at each parameter value (shape S) and each of times
+        (shape T), shape S + T; a float where both are scalars."""
+        a, w2, k = cls.rates_at(params)
+        times = np.asarray(times, dtype=float)
+        return _oscillation(np.broadcast_to(times, a.shape + times.shape), a, w2, k)
+
+    def coherence(self, t):
+        """The coherence at the time or times t."""
+        return self.coherence_at(self.param, t)
 
     def bloch_plus(self, times) -> np.ndarray:
-        """(O_x, O_y, O_z) = (Lambda, 0, 0) of the evolved |+>, one row per time."""
-        lam = self.coherence(np.asarray(times, dtype=float))
+        """(O_x, O_y, O_z) of the evolved |+>, one row per time."""
+        return self.plus_from(self.coherence(times))
+
+
+@dataclass(frozen=True)
+class PhaseDamping(_Undriven):
+    """Colored dephasing with memory parameter tau (> 0); time is nu = t/2tau.
+    Its coherence is the dephasing factor Lambda(nu)."""
+
+    tau: float
+
+    @property
+    def param(self) -> float:
+        return self.tau
+
+    @staticmethod
+    def rates_at(tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, w^2, a^2 + w^2) = (1, (4 tau)^2 - 1, (4 tau)^2) of Lambda(nu)
+        at each tau; a tau that is not finite and > 0, or whose rates
+        overflow, is a ConfigError naming the first."""
+        tau = np.asarray(tau, dtype=float)
+        with np.errstate(over="ignore"):
+            k = (4.0 * tau) * (4.0 * tau)  # a product: ** of a numpy scalar may call pow
+        _check(tau, k, "tau")
+        return np.ones_like(k), k - 1.0, k
+
+    @staticmethod
+    def plus_from(lam) -> np.ndarray:
+        """(Lambda, 0, 0), along a new last axis."""
         return np.stack([lam, np.zeros_like(lam), np.zeros_like(lam)], axis=-1)
 
 
 @dataclass(frozen=True)
-class AmplitudeDamping:
-    """Lorentzian-reservoir decay with width lam (> 0), in units of gamma0."""
+class AmplitudeDamping(_Undriven):
+    """Lorentzian-reservoir decay with width lam (> 0), in units of gamma0.
+    Its coherence is the signed excited-state amplitude G(t); P_t = G^2, and G
+    goes negative past its zeros in the strong-coupling regime."""
 
     lam: float
-    closed_form: ClassVar[bool] = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
-        if not math.isfinite(self.lam * self.lam):  # w^2 of rates
-            raise ConfigError(
-                f"lambda = {self.lam:g} is too large: the rates of its coherence overflow"
-            )
 
     @property
-    def rates(self) -> tuple[float, float]:
-        """(a, w^2) = (lambda/2, (2 lambda - lambda^2)/4) of G(t)."""
-        return self.lam / 2.0, (2.0 * self.lam - self.lam**2) / 4.0
+    def param(self) -> float:
+        return self.lam
 
-    def coherence(self, t):
-        """Signed excited-state amplitude G(t); P_t = G^2, and G goes negative
-        past its zeros in the strong-coupling regime."""
-        return _oscillation(t, *self.rates, self.lam / 2.0)
+    @staticmethod
+    def rates_at(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, w^2, a^2 + w^2) = (lambda/2, (2 lambda - lambda^2)/4, lambda/2)
+        of G(t) at each lambda; a lambda that is not finite and > 0, or whose
+        rates overflow, is a ConfigError naming the first."""
+        lam = np.asarray(lam, dtype=float)
+        with np.errstate(over="ignore"):
+            square = lam * lam
+        _check(lam, square, "lambda")
+        return lam / 2.0, (2.0 * lam - square) / 4.0, lam / 2.0
 
-    def bloch_plus(self, times) -> np.ndarray:
-        """(O_x, O_y, O_z) = (G, 0, P_t - 1) of the evolved |+>, one row per time."""
-        g = self.coherence(np.asarray(times, dtype=float))
+    @staticmethod
+    def plus_from(g) -> np.ndarray:
+        """(G, 0, P_t - 1), along a new last axis."""
         return np.stack([g, np.zeros_like(g), g * g - 1.0], axis=-1)
 
 
@@ -230,31 +281,48 @@ class TimeGrid:
         return self.t_max / self.n_steps
 
 
-def _oscillation(t, a: float, w2: float, k: float):
+def _oscillation(t, a, w2, k):
     """exp(-a t) [cos(w t) + (a/w) sin(w t)], w = sqrt(w2), at times t >= 0:
     the coherence of both undriven channels, given their rates and
-    k = a^2 + w2, exact.  For w2 < 0 the hyperbolic rewrite with sqrt(-w2)
-    keeps the value manifestly real, and where some a t exceeds 700 it is
-    taken as ((1 + a/w) exp(-(a - w) t) + (1 - a/w) exp(-(a + w) t)) / 2,
+    k = a^2 + w2, exact.  The rates are arrays of one shape S, a channel
+    each, and t has shape S + T: its trailing axes are that channel's times.
+    Each channel takes its own branch.  For w2 < 0 the hyperbolic rewrite
+    with sqrt(-w2) keeps the value manifestly real, and where some a t of the
+    channel exceeds 700 it is taken as
+    ((1 + a/w) exp(-(a - w) t) + (1 - a/w) exp(-(a + w) t)) / 2,
     with a - w = k / (a + w), which does not cancel;
     where |w2| < _DEGENERATE_TOL^2 the limit exp(-a t) (1 + a t) is taken."""
     t = np.asarray(t, dtype=float)
     if not (t >= 0).all():
         raise ConfigError("times must be >= 0")
-    env = np.exp(-a * t)
-    if abs(w2) < _DEGENERATE_TOL**2:
-        out = env * (1.0 + a * t)
-    elif w2 > 0:
-        w = math.sqrt(w2)
-        out = env * (np.cos(w * t) + (a / w) * np.sin(w * t))
-    elif a * t.max(initial=0.0) <= 700.0:
-        w = math.sqrt(-w2)
-        out = env * (np.cosh(w * t) + (a / w) * np.sinh(w * t))
-    else:
+    trailing = (...,) + (None,) * (t.ndim - a.ndim)  # a channel's rates against its times
+
+    def part(rows):
+        return t[rows], *(r[rows][trailing] for r in (a, w2, k))
+
+    flat = np.abs(w2) < _DEGENERATE_TOL**2
+    under = ~flat & (w2 > 0.0)
+    near = ~flat & ~under & (a * t.max(axis=tuple(range(a.ndim, t.ndim)), initial=0.0) <= 700.0)
+    far = ~flat & ~under & ~near
+    out = np.empty(t.shape)
+    if flat.any():
+        tr, ar, _, _ = part(flat)
+        out[flat] = np.exp(-ar * tr) * (1.0 + ar * tr)
+    if under.any():
+        tr, ar, wr2, _ = part(under)
+        w = np.sqrt(wr2)
+        out[under] = np.exp(-ar * tr) * (np.cos(w * tr) + (ar / w) * np.sin(w * tr))
+    if near.any():
+        tr, ar, wr2, _ = part(near)
+        w = np.sqrt(-wr2)
+        out[near] = np.exp(-ar * tr) * (np.cosh(w * tr) + (ar / w) * np.sinh(w * tr))
+    if far.any():
         # past a t = 700 exp(-a t) leaves the normal range and cosh(w t)
         # overflows; w < a for both channels, so both exponentials decay
-        w = math.sqrt(-w2)
-        out = ((1.0 + a / w) * np.exp(-k / (a + w) * t) + (1.0 - a / w) * np.exp(-(a + w) * t)) / 2.0
+        tr, ar, wr2, kr = part(far)
+        w = np.sqrt(-wr2)
+        slow, fast = np.exp(-kr / (ar + w) * tr), np.exp(-(ar + w) * tr)
+        out[far] = ((1.0 + ar / w) * slow + (1.0 - ar / w) * fast) / 2.0
     return float(out) if out.ndim == 0 else out
 
 

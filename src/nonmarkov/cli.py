@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, channels, dataset, measures, svr
+from . import __version__, channels, dataset, svr
 from .dataset import FMT
 from .errors import ConfigError, DataFormatError, NumericError
 
@@ -112,7 +112,7 @@ def _fresh(path, *suffixes) -> str:
 def _write_csv(path, header: str, rows) -> None:
     """header, then each row of numbers as one line at 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, rows, fmt=FMT, delimiter=",", header=header, comments="")
+        dataset.write_block(fh, rows, ",", header)
 
 
 def _write_resolved(args: argparse.Namespace, path) -> None:
@@ -252,7 +252,7 @@ def cmd_predict(args) -> int:
     else:
         values = svr.predict(model, dataset.load_table(args.data).features)
     if args.out is None:
-        np.savetxt(sys.stdout, values, fmt=FMT)
+        dataset.write_block(sys.stdout, values)
         return EXIT_OK
     _write_csv(_fresh(args.out), "", values)
     _write_resolved(args, args.out + ".config")
@@ -276,8 +276,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("the PD channel has no drive; omit --omegas")
 
     pairs = [(p, om) for om in args.omegas for p in grid_params]
-    chans = [dataset.make_channel(args.channel, p, om) for p, om in pairs]
     if args.kind == "ox":
+        chans = [dataset.make_channel(args.channel, p, om) for p, om in pairs]
         t = channels.TimeGrid(args.tmax, args.points - 1).values
         header = f"param_{param},param_omega,t,ox,oy,oz"
         obs = [ch.bloch_plus(t) for ch in chans]
@@ -286,7 +286,7 @@ def cmd_sweep(args) -> int:
         )
     else:
         header = f"param_{param},param_omega,value"
-        values = [measures.table_row(ch, args.measure)[0].value for ch in chans]
+        values = dataset.table_rows(args.channel, pairs, args.measure)[0]
         rows = np.column_stack([pairs, values])
     _write_csv(out, header, rows)
     _write_resolved(args, out + ".config")
@@ -333,10 +333,8 @@ def _reproduce(args, outdir) -> int:
     print("[1/5] expectation-value trajectories")
     fig1_lams = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0)
     t = channels.TimeGrid(5.0, 500).values
-    ox = [channels.AmplitudeDamping(lam).coherence(t) for lam in fig1_lams]  # O_x of evolved |+>
-    rows = np.column_stack(
-        [np.repeat(fig1_lams, len(t)), np.tile(t, len(fig1_lams)), np.concatenate(ox)]
-    )
+    ox = channels.AmplitudeDamping.coherence_at(fig1_lams, t)  # O_x of evolved |+>
+    rows = np.column_stack([np.repeat(fig1_lams, len(t)), np.tile(t, len(fig1_lams)), ox.ravel()])
     _write_csv(path("fig1_ox.csv"), "param_lambda,t,ox", rows)
 
     # Pure-channel regression, one pipeline per (channel, measure).
@@ -363,13 +361,14 @@ def _reproduce(args, outdir) -> int:
 
     # Measure versus coupling for several drive strengths.
     print("[4/5] measure-vs-coupling sweep")
-    rows = [
-        (lam, 0.0, measures.table_row(dataset.make_channel("driven", lam, 0.0))[0].value)
-        for lam in dataset.param_grid("driven", n_driven)
-    ]
+    lams = dataset.param_grid("driven", n_driven)
+    undriven = np.column_stack([lams, np.zeros(len(lams))])  # one array pass
+    rows = [np.column_stack([undriven, dataset.table_rows("driven", undriven)[0]])]
     for om in (0.05, 0.1, 0.2, 0.3, 0.5):
         driven = dataset.filter_omega(superset, om)
-        rows += [(lam, om, value) for lam, value in zip(driven.params[:, 0], driven.targets)]
+        lam, value = driven.params[:, 0], driven.targets
+        rows.append(np.column_stack([lam, np.full(len(driven), om), value]))
+    rows = np.concatenate(rows)
     _write_csv(path("fig4_ne_vs_lambda.csv"), "param_lambda,param_omega,value", rows)
 
     # Drive-aware regression with one or two tomography times.

@@ -8,13 +8,15 @@ drive strength and coupling for the driven kind).  Features are the Pauli
 expectation values O_k = Tr[sigma_k rho(t)] of the state evolved from |+>
 (the +1 eigenstate of sigma_x, inferred from the initial value O_x(0) = 1),
 concatenated over the tomography times.  Targets are the non-Markovianity
-measures up to the horizon in #meta.  make_channel builds a row's channel,
-undriven wherever the drive is below channels.DRIVE_CUT, and
-measures.table_row, the one route of every row, its target and features:
-exact revival-peak sums and closed forms for the undriven channels, and for
-the driven one the refined concurrence sum and the features from one
-propagator build.  A driven table's #meta also records the largest stated
-grid error of its targets.
+measures up to the horizon in #meta.  A row takes the closed form wherever
+make_channel builds an undriven channel, where the drive is below
+channels.DRIVE_CUT; table_rows computes all such rows of a table in one
+array pass of measures.closed_form_rows (exact revival-peak sums and closed
+forms), and each driven row by measures.table_row (the refined concurrence
+sum and the features from one propagator build).  A driven table's #meta
+also records the largest stated grid error of its targets.  write_block
+writes every table, model block and command-line CSV, a whole block in one
+% call.
 """
 
 from __future__ import annotations
@@ -157,16 +159,46 @@ class DataTable:
         )
 
 
+def _undriven(kind: str, omega):
+    """Where a row of kind at drive omega (a float or an array) takes a
+    closed form: every PD row, and every other row whose drive lies in
+    [0, DRIVE_CUT)."""
+    return (kind == "pd") | ((0.0 <= omega) & (omega < DRIVE_CUT))
+
+
 def make_channel(kind: str, param: float, omega: float) -> Channel:
     """The channel of a row of kind (a key of KINDS) at (param, omega):
     amplitude damping, whose closed form is exact, wherever the drive is
     below DRIVE_CUT, for the driven kind too, and the driven channel
     otherwise, which refuses a negative drive."""
-    if kind == "pd":
-        return PhaseDamping(param)
-    if 0.0 <= omega < DRIVE_CUT:
-        return AmplitudeDamping(param)
+    if _undriven(kind, omega):
+        return PhaseDamping(param) if kind == "pd" else AmplitudeDamping(param)
     return DrivenAmplitudeDamping(param, omega)
+
+
+def table_rows(kind: str, pairs, measure: str = "entanglement", times=()):
+    """The targets, their stated grid errors and the features of the rows of
+    kind at each (param, omega) pair, one row each.  The rows that
+    make_channel takes undriven are one array pass of
+    measures.closed_form_rows, with grid error 0; each driven pair is one
+    measures.table_row call on its channel, all of which are built first, so
+    a bad drive is refused before any row is computed."""
+    params, omegas = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+    undriven = _undriven(kind, omegas)
+    driven = [
+        (i, DrivenAmplitudeDamping(float(params[i]), float(omegas[i])))
+        for i in np.flatnonzero(~undriven)
+    ]
+    cls = PhaseDamping if kind == "pd" else AmplitudeDamping
+    targets, grid_errors = np.zeros(len(params)), np.zeros(len(params))
+    features = np.empty((len(params), 3 * len(times)))
+    targets[undriven], _, features[undriven] = measures.closed_form_rows(
+        cls, params[undriven], times
+    )
+    for i, channel in driven:
+        result, features[i] = measures.table_row(channel, measure, times)
+        targets[i], grid_errors[i] = result.value, result.grid_error
+    return targets, grid_errors, features
 
 
 def generate(
@@ -174,9 +206,8 @@ def generate(
 ) -> DataTable:
     """The table of a channel kind: a row per value of param_grid(kind,
     count), for the driven kind per drive strength too (default omega_grid()),
-    at the tomography times (default the kind's).  Each row is one
-    measures.table_row call on make_channel's channel: its target, grid
-    error and features."""
+    at the tomography times (default the kind's), computed by table_rows:
+    its target, grid error and features."""
     params = param_grid(kind, count)
     times = (KINDS[kind].time,) if times is None else tuple(float(t) for t in times)
     schema = TableSchema(kind, measure, times)
@@ -185,16 +216,10 @@ def generate(
         omegas = omega_grid() if driven else (0.0,)
     elif not driven:
         raise ConfigError(f"the {kind} channel has no drive; omit the drive strengths")
-    pairs = [(float(p), float(om)) for om in omegas for p in params]
-    feats = np.empty((len(pairs), schema.n_features))
-    targets = np.empty(len(pairs))
-    grid_errors = np.empty(len(pairs))
-    for i, (p, om) in enumerate(pairs):
-        result, feats[i] = measures.table_row(make_channel(kind, p, om), measure, times)
-        targets[i], grid_errors[i] = result.value, result.grid_error
-    return DataTable(
-        schema, feats, targets, np.array(pairs).reshape(-1, 2), grid_errors if driven else None
-    )
+    omegas = np.asarray(omegas, dtype=float)
+    pairs = np.column_stack([np.tile(params, len(omegas)), np.repeat(omegas, len(params))])
+    targets, grid_errors, feats = table_rows(kind, pairs, measure, times)
+    return DataTable(schema, feats, targets, pairs, grid_errors if driven else None)
 
 
 def select_times(table: DataTable, times) -> DataTable:
@@ -306,7 +331,21 @@ def save_table(table: DataTable, path, seed: int = DEFAULT_SEED) -> None:
     block = np.column_stack([table.targets, table.features, table.params])
     header = _meta_line(table, seed) + "\n" + ",".join(table.schema.columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, block, fmt=FMT, delimiter=",", header=header, comments="")
+        write_block(fh, block, ",", header)
+
+
+def write_block(fh, block, delimiter: str = " ", header: str = "") -> None:
+    """The header line, if any, then each row of a 2-D block, or each value
+    of a 1-D one, as one line of FMT numbers: byte for byte what numpy's
+    savetxt writes with fmt=FMT, that delimiter and header and comments="",
+    formatted by one % call instead of one per row."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim == 1:
+        block = block[:, None]
+    if header:
+        fh.write(header + "\n")
+    line = delimiter.join([FMT] * block.shape[1]) + "\n"
+    fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_block(lines: list[str], width: int, delimiter: str | None = None) -> np.ndarray:

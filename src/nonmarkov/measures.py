@@ -7,7 +7,8 @@ untouched ancilla for entanglement.  Under the undriven channels both series
 are |coherence|, a damped oscillation exp(-a t) [cos(w t) + (a/w) sin(w t)]
 whose |maxima| sit at t_k = k pi / w with height q^k, q = exp(-a pi / w), so
 both measures are one exact sum over those revival peaks (revival_measure),
-with no time grid and a bound on what lies past the horizon.  The driven
+with no time grid and a bound on what lies past the horizon; _revival takes
+the sums of a whole table's channels in one array pass.  The driven
 channel has no closed form.  Its entanglement measure is the sum of the
 rises of the Bell-pair concurrence C(t) between its turning points
 (driven_entanglement, which also yields the tomography features from the
@@ -23,7 +24,10 @@ can bias C high by up to 3 sqrt(eps), about 4.5e-8.  That bias cannot reach
 a sample whose partial transpose has a determinant above qmath.PPT_DET_CUT:
 such a state is separable, and qmath.concurrence returns exactly 0 for it
 without an eigensolve.  The driven trace-distance measure is not evaluated.
-table_row, the one route of every value, gives any channel's table row.
+table_row gives any channel's table row.  closed_form_rows gives every
+undriven row of a table in one array pass, of which table_row,
+revival_measure and bloch_plus of one channel are the one-element case, bit
+for bit: a table row, a sweep value and a library call take one route.
 """
 
 from __future__ import annotations
@@ -68,22 +72,35 @@ def default_grid() -> TimeGrid:
 def revival_measure(channel: Channel, horizon: float = DEFAULT_T_MAX) -> MeasureResult:
     """Exact positive variation of |coherence| of an undriven channel: the
     K = floor(horizon w / pi) peaks give q (1 - q^K) / (1 - q), plus |coherence(horizon)|
-    past the zero z_K = (pi - atan(w/a) + K pi) / w; 0 for w^2 <= 0."""
+    past the zero z_K = (pi - atan(w/a) + K pi) / w; 0 for w^2 <= 0.  The
+    one-element case of _revival."""
+    value, tail = _revival(*channel.rates_at(channel.param), horizon)
+    return MeasureResult(float(value), 0.0, horizon, float(tail))
+
+
+def _revival(a, w2, k, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """revival_measure's value and tail bound, the most it gains past the
+    horizon, at each channel's rates (a, w2, k) of channels._oscillation,
+    arrays of one shape, in one array pass."""
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
-    a, w2 = channel.rates
-    if w2 <= 0.0:
-        return MeasureResult(0.0, 0.0, horizon, 0.0)
-    w = math.sqrt(w2)
+    value, tail = np.zeros(a.shape), np.zeros(a.shape)
+    up = w2 > 0.0
+    a, w2, k = a[up], w2[up], k[up]
+    w = np.sqrt(w2)
     x = a * math.pi / w
-    q = math.exp(-x)
-    k = math.floor(horizon * w / math.pi)
+    q = np.exp(-x)
+    peaks = np.floor(horizon * w / math.pi)
     # where q rounds to 1 (lambda below 2.5e-33, tau above 1.4e16), 1 - q^j is -expm1(-j x)
-    rest, gap = (1.0 - q**k, 1.0 - q) if q < 1.0 else (-math.expm1(-k * x), -math.expm1(-x))
-    value = q * rest / gap if k else 0.0
-    if horizon > (math.pi - math.atan(w / a) + k * math.pi) / w:
-        value += abs(float(channel.coherence(horizon)))
-    return MeasureResult(value, 0.0, horizon, q / gap - value)
+    below = q < 1.0
+    rest = np.where(below, 1.0 - q**peaks, -np.expm1(-peaks * x))
+    gap = np.where(below, 1.0 - q, -np.expm1(-x))
+    sums = np.where(peaks > 0.0, q * rest / gap, 0.0)
+    past = horizon > (math.pi - np.arctan(w / a) + peaks * math.pi) / w
+    at = np.full(np.count_nonzero(past), horizon)
+    sums[past] += np.abs(channels._oscillation(at, a[past], w2[past], k[past]))
+    value[up], tail[up] = sums, q / gap - sums
+    return value, tail
 
 
 def _turns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,13 +196,26 @@ def driven_entanglement(
     return MeasureResult(value, grid_error, grid.t_max), features
 
 
+def closed_form_rows(cls, params, times=(), horizon: float = DEFAULT_T_MAX):
+    """The table rows of an undriven channel class (PhaseDamping or
+    AmplitudeDamping) at each parameter value, in one array pass: the values
+    and tail bounds of revival_measure on [0, horizon], and the features, the
+    Bloch vectors of the evolved |+> at times concatenated, one row each.
+    table_row of one such channel is its one-element case."""
+    params = np.asarray(params, dtype=float).reshape(-1)
+    value, tail = _revival(*cls.rates_at(params), horizon)
+    features = cls.plus_from(cls.coherence_at(params, times))
+    return value, tail, features.reshape(len(params), 3 * np.size(times))
+
+
 def table_row(
     channel: Channel, measure: str = "entanglement", times=(), grid: TimeGrid | None = None
 ) -> tuple[MeasureResult, np.ndarray]:
     """A table row: the measure ('trace' or 'entanglement') on [0, grid.t_max]
     and the Bloch vectors of the evolved |+> at times, concatenated: by
-    revival_measure and bloch_plus for the undriven channels, and for the
-    driven one by driven_entanglement on grid, whose trace measure is an error."""
+    revival_measure and bloch_plus for the undriven channels, the one-element
+    case of closed_form_rows, and for the driven one by driven_entanglement
+    on grid, whose trace measure is an error."""
     grid = grid or default_grid()
     if channel.closed_form:
         return revival_measure(channel, grid.t_max), channel.bloch_plus(times).reshape(-1)

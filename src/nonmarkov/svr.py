@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FMT, Scaler, read_block
+from .dataset import FMT, Scaler, read_block, write_block
 from .errors import ConfigError, DataFormatError
 
 DEFAULT_MAX_ITER = 10_000_000
@@ -332,9 +332,9 @@ def save_model(model: SvrModel, path) -> None:
     support = np.column_stack([model.dual_coefs, model.support_vectors])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{_MODEL_MAGIC} gamma {FMT % model.kernel_gamma}\nscaler {len(scaler)}\n")
-        np.savetxt(fh, scaler, fmt=FMT)
+        write_block(fh, scaler)
         fh.write(f"intercept {FMT % model.intercept}\nsupport_vectors {len(support)}\n")
-        np.savetxt(fh, support, fmt=FMT)
+        write_block(fh, support)
 
 
 def load_model(path) -> SvrModel:

@@ -132,6 +132,35 @@ def revival_peak_sum(channel, horizon):
     return total + abs(end) if end * last_sign < 0.0 else total
 
 
+def scalar_coherence(a, w2, t):
+    """exp(-a t) [cos(w t) + (a/w) sin(w t)] of one channel at one time, with
+    the math module (cosh and sinh for w2 < 0, exp(-a t) (1 + a t) at
+    w2 = 0): the one-at-a-time reference of the closed forms' array pass,
+    away from a t = 700."""
+    if w2 == 0.0:
+        return math.exp(-a * t) * (1.0 + a * t)
+    if w2 > 0.0:
+        w = math.sqrt(w2)
+        return math.exp(-a * t) * (math.cos(w * t) + (a / w) * math.sin(w * t))
+    w = math.sqrt(-w2)
+    return math.exp(-a * t) * (math.cosh(w * t) + (a / w) * math.sinh(w * t))
+
+
+def scalar_revival_sum(a, w2, horizon):
+    """The revival-peak sum of measures.revival_measure for one channel, with
+    the math module: q (1 - q^K) / (1 - q), plus |coherence(horizon)| past
+    the K-th zero."""
+    if w2 <= 0.0:
+        return 0.0
+    w = math.sqrt(w2)
+    q = math.exp(-a * math.pi / w)
+    k = math.floor(horizon * w / math.pi)
+    value = q * (1.0 - q**k) / (1.0 - q)
+    if horizon > (math.pi - math.atan(w / a) + k * math.pi) / w:
+        value += abs(scalar_coherence(a, w2, horizon))
+    return value
+
+
 def grid_tolerance(channel, horizon, spacing):
     """Bound on what a grid of this spacing misses of the measure: after each
     zero z_k of the coherence at most half the rise h |f'(z_k)|, with

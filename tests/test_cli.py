@@ -491,6 +491,19 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "lambdas, message",
+        [("0.5,1e300", "lambda = 1e+300 is too large"),
+         ("0.5,-1,1e300", "lambda must be finite and > 0, got -1.0")],
+    )
+    def test_bad_coupling_among_good_ones_is_named(self, tmp_path, capsys, lambdas, message):
+        # one check over every coupling refuses the first bad one, writing nothing
+        out = tmp_path / "m.csv"
+        argv = ["sweep", "--kind", "measure", "--channel", "ad", "--lambdas", lambdas]
+        assert run(*argv, "--out", str(out)) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "channel, flag, value, want",
         # q = exp(-x), x = a pi / w, rounds to 1: no revival within the
         # horizon for the weak coupling, and (1 - e^-20) / x = 1.27e17 peaks
@@ -577,9 +590,10 @@ class TestReproduce:
         assert summary.count("fig2") == 4 and summary.count("fig5") == 4
         assert run("reproduce", "--out", str(outdir)) == cli.EXIT_IO
 
-    @pytest.mark.parametrize("lam", ["0.5", "2"])  # oscillating, critical
+    @pytest.mark.parametrize("lam", ["0.5", "1", "2", "3", "5"])  # oscillating, critical, decaying
     def test_fig1_is_the_ox_sweep(self, outdir, tmp_path, lam):
-        # figure 1's O_x curve of one coupling is the ox sweep's, byte for byte
+        # figure 1's O_x curve of one coupling, one row of its one array call,
+        # is the ox sweep's, byte for byte
         sweep = tmp_path / "ox.csv"
         assert run(
             "sweep", "--kind", "ox", "--channel", "ad", "--lambdas", lam,
@@ -610,6 +624,11 @@ class TestReproduce:
             "--out", str(sweep),
         ) == 0
         assert sweep.read_text().splitlines()[1] == ",".join([lam, omega, value])
+        # its zero-drive rows, one array pass, are the undriven sweep's
+        lams = [ln.split(",")[0] for ln in fig4[1:3]]
+        sweep0 = tmp_path / "sweep0.csv"
+        assert run("sweep", "--kind", "measure", "--lambdas", ",".join(lams), "--out", str(sweep0)) == 0
+        assert sweep0.read_text().splitlines()[1:] == fig4[1:3]
 
 
 class TestRefuseBeforeWork:

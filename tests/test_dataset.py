@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -516,3 +518,28 @@ def test_table_round_trip_is_bit_exact(tmp_path_factory, data, times):
         (back.targets, table.targets), (back.features, table.features), (back.params, table.params)
     ]:
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+# values whose 17-digit text is easy to get wrong: the signed zero, the
+# least subnormal, the largest float and integral floats
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+           3.0, -7.0, 2.0**53, 1e22, 0.1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=hnp.arrays(
+        np.float64,
+        st.one_of(st.tuples(st.integers(0, 9)), st.tuples(st.integers(0, 9), st.integers(1, 6))),
+        elements=st.one_of(finite, st.sampled_from(SPECIAL)),
+    ),
+    delimiter=st.sampled_from([",", " "]),
+    header=st.sampled_from(["", "target,ox_t1", "#meta rows=3\ntarget,ox_t1"]),
+)
+def test_write_block_is_savetxt(block, delimiter, header):
+    # one % call over the whole block writes what savetxt writes row by row
+    want = io.StringIO()
+    np.savetxt(want, block, fmt=dataset.FMT, delimiter=delimiter, header=header, comments="")
+    got = io.StringIO()
+    dataset.write_block(got, block, delimiter, header)
+    assert got.getvalue() == want.getvalue()

@@ -454,3 +454,111 @@ def test_revival_measure_brackets_grid_oracle(kind, u, horizon):
     else:
         q = np.exp(-a * np.pi / np.sqrt(w2))
         assert res.value + res.tail_bound == pytest.approx(q / (1 - q), abs=1e-12)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# one value per branch of channels._oscillation for each class, with a time
+# (20) at which some are overdamped past a t = 700 and some not
+BRANCHES = {
+    AmplitudeDamping: [2.0, 2.0 + 1e-13, 0.3, 1.0, 2.5, 69.0, 71.0, 1e6],
+    PhaseDamping: [0.25, 0.25 + 1e-14, 0.5, 0.2, 0.01],
+}
+
+
+def params(cls):
+    """Parameter values over the domain the closed forms answer: lambda from
+    1e-30 to 1e100, tau up to 1e16, and the branch points."""
+    top = 100.0 if cls is AmplitudeDamping else 16.0
+    return st.one_of(
+        st.floats(-30.0, top).map(lambda e: 10.0**e),
+        st.floats(0.05, 4.0),
+        st.sampled_from(BRANCHES[cls]),
+    )
+
+
+class TestClosedFormRows:
+    """An undriven table is one array pass of the closed forms; each of its
+    rows is bit for bit the one-element call of every channel method."""
+
+    def assert_rows_are_calls(self, cls, values, times, horizon):
+        target, tail, feats = measures.closed_form_rows(cls, values, times, horizon)
+        coh = cls.coherence_at(values, times)
+        a, w2, _ = cls.rates_at(values)
+        grid = TimeGrid(horizon, 1)
+        for j, p in enumerate(values):
+            ch = cls(p)
+            res, row = measures.table_row(ch, times=times, grid=grid)
+            assert bits(row) == bits(feats[j]) == bits(ch.bloch_plus(times).reshape(-1))
+            assert bits(coh[j]) == bits(ch.coherence(times))
+            assert (res.value, res.tail_bound) == (target[j], tail[j])
+            assert bits(res.value) == bits(measures.revival_measure(ch, horizon).value)
+            assert ch.rates == (a[j], w2[j])
+
+    def test_every_branch(self):
+        times = (0.0, 0.5, 3.0, 20.0)
+        for cls, values in BRANCHES.items():
+            a, w2, _ = cls.rates_at(values)
+            reach = a * max(times)
+            flat = np.abs(w2) < channels._DEGENERATE_TOL**2
+            assert flat.any() and (w2 > 0).any()
+            assert ((w2 < 0) & ~flat & (reach <= 700)).any()
+            if cls is AmplitudeDamping:
+                assert ((w2 < 0) & (reach > 700)).any()
+            self.assert_rows_are_calls(cls, values, times, 20.0)
+        # past nu = 700 for phase damping, whose a is 1
+        self.assert_rows_are_calls(PhaseDamping, BRANCHES[PhaseDamping], (1.0, 700.5), 20.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        cls=st.sampled_from([AmplitudeDamping, PhaseDamping]),
+        times=st.lists(st.floats(0.0, 1000.0), min_size=0, max_size=3, unique=True),
+        horizon=st.floats(0.0, 40.0),
+    )
+    def test_rows_equal_one_element_calls(self, data, cls, times, horizon):
+        values = data.draw(st.lists(params(cls), min_size=1, max_size=12))
+        self.assert_rows_are_calls(cls, values, tuple(times), horizon)
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    def test_paper_table_rows_are_table_row_calls(self, kind):
+        # every row of the paper's grid, as generate computes it, is its
+        # table_row call bit for bit, and the math module's one-at-a-time
+        # closed forms within 1 ulp of 1 (features) and 2 (targets): numpy's
+        # exp, arctan and power round otherwise than the math module's
+        table = dataset.generate(kind)
+        (t,) = table.schema.times
+        eps = np.finfo(float).eps
+        for (p, om), feats, target in zip(table.params, table.features, table.targets):
+            ch = dataset.make_channel(kind, p, om)
+            res, row = measures.table_row(ch, times=(t,))
+            assert bits(row) == bits(feats) and bits(res.value) == bits(target)
+            a, w2 = ch.rates
+            coh = oracles.scalar_coherence(a, w2, t)
+            want = [coh, 0.0, coh * coh - 1.0] if kind == "ad" else [coh, 0.0, 0.0]
+            assert np.abs(feats - want).max() <= eps
+            assert abs(target - oracles.scalar_revival_sum(a, w2, 20.0)) <= 2 * eps
+
+    @pytest.mark.parametrize(
+        "cls, values, message",
+        [
+            (AmplitudeDamping, [0.5, -1.0, float("nan")], "lambda must be finite and > 0, got -1.0"),
+            (AmplitudeDamping, [0.5, float("inf"), -1.0], "lambda must be finite and > 0, got inf"),
+            (AmplitudeDamping, [0.5, 1e300, 1e200], "lambda = 1e\\+300 is too large"),
+            (PhaseDamping, [0.5, 0.0, -2.0], "tau must be finite and > 0, got 0.0"),
+            (PhaseDamping, [0.5, 1e160, 1e170], "tau = 1e\\+160 is too large"),
+            # the first bad value, whichever check it fails
+            (AmplitudeDamping, [0.5, 1e300, -1.0], "lambda = 1e\\+300 is too large"),
+            (PhaseDamping, [0.5, float("nan"), 1e160], "tau must be finite and > 0, got nan"),
+        ],
+    )
+    def test_bad_values_name_the_first(self, cls, values, message):
+        with pytest.raises(ConfigError, match=message):
+            measures.closed_form_rows(cls, values, (3.0,))
+        with pytest.raises(ConfigError, match=message):  # the channel of that value alone
+            cls(values[1])
+        kind = "ad" if cls is AmplitudeDamping else "pd"
+        with pytest.raises(ConfigError, match=message):
+            dataset.table_rows(kind, [(v, 0.0) for v in values])

@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,25 @@ class TestModelIO:
         rng = np.random.default_rng(13)
         probe = rng.standard_normal((100, x.shape[1]))
         assert np.array_equal(svr.predict(model, probe), svr.predict(back, probe))
+
+    def test_file_is_the_savetxt_format(self, tmp_path):
+        # the format save_model wrote through np.savetxt, byte for byte
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1.0, 1.0, (40, 3))
+        y = np.sin(x).sum(axis=1)
+        scaler = dataset.Scaler(x.mean(axis=0), x.std(axis=0))
+        model = svr.fit(scaler.transform(x), y, svr.SvrConfig(), scaler)
+        assert model.support_vectors.shape[0] > 1
+        path = tmp_path / "model.txt"
+        svr.save_model(model, path)
+        want = io.StringIO()
+        fmt = dataset.FMT
+        want.write(f"nonmarkov-svr v1 gamma {fmt % model.kernel_gamma}\nscaler 3\n")
+        np.savetxt(want, np.column_stack([model.scaler.mean, model.scaler.scale]), fmt=fmt)
+        want.write(f"intercept {fmt % model.intercept}\n")
+        want.write(f"support_vectors {len(model.dual_coefs)}\n")
+        np.savetxt(want, np.column_stack([model.dual_coefs, model.support_vectors]), fmt=fmt)
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_truncated_file_rejected(self, tmp_path):
         x, y = smooth_problem(14)
