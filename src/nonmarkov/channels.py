@@ -10,20 +10,20 @@ parameter (rates_at), and its Bloch vector of |+> as a function of its
 coherence (plus_from).  _oscillation takes arrays of rates, one channel
 each, and picks each channel's branch by masks, so a whole table's
 coherences are one array pass (coherence_at), and every method of one
-channel is its one-element case, bit for bit.  Phase damping dephases
-with Lambda(nu), a = 1 and w^2 = (4 tau)^2 - 1 at dimensionless time nu, so
-|+> goes to (Lambda, 0, 0).  Undriven amplitude damping scales coherences
-with the signed amplitude G(t), a = lambda/2 and w^2 = (2 lambda -
-lambda^2)/4, and the excited population with P_t = G^2, so |+> goes to
-(G, 0, G^2 - 1); lambda is in units of the coupling gamma0 and t in units
-of 1/gamma0, for both amplitude-damping channels.  Where w^2 < 0 the
-hyperbolic rewrite keeps every output manifestly real, and where some a t
-exceeds 700, past which exp(-a t) underflows and cosh(w t) overflows, it is
-evaluated as its two decaying exponentials, the slow rate a - w as
-(a^2 + w^2) / (a + w); the degenerate points 4 tau = 1 and lambda = 2 take
-the analytic limit.  A parameter whose rates overflow (lambda above 1.3e154,
-tau above 3.3e153) is a ConfigError, and one check over an array of them
-names the first bad value.
+channel is its one-element case, bit for bit; a channel's rates are rates_at
+of its param.  Phase damping dephases with Lambda(nu), a = 1 and
+w^2 = (4 tau)^2 - 1 at dimensionless time nu, so |+> goes to (Lambda, 0, 0).
+Undriven amplitude damping scales coherences with the signed amplitude G(t),
+a = lambda/2 and w^2 = (2 lambda - lambda^2)/4, and the excited population
+with P_t = G^2, so |+> goes to (G, 0, G^2 - 1); lambda is in units of the
+coupling gamma0 and t in units of 1/gamma0, for both amplitude-damping
+channels.  Where w^2 < 0 the hyperbolic rewrite keeps every output
+manifestly real, and where some a t exceeds 700, past which exp(-a t)
+underflows and cosh(w t) overflows, it is evaluated as its two decaying
+exponentials, the slow rate a - w as (a^2 + w^2) / (a + w); the degenerate
+points 4 tau = 1 and lambda = 2 take the analytic limit.  A parameter whose
+rates overflow (lambda above 1.3e154, tau above 3.3e153) is a ConfigError,
+and one check over an array of them names the first bad value.
 
 The driven case has no closed form (closed_form = False) and is solved as a
 qubit coupled to a damped pseudomode oscillator,
@@ -79,10 +79,11 @@ the concurrence's rounding floor: at zero drive every rung is exact (one
 excitation never reaches level 2), yet (0.3, 0) moves by 2.1e-8 from 4 to 6.
 
 A drive below DRIVE_CUT = LEAK_TOL / (2 DEFAULT_T_MAX) = 2.5e-10 is left
-out, by _generator and by dataset.make_channel, which takes the closed form
-of amplitude damping there.  The drive part -i omega [sx, .] has
-trace-norm gain at most 2 omega, and the truncated generator is a Lindblad
-generator, whose semigroup contracts the trace norm; so by Duhamel's formula
+out, by _generator and by dataset.make_channel and dataset.table_rows, which
+take the closed form of amplitude damping there (dataset.KINDS names each
+kind's closed-form class).  The drive part -i omega [sx, .] has trace-norm
+gain at most 2 omega, and the truncated generator is a Lindblad generator,
+whose semigroup contracts the trace norm; so by Duhamel's formula
 ||rho_omega(t) - rho_0(t)||_1 <= 2 omega t, and on [0, 20] no feature moves
 by more than 40 omega <= LEAK_TOL.  No such bound is claimed for a target,
 the concurrence's positive variation.  Kept, drives from 1e-15 to 3.2e-11
@@ -152,12 +153,6 @@ class _Undriven:
 
     def __post_init__(self):
         self.rates_at(self.param)
-
-    @property
-    def rates(self) -> tuple[float, float]:
-        """(a, w^2) of the coherence."""
-        a, w2, _ = self.rates_at(self.param)
-        return float(a), float(w2)
 
     @classmethod
     def coherence_at(cls, params, times):

@@ -2,21 +2,23 @@
 measure targets, standardization, splitting, and CSV persistence.
 
 One generator builds every table.  KINDS holds, per channel kind, the name
-of its parameter, the span of its grid from 0.1, the paper's grid size and
-the default tomography time; generate takes a row per parameter value (per
-drive strength and coupling for the driven kind).  Features are the Pauli
-expectation values O_k = Tr[sigma_k rho(t)] of the state evolved from |+>
-(the +1 eigenstate of sigma_x, inferred from the initial value O_x(0) = 1),
-concatenated over the tomography times.  Targets are the non-Markovianity
-measures up to the horizon in #meta.  A row takes the closed form wherever
+of its parameter, the span of its grid from 0.1, the paper's grid size, the
+default tomography time and the closed-form channel class of its undriven
+rows; generate takes a row per parameter value (per drive strength and
+coupling for the driven kind).  Features are the Pauli expectation values
+O_k = Tr[sigma_k rho(t)] of the state evolved from |+> (the +1 eigenstate of
+sigma_x, inferred from the initial value O_x(0) = 1), concatenated over the
+tomography times.  Targets are the non-Markovianity measures up to the
+horizon in #meta.  table_rows is the one place that routes a row, for
+tables, measure sweeps and fig4 alike.  A row takes the closed form wherever
 make_channel builds an undriven channel, where the drive is below
 channels.DRIVE_CUT; table_rows computes all such rows of a table in one
 array pass of measures.closed_form_rows (exact revival-peak sums and closed
-forms), and each driven row by measures.table_row (the refined concurrence
-sum and the features from one propagator build).  A driven table's #meta
-also records the largest stated grid error of its targets.  write_block
-writes every table, model block and command-line CSV, a whole block in one
-% call.
+forms), and each driven row by measures.driven_entanglement (the refined
+concurrence sum and the features from one propagator build).  A driven
+table's #meta also records the largest stated grid error of its targets.
+write_block writes every table, model block and command-line CSV, a whole
+block in one % call.
 """
 
 from __future__ import annotations
@@ -45,15 +47,16 @@ class Kind:
     span: float  # the grid covers [0.1, 0.1 + span)
     count: int  # the paper's grid size; step span / count
     time: float  # default tomography time
+    closed_form: type  # the channel class of its rows below DRIVE_CUT
 
 
 # PD time is nu: the dephasing factor stays injective in tau over the grid
 # for nu <= ~2 but folds at nu = 3 (tau ~ 0.399); see ledger for the
 # time-unit reading behind 1.5.  AD times are in units of 1/gamma0.
 KINDS = {
-    "ad": Kind("lambda", 2.9, 2900, 3.0),  # lambda/gamma0, step 1e-3
-    "pd": Kind("tau", 0.4, 4000, 1.5),  # step 1e-4
-    "driven": Kind("lambda", 2.9, 290, 3.0),  # step 1e-2, per drive strength
+    "ad": Kind("lambda", 2.9, 2900, 3.0, AmplitudeDamping),  # lambda/gamma0, step 1e-3
+    "pd": Kind("tau", 0.4, 4000, 1.5, PhaseDamping),  # step 1e-4
+    "driven": Kind("lambda", 2.9, 290, 3.0, AmplitudeDamping),  # step 1e-2, per drive strength
 }
 
 
@@ -172,31 +175,34 @@ def make_channel(kind: str, param: float, omega: float) -> Channel:
     below DRIVE_CUT, for the driven kind too, and the driven channel
     otherwise, which refuses a negative drive."""
     if _undriven(kind, omega):
-        return PhaseDamping(param) if kind == "pd" else AmplitudeDamping(param)
+        return KINDS[kind].closed_form(param)
     return DrivenAmplitudeDamping(param, omega)
 
 
 def table_rows(kind: str, pairs, measure: str = "entanglement", times=()):
     """The targets, their stated grid errors and the features of the rows of
-    kind at each (param, omega) pair, one row each.  The rows that
-    make_channel takes undriven are one array pass of
+    kind at each (param, omega) pair, one row each: the one place that routes
+    a row.  The rows that make_channel takes undriven are one array pass of
     measures.closed_form_rows, with grid error 0; each driven pair is one
-    measures.table_row call on its channel, all of which are built first, so
-    a bad drive is refused before any row is computed."""
+    measures.driven_entanglement call on its make_channel channel.  Every
+    driven channel is built first, and a trace measure with any driven pair
+    is refused then, so a bad drive or measure is refused before any row is
+    computed."""
     params, omegas = np.asarray(pairs, dtype=float).reshape(-1, 2).T
     undriven = _undriven(kind, omegas)
     driven = [
-        (i, DrivenAmplitudeDamping(float(params[i]), float(omegas[i])))
+        (i, make_channel(kind, float(params[i]), float(omegas[i])))
         for i in np.flatnonzero(~undriven)
     ]
-    cls = PhaseDamping if kind == "pd" else AmplitudeDamping
+    if driven and measure != "entanglement":
+        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
     targets, grid_errors = np.zeros(len(params)), np.zeros(len(params))
     features = np.empty((len(params), 3 * len(times)))
     targets[undriven], _, features[undriven] = measures.closed_form_rows(
-        cls, params[undriven], times
+        KINDS[kind].closed_form, params[undriven], times
     )
     for i, channel in driven:
-        result, features[i] = measures.table_row(channel, measure, times)
+        result, features[i] = measures.driven_entanglement(channel, times=times)
         targets[i], grid_errors[i] = result.value, result.grid_error
     return targets, grid_errors, features
 

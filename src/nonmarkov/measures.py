@@ -6,10 +6,10 @@ The optimal inputs replace the optimization over initial states: the pair
 untouched ancilla for entanglement.  Under the undriven channels both series
 are |coherence|, a damped oscillation exp(-a t) [cos(w t) + (a/w) sin(w t)]
 whose |maxima| sit at t_k = k pi / w with height q^k, q = exp(-a pi / w), so
-both measures are one exact sum over those revival peaks (revival_measure),
-with no time grid and a bound on what lies past the horizon; _revival takes
-the sums of a whole table's channels in one array pass.  The driven
-channel has no closed form.  Its entanglement measure is the sum of the
+both measures are one exact sum over those revival peaks (_revival), with
+no time grid and a bound on what lies past the horizon, taken for a whole
+table's channels in one array pass.  The driven channel has no closed
+form.  Its entanglement measure is the sum of the
 rises of the Bell-pair concurrence C(t) between its turning points
 (driven_entanglement, which also yields the tomography features from the
 same propagator).  The propagator evaluates any time exactly, so C is
@@ -24,10 +24,12 @@ can bias C high by up to 3 sqrt(eps), about 4.5e-8.  That bias cannot reach
 a sample whose partial transpose has a determinant above qmath.PPT_DET_CUT:
 such a state is separable, and qmath.concurrence returns exactly 0 for it
 without an eigensolve.  The driven trace-distance measure is not evaluated.
-table_row gives any channel's table row.  closed_form_rows gives every
-undriven row of a table in one array pass, of which table_row,
-revival_measure and bloch_plus of one channel are the one-element case, bit
-for bit: a table row, a sweep value and a library call take one route.
+A row takes one of two routes: closed_form_rows gives every undriven row of
+a table in one array pass, and driven_entanglement one driven row.
+dataset.table_rows picks the route of each table row, sweep value and fig4
+point; n_entanglement and n_trace_distance, the library measures, pick it
+for one channel, and take the undriven one as the one-element case of
+closed_form_rows, bit for bit.
 """
 
 from __future__ import annotations
@@ -69,19 +71,13 @@ def default_grid() -> TimeGrid:
     return TimeGrid(DEFAULT_T_MAX, DEFAULT_N_STEPS)
 
 
-def revival_measure(channel: Channel, horizon: float = DEFAULT_T_MAX) -> MeasureResult:
-    """Exact positive variation of |coherence| of an undriven channel: the
-    K = floor(horizon w / pi) peaks give q (1 - q^K) / (1 - q), plus |coherence(horizon)|
-    past the zero z_K = (pi - atan(w/a) + K pi) / w; 0 for w^2 <= 0.  The
-    one-element case of _revival."""
-    value, tail = _revival(*channel.rates_at(channel.param), horizon)
-    return MeasureResult(float(value), 0.0, horizon, float(tail))
-
-
 def _revival(a, w2, k, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """revival_measure's value and tail bound, the most it gains past the
-    horizon, at each channel's rates (a, w2, k) of channels._oscillation,
-    arrays of one shape, in one array pass."""
+    """The exact positive variation of |coherence| on [0, horizon] and its
+    tail bound, the most it gains past the horizon, at each channel's rates
+    (a, w2, k) of channels._oscillation, arrays of one shape, in one array
+    pass.  The K = floor(horizon w / pi) peaks give q (1 - q^K) / (1 - q),
+    plus |coherence(horizon)| past the zero z_K = (pi - atan(w/a) + K pi) / w;
+    both are 0 for w^2 <= 0."""
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
     value, tail = np.zeros(a.shape), np.zeros(a.shape)
@@ -199,36 +195,28 @@ def driven_entanglement(
 def closed_form_rows(cls, params, times=(), horizon: float = DEFAULT_T_MAX):
     """The table rows of an undriven channel class (PhaseDamping or
     AmplitudeDamping) at each parameter value, in one array pass: the values
-    and tail bounds of revival_measure on [0, horizon], and the features, the
-    Bloch vectors of the evolved |+> at times concatenated, one row each.
-    table_row of one such channel is its one-element case."""
+    and tail bounds of _revival on [0, horizon], and the features, the Bloch
+    vectors of the evolved |+> at times concatenated, one row each."""
     params = np.asarray(params, dtype=float).reshape(-1)
     value, tail = _revival(*cls.rates_at(params), horizon)
     features = cls.plus_from(cls.coherence_at(params, times))
     return value, tail, features.reshape(len(params), 3 * np.size(times))
 
 
-def table_row(
-    channel: Channel, measure: str = "entanglement", times=(), grid: TimeGrid | None = None
-) -> tuple[MeasureResult, np.ndarray]:
-    """A table row: the measure ('trace' or 'entanglement') on [0, grid.t_max]
-    and the Bloch vectors of the evolved |+> at times, concatenated: by
-    revival_measure and bloch_plus for the undriven channels, the one-element
-    case of closed_form_rows, and for the driven one by driven_entanglement
-    on grid, whose trace measure is an error."""
-    grid = grid or default_grid()
-    if channel.closed_form:
-        return revival_measure(channel, grid.t_max), channel.bloch_plus(times).reshape(-1)
-    if measure != "entanglement":
-        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
-    return driven_entanglement(channel, grid, times)
-
-
 def n_trace_distance(channel: Channel, grid: TimeGrid | None = None) -> MeasureResult:
-    """Trace-distance measure of an undriven channel on [0, grid.t_max] (table_row)."""
-    return table_row(channel, "trace", grid=grid)[0]
+    """Trace-distance measure of an undriven channel on [0, grid.t_max]: under
+    both undriven channels the same revival sum as n_entanglement."""
+    if not channel.closed_form:
+        raise ConfigError("the trace-distance measure is not evaluated for the driven channel")
+    return n_entanglement(channel, grid)
 
 
 def n_entanglement(channel: Channel, grid: TimeGrid | None = None) -> MeasureResult:
-    """Entanglement measure on [0, grid.t_max] (table_row; grid: the driven coarse grid)."""
-    return table_row(channel, "entanglement", grid=grid)[0]
+    """Entanglement measure on [0, grid.t_max]: the one-element case of
+    closed_form_rows for an undriven channel, and driven_entanglement on grid
+    (the coarse grid) for the driven one."""
+    grid = grid or default_grid()
+    if not channel.closed_form:
+        return driven_entanglement(channel, grid)[0]
+    value, tail, _ = closed_form_rows(type(channel), channel.param, horizon=grid.t_max)
+    return MeasureResult(float(value[0]), 0.0, grid.t_max, float(tail[0]))

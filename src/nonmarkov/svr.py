@@ -98,12 +98,9 @@ def rbf_gram(
     # |x_i|^2 + |y_j|^2 - 2 x_i.y_j, built in place: the same rounding as
     # the plain expression
     x_sq, y_sq = (x**2).sum(axis=1), (y**2).sum(axis=1)
-    if buffers is None:
-        sq, cross = np.add.outer(x_sq, y_sq), x @ y.T
-    else:
-        sq, cross = buffers
-        np.add.outer(x_sq, y_sq, out=sq)
-        np.matmul(x, y.T, out=cross)
+    sq, cross = buffers or (None, None)  # out=None allocates
+    sq = np.add.outer(x_sq, y_sq, out=sq)
+    cross = np.matmul(x, y.T, out=cross)
     cross *= 2.0
     sq -= cross
     np.maximum(sq, 0.0, out=sq)
@@ -271,9 +268,7 @@ def predict(model: SvrModel, features: np.ndarray):
     features = np.asarray(features, dtype=float)
     x_std = model.scaler.transform(np.atleast_2d(features))
     sv, beta, gamma = model.support_vectors, model.dual_coefs, model.kernel_gamma
-    if len(beta) == 0:
-        out = np.full(len(x_std), model.intercept)
-    elif len(x_std) <= _BLOCK:  # one block, in buffers of its own size
+    if len(x_std) <= _BLOCK:  # one block, in buffers of its own size
         out = rbf_gram(x_std, sv, gamma) @ beta + model.intercept
     else:
         out = np.empty(len(x_std))

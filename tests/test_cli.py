@@ -503,6 +503,36 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_driven_trace_sweep_refuses_before_any_row(self, tmp_path, capsys, monkeypatch):
+        # a drive at or above channels.DRIVE_CUT has no trace measure: the
+        # sweep refuses it once, before its closed-form rows are computed
+        calls = []
+
+        def recording(name, work):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return work(*args, **kwargs)
+
+            return call
+
+        for name in ("closed_form_rows", "driven_entanglement"):
+            monkeypatch.setattr(measures, name, recording(name, getattr(measures, name)))
+        out = tmp_path / "m.csv"
+        argv = ["sweep", "--kind", "measure", "--channel", "ad", "--measure", "trace",
+                "--lambdas", "0.5,3"]
+        assert run(*argv, "--omegas", "0.1", "--out", str(out)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "the trace-distance measure is not evaluated for the driven channel" in err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+        # a drive below the cut takes the closed form, as zero drive does
+        columns = []
+        for omega in ("1e-100", "0"):
+            out = tmp_path / f"m{omega}.csv"
+            assert run(*argv, "--omegas", omega, "--out", str(out)) == 0
+            columns.append([line.split(",")[-1] for line in out.read_text().splitlines()])
+        assert columns[0] == columns[1] and len(columns[0]) == 3
+        assert calls == ["closed_form_rows", "closed_form_rows"]
+
     @pytest.mark.parametrize(
         "channel, flag, value, want",
         # q = exp(-x), x = a pi / w, rounds to 1: no revival within the
@@ -654,7 +684,8 @@ class TestRefuseBeforeWork:
     ):
         for name in ("generate", "load_table"):  # work fails loudly
             monkeypatch.setattr(dataset, name, lambda *a, **k: pytest.fail("work started"))
-        monkeypatch.setattr(measures, "table_row", lambda *a, **k: pytest.fail("work started"))
+        for name in ("closed_form_rows", "driven_entanglement"):
+            monkeypatch.setattr(measures, name, lambda *a, **k: pytest.fail("work started"))
         monkeypatch.setattr(svr, "load_model", lambda *a, **k: pytest.fail("work started"))
         out = tmp_path / "out"
         (tmp_path / ("out" + sidecar)).write_text("keep\n")

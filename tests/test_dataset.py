@@ -164,11 +164,12 @@ class TestGenerateDriven:
         assert len(table) == 2
         assert table.schema.times == (3.0,)
         assert np.all(table.targets >= 0.0)
-        # one route: the library measure and table_row give the row's target
+        # one route: the library measure and driven_entanglement give the
+        # row's target
         ch = DrivenAmplitudeDamping(float(table.params[0, 0]), 0.05)
         full = measures.n_entanglement(ch)
         assert full.grid_error >= 0.0
-        assert table.targets[0] == full.value == measures.table_row(ch)[0].value
+        assert table.targets[0] == full.value == measures.driven_entanglement(ch)[0].value
         # features at a time evaluated alone match the grid-free |+> route
         want = features_at(ch, (3.0,))
         assert np.abs(table.features[0] - want).max() < 1e-12

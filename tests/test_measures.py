@@ -166,13 +166,13 @@ class TestMeasureValues:
         assert driven.horizon == 2.0 and driven.tail_bound is None
         for bad in (-1.0, float("nan")):
             with pytest.raises(ConfigError):
-                measures.revival_measure(PhaseDamping(0.45), bad)
+                measures.closed_form_rows(PhaseDamping, 0.45, horizon=bad)
 
     @pytest.mark.parametrize("horizon", [float("inf"), -float("inf")])
     def test_infinite_horizon_is_config_error(self, horizon):
         # the peak count floor(horizon w / pi) has no value at inf
         with pytest.raises(ConfigError, match="finite"):
-            measures.revival_measure(PhaseDamping(0.5), horizon)
+            measures.closed_form_rows(PhaseDamping, 0.5, horizon=horizon)
 
     def test_pd_threshold_dichotomy(self):
         for tau in np.arange(0.10, 0.245, 0.02):
@@ -287,7 +287,7 @@ class TestMeasureValues:
         assert res.tail_bound is None and res.grid_error >= 0.0
         table = dataset.generate("driven", times=(3.0,), count=1, omegas=(0.5,))
         assert table.params[0, 0] == 0.1 and res.value == table.targets[0]
-        assert measures.table_row(ch, times=(3.0,))[0] == res
+        assert measures.driven_entanglement(ch, times=(3.0,))[0] == res
 
     def test_rungs_come_from_fock_ladder(self, monkeypatch):
         # a ladder started at 4 leaks at 4 and 8 for (0.1, 0.5), settles on
@@ -358,7 +358,7 @@ class TestDrivenGridError:
         # brackets down to a few 1e-6 of time
         for lam in np.linspace(0.1, 2.9, 15):
             res = measures.n_entanglement(DrivenAmplitudeDamping(lam, 0.0))
-            gap = abs(measures.revival_measure(AmplitudeDamping(lam)).value - res.value)
+            gap = abs(measures.n_entanglement(AmplitudeDamping(lam)).value - res.value)
             assert gap <= res.grid_error + 1e-8
             assert gap <= 1e-6
 
@@ -367,7 +367,7 @@ class TestDrivenGridError:
         # coarse interval [19.98, 20], and rises after it: no increment of
         # the coarse samples changes sign there
         res = measures.n_entanglement(DrivenAmplitudeDamping(0.45, 0.0))
-        exact = measures.revival_measure(AmplitudeDamping(0.45)).value
+        exact = measures.n_entanglement(AmplitudeDamping(0.45)).value
         assert abs(res.value - exact) <= res.grid_error + measures.CONCURRENCE_FLOOR
 
     def test_turn_in_last_interval_is_resolved(self, monkeypatch):
@@ -441,8 +441,8 @@ class TestDrivenGridError:
 )
 def test_revival_measure_brackets_grid_oracle(kind, u, horizon):
     ch = AmplitudeDamping(0.05 + 2.95 * u) if kind == "ad" else PhaseDamping(0.1 + 0.4 * u)
-    res = measures.revival_measure(ch, horizon)
     grid = TimeGrid(horizon, round(horizon / 1e-3))
+    res = measures.n_entanglement(ch, grid)
     grid_sum = oracles.grid_measure(ch, horizon, grid.n_steps)
     # the exact sum bounds every grid sum from above, up to the rounding of
     # the sampled series
@@ -481,7 +481,8 @@ def params(cls):
 
 class TestClosedFormRows:
     """An undriven table is one array pass of the closed forms; each of its
-    rows is bit for bit the one-element call of every channel method."""
+    rows is bit for bit the one-element call of every channel method and of
+    both library measures."""
 
     def assert_rows_are_calls(self, cls, values, times, horizon):
         target, tail, feats = measures.closed_form_rows(cls, values, times, horizon)
@@ -490,12 +491,13 @@ class TestClosedFormRows:
         grid = TimeGrid(horizon, 1)
         for j, p in enumerate(values):
             ch = cls(p)
-            res, row = measures.table_row(ch, times=times, grid=grid)
-            assert bits(row) == bits(feats[j]) == bits(ch.bloch_plus(times).reshape(-1))
+            res = measures.n_entanglement(ch, grid)
+            assert bits(feats[j]) == bits(ch.bloch_plus(times).reshape(-1))
             assert bits(coh[j]) == bits(ch.coherence(times))
             assert (res.value, res.tail_bound) == (target[j], tail[j])
-            assert bits(res.value) == bits(measures.revival_measure(ch, horizon).value)
-            assert ch.rates == (a[j], w2[j])
+            assert bits(res.value) == bits(target[j])
+            assert measures.n_trace_distance(ch, grid) == res
+            assert bits(ch.rates_at(ch.param)[:2]) == bits([a[j], w2[j]])
 
     def test_every_branch(self):
         times = (0.0, 0.5, 3.0, 20.0)
@@ -523,19 +525,20 @@ class TestClosedFormRows:
         self.assert_rows_are_calls(cls, values, tuple(times), horizon)
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
-    def test_paper_table_rows_are_table_row_calls(self, kind):
+    def test_paper_table_rows_are_library_calls(self, kind):
         # every row of the paper's grid, as generate computes it, is its
-        # table_row call bit for bit, and the math module's one-at-a-time
-        # closed forms within 1 ulp of 1 (features) and 2 (targets): numpy's
-        # exp, arctan and power round otherwise than the math module's
+        # channel's bloch_plus and n_entanglement calls bit for bit, and the
+        # math module's one-at-a-time closed forms within 1 ulp of 1
+        # (features) and 2 (targets): numpy's exp, arctan and power round
+        # otherwise than the math module's
         table = dataset.generate(kind)
         (t,) = table.schema.times
         eps = np.finfo(float).eps
         for (p, om), feats, target in zip(table.params, table.features, table.targets):
             ch = dataset.make_channel(kind, p, om)
-            res, row = measures.table_row(ch, times=(t,))
+            row, res = ch.bloch_plus((t,)).reshape(-1), measures.n_entanglement(ch)
             assert bits(row) == bits(feats) and bits(res.value) == bits(target)
-            a, w2 = ch.rates
+            a, w2, _ = map(float, ch.rates_at(ch.param))
             coh = oracles.scalar_coherence(a, w2, t)
             want = [coh, 0.0, coh * coh - 1.0] if kind == "ad" else [coh, 0.0, 0.0]
             assert np.abs(feats - want).max() <= eps

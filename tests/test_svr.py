@@ -99,13 +99,23 @@ class TestKernel:
 
 
 class TestFit:
-    def test_constant_targets(self):
+    def test_constant_targets(self, tmp_path):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((8, 2))
         model = svr.fit(x, np.full(8, 0.37))
         assert len(model.dual_coefs) == 0
         assert model.intercept == pytest.approx(0.37)
         assert svr.predict(model, rng.standard_normal(2)) == pytest.approx(0.37)
+        # no support vectors: the kernel expansion is empty, and every row,
+        # in one block or several, is exactly the intercept
+        svr.save_model(model, tmp_path / "m.model")
+        loaded = svr.load_model(tmp_path / "m.model")
+        assert loaded.support_vectors.shape == (0, 2) and loaded.intercept == model.intercept
+        for m in (model, loaded):
+            assert svr.predict(m, rng.standard_normal(2)) == m.intercept
+            for n in (0, 1, svr._BLOCK + 1):
+                got = svr.predict(m, rng.standard_normal((n, 2)))
+                assert got.shape == (n,) and np.all(got == m.intercept)
 
     def test_intercept_without_free_variable_at_the_bound(self):
         # every nonzero coefficient at +-C: b is the midpoint of the interval
