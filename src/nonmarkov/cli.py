@@ -342,7 +342,7 @@ def _reproduce(args, outdir) -> int:
     pure_models = {
         f"{kind}_{meas}": regression("fig2", f"{kind}_{meas}", dataset.generate(kind, meas))
         for kind in ("ad", "pd")
-        for meas in ("trace", "entanglement")
+        for meas in dataset.MEASURES
     }
 
     # Mismatch degradation: pure-AD model against driven data.  Every driven
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("generate", "generate a feature/target dataset")
     p.add_argument("--channel", choices=("ad", "pd", "driven"), required=True)
-    p.add_argument("--measure", choices=("trace", "entanglement"), default="entanglement")
+    p.add_argument("--measure", choices=dataset.MEASURES, default="entanglement")
     p.add_argument(
         "--tc", type=float, help="tomography time (1/gamma0, or nu for PD; default 3 or 1.5)"
     )
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", "trajectory or measure-vs-parameter tables")
     p.add_argument("--kind", choices=("ox", "measure"), required=True)
     p.add_argument("--channel", choices=("ad", "pd"), default="ad")
-    p.add_argument("--measure", choices=("trace", "entanglement"), default="entanglement")
+    p.add_argument("--measure", choices=dataset.MEASURES, default="entanglement")
     p.add_argument("--lambdas", type=_parse_floats)
     p.add_argument("--taus", type=_parse_floats)
     p.add_argument("--omegas", type=_parse_floats, default=(0.0,))

@@ -37,6 +37,7 @@ DEFAULT_SEED = 7
 TRAIN_FRACTION = 0.7
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
+MEASURES = ("trace", "entanglement")  # the non-Markovianity measures a target can be
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,13 @@ def omega_grid() -> np.ndarray:
 @dataclass(frozen=True)
 class TableSchema:
     channel: str  # a key of KINDS
-    measure: str  # 'trace' | 'entanglement'
+    measure: str  # one of MEASURES
     times: tuple[float, ...]
 
     def __post_init__(self):
         if self.channel not in KINDS:
             raise ConfigError(f"unknown channel kind {self.channel!r}")
-        if self.measure not in ("trace", "entanglement"):
+        if self.measure not in MEASURES:
             raise ConfigError(f"unknown measure kind {self.measure!r}")
         if self.channel == "driven" and self.measure != "entanglement":
             raise ConfigError("the driven channel supports only the entanglement measure")
@@ -184,10 +185,14 @@ def table_rows(kind: str, pairs, measure: str = "entanglement", times=()):
     kind at each (param, omega) pair, one row each: the one place that routes
     a row.  The rows that make_channel takes undriven are one array pass of
     measures.closed_form_rows, with grid error 0; each driven pair is one
-    measures.driven_entanglement call on its make_channel channel.  Every
-    driven channel is built first, and a trace measure with any driven pair
-    is refused then, so a bad drive or measure is refused before any row is
-    computed."""
+    measures.driven_entanglement call on its make_channel channel.  An
+    unknown kind or measure is refused first; then every driven channel is
+    built, and a trace measure with any driven pair is refused, so a bad
+    kind, drive or measure is refused before any row is computed."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    if measure not in MEASURES:
+        raise ConfigError(f"unknown measure kind {measure!r}")
     params, omegas = np.asarray(pairs, dtype=float).reshape(-1, 2).T
     undriven = _undriven(kind, omegas)
     driven = [
@@ -271,7 +276,10 @@ class Scaler:
             raise ConfigError("scaler scale entries must be positive")
 
     def transform(self, features: np.ndarray) -> np.ndarray:
+        """Scaled features: one vector, or a matrix of one row per sample."""
         features = np.asarray(features, dtype=float)
+        if features.ndim not in (1, 2):
+            raise ConfigError(f"features must be a vector or a matrix, got shape {features.shape}")
         if features.shape[-1] != len(self.mean):
             raise ConfigError(
                 f"feature length {features.shape[-1]} does not match scaler "

@@ -25,6 +25,14 @@ share of the l x l Gram matrix, and no row is built twice.  K_tt = 1, the
 exact RBF diagonal.  The intercept comes from the gradient SMO keeps, as
 LIBSVM's rho does.  fit reports the final gap m - M, the dual objective it
 reached and the number of kernel rows it built.
+
+predict evaluates f(x) = sum_i beta_i k(sv_i, scale(x)) + b through
+rbf_gram, the one place that expands |x|^2 + |y|^2 - 2 x.y, for a single
+vector, a call of up to _BLOCK rows and each block of a larger call alike.
+The squared norms |sv_i|^2 are constants of the model: SvrModel sums them
+once, when it is built, as LIBSVM keeps them once per data set for its RBF
+kernel (Chang & Lin 2011), and every predict call reads them instead of
+summing them again.
 """
 
 from __future__ import annotations
@@ -87,17 +95,27 @@ def resolve_gamma(config_gamma, features: np.ndarray) -> float:
 
 
 def rbf_gram(
-    x: np.ndarray, y: np.ndarray, gamma: float, buffers: tuple[np.ndarray, np.ndarray] | None = None
+    x: np.ndarray,
+    y: np.ndarray,
+    gamma: float,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    y_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kernel matrix k(x_i, y_j), shape (len(x), len(y)), built in buffers
-    (out, scratch) of that shape when given, else in two new ones."""
+    (out, scratch) of that shape when given, else in two new ones.
+
+    The one place that expands |x_i - y_j|^2 = |x_i|^2 + |y_j|^2 - 2 x_i.y_j.
+    y_sq, the squared norms (y**2).sum(axis=1) of the rows of y, are summed
+    here unless the caller has them, as predict has its model's sv_sq.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
         raise ConfigError(f"feature length mismatch {x.shape} vs {y.shape}")
-    # |x_i|^2 + |y_j|^2 - 2 x_i.y_j, built in place: the same rounding as
-    # the plain expression
-    x_sq, y_sq = (x**2).sum(axis=1), (y**2).sum(axis=1)
+    # built in place: the same rounding as the plain expression
+    x_sq = (x**2).sum(axis=1)
+    if y_sq is None:
+        y_sq = (y**2).sum(axis=1)
     sq, cross = buffers or (None, None)  # out=None allocates
     sq = np.add.outer(x_sq, y_sq, out=sq)
     cross = np.matmul(x, y.T, out=cross)
@@ -110,7 +128,14 @@ def rbf_gram(
 
 @dataclass(frozen=True)
 class SvrModel:
-    """Fitted regressor: f(x) = sum_i beta_i k(sv_i, scale(x)) + b."""
+    """Fitted regressor: f(x) = sum_i beta_i k(sv_i, scale(x)) + b.
+
+    However it is built (by fit, load_model, direct construction or
+    dataclasses.replace), the model holds its own read-only copies of the
+    support vectors and dual coefficients, and sv_sq, the squared norms
+    |sv_i|^2 of the support vectors, summed once then.  A write into either
+    array raises, so sv_sq cannot go stale.
+    """
 
     support_vectors: np.ndarray  # (m, d), in standardized feature space
     dual_coefs: np.ndarray  # (m,) beta_i
@@ -126,6 +151,17 @@ class SvrModel:
     gap: float | None = field(default=None, compare=False)
     dual_objective: float | None = field(default=None, compare=False)
     kernel_rows: int | None = field(default=None, compare=False)
+    # derived in __post_init__, not serialized: (m,) |sv_i|^2
+    sv_sq: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("support_vectors", "dual_coefs"):
+            own = np.array(getattr(self, name), dtype=float, order="C")
+            own.flags.writeable = False
+            object.__setattr__(self, name, own)
+        sv_sq = (self.support_vectors**2).sum(axis=1)
+        sv_sq.flags.writeable = False
+        object.__setattr__(self, "sv_sq", sv_sq)
 
 
 def fit(
@@ -247,8 +283,8 @@ def fit(
     beta = a[0] - a[1]
     keep = np.flatnonzero(np.abs(beta) > SUPPORT_TOL)
     return SvrModel(
-        support_vectors=x[keep].copy(),
-        dual_coefs=beta[keep].copy(),
+        support_vectors=x[keep],
+        dual_coefs=beta[keep],
         intercept=intercept,
         kernel_gamma=gamma,
         scaler=scaler,
@@ -262,23 +298,29 @@ def fit(
 
 
 def predict(model: SvrModel, features: np.ndarray):
-    """Apply the stored scaler, then the kernel expansion.  Past _BLOCK rows
-    the kernel is built _BLOCK rows at a time in one pair of buffers, not
-    all at once in two (rows, support vectors) arrays."""
-    features = np.asarray(features, dtype=float)
-    x_std = model.scaler.transform(np.atleast_2d(features))
-    sv, beta, gamma = model.support_vectors, model.dual_coefs, model.kernel_gamma
+    """f(x) of one feature vector, as a float, or of each row of a matrix,
+    as an array.  The stored scaler checks and scales the features once;
+    then every row goes through rbf_gram with the model's sv_sq.  Up to
+    _BLOCK rows are one kernel block in buffers of their own size; past
+    _BLOCK rows the kernel is built _BLOCK rows at a time in one pair of
+    buffers, not all at once in two (rows, support vectors) arrays."""
+    x_std = model.scaler.transform(features)
+    one = x_std.ndim == 1
+    if one:
+        x_std = x_std[None]
+    sv, sv_sq, beta = model.support_vectors, model.sv_sq, model.dual_coefs
+    gamma = model.kernel_gamma
     if len(x_std) <= _BLOCK:  # one block, in buffers of its own size
-        out = rbf_gram(x_std, sv, gamma) @ beta + model.intercept
+        out = rbf_gram(x_std, sv, gamma, y_sq=sv_sq) @ beta + model.intercept
     else:
         out = np.empty(len(x_std))
         sq, cross = np.empty((_BLOCK, len(sv))), np.empty((_BLOCK, len(sv)))
         for start in range(0, len(x_std), _BLOCK):
             x = x_std[start : start + _BLOCK]
-            kernel = rbf_gram(x, sv, gamma, (sq[: len(x)], cross[: len(x)]))
+            kernel = rbf_gram(x, sv, gamma, (sq[: len(x)], cross[: len(x)]), sv_sq)
             np.matmul(kernel, beta, out=out[start : start + len(x)])
         out += model.intercept
-    return float(out[0]) if features.ndim == 1 else out
+    return float(out[0]) if one else out
 
 
 def mae(predictions, truths) -> float:
@@ -366,7 +408,7 @@ def load_model(path) -> SvrModel:
         raise
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"malformed model file: {exc}") from exc
-    coefs, svs = support[:, 0].copy(), support[:, 1:].copy()
+    coefs, svs = support[:, 0], support[:, 1:]  # the model keeps copies
     if not (np.isfinite(coefs).all() and np.isfinite(svs).all() and np.isfinite(intercept)):
         raise DataFormatError("non-finite values in model file")
     if not (np.isfinite(gamma) and gamma > 0):

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import subprocess
 import sys
@@ -893,6 +894,12 @@ class TestOneParser:
         assert run("generate", "--channel", "pd", "--count", "4", "--out", str(out)) == 0
         assert len(dataset.load_table(out)) == 4
         assert "configuration error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_measure_choices_are_the_dataset_measures(self, command):
+        (subs,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+        (measure,) = [a for a in subs.choices[command]._actions if a.dest == "measure"]
+        assert measure.choices is dataset.MEASURES
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -158,6 +158,30 @@ class TestGenerate:
         assert np.array_equal(table.params[:, 1], [0.0, 0.0])
 
 
+class TestTableRows:
+    @pytest.mark.parametrize(
+        "kind, measure, bad",
+        [("ad", "tracee", "'tracee'"), ("driven", "Trace", "'Trace'"), ("xd", "trace", "'xd'")],
+    )
+    def test_bad_kind_or_measure_is_refused_before_any_row(self, monkeypatch, kind, measure, bad):
+        # an unknown measure once returned the closed-form values of every
+        # row; no row is computed before the refusal, undriven or driven
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        for name in ("closed_form_rows", "driven_entanglement"):
+            monkeypatch.setattr(measures, name, no_rows)
+        with pytest.raises(ConfigError, match=bad):
+            dataset.table_rows(kind, [(0.5, 0.0), (0.5, 0.1)], measure=measure)
+
+    def test_measures_are_written_once(self):
+        assert dataset.MEASURES == ("trace", "entanglement")
+        for measure in dataset.MEASURES:
+            assert dataset.TableSchema("ad", measure, (3.0,)).measure == measure
+        with pytest.raises(ConfigError, match="'tracee'"):
+            dataset.TableSchema("ad", "tracee", (3.0,))
+
+
 class TestGenerateDriven:
     def test_tiny_table_and_measure_consistency(self):
         table = dataset.generate("driven", times=(3.0,), count=2, omegas=(0.05,))
@@ -265,6 +289,17 @@ class TestScaler:
         assert scaler.scale[0] == 1.0 and scaler.scale[2] == 1.0
         out = scaler.transform(table.features)
         assert np.allclose(out[:, 0], 0.0)
+
+    def test_transform_takes_a_vector_or_a_matrix(self):
+        scaler = dataset.Scaler(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+        rows = np.array([[3.0, 6.0], [1.0, -2.0]])
+        assert np.array_equal(scaler.transform(rows), [[1.0, 1.0], [0.0, -1.0]])
+        assert np.array_equal(scaler.transform(rows[1]), [0.0, -1.0])
+        for bad in (np.float64(1.0), rows[None]):
+            with pytest.raises(ConfigError, match="a vector or a matrix"):
+                scaler.transform(bad)
+        with pytest.raises(ConfigError, match="feature length 3 does not match scaler"):
+            scaler.transform(np.zeros(3))
 
     @pytest.mark.parametrize(
         "mean, scale",

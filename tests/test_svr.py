@@ -265,6 +265,27 @@ class TestFit:
             svr.SvrConfig(kernel_gamma="auto")
 
 
+def reference_expansion(model, x):
+    """f(x) of up to _BLOCK rows, with the support-vector norms summed
+    afresh by rbf_gram instead of read from the model."""
+    x_std = model.scaler.transform(np.atleast_2d(x))
+    kernel = svr.rbf_gram(x_std, model.support_vectors, model.kernel_gamma)
+    return kernel @ model.dual_coefs + model.intercept
+
+
+def assert_predicts_reference(model, x):
+    """predict(model, x) equals reference_expansion bit for bit: a single
+    vector as one row, and each _BLOCK-row block of a larger call alone."""
+    got = svr.predict(model, x)
+    if np.ndim(x) == 1:
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == reference_expansion(model, x)[0].tobytes()
+        return
+    blocks = [x[i : i + svr._BLOCK] for i in range(0, len(x), svr._BLOCK)] or [x]
+    want = np.concatenate([reference_expansion(model, block) for block in blocks])
+    assert got.shape == (len(x),) and got.tobytes() == want.tobytes()
+
+
 class TestPredict:
     def test_free_support_vector_sits_on_tube(self):
         x, y = smooth_problem(9)
@@ -305,6 +326,69 @@ class TestPredict:
         model = svr.fit(x, y)
         with pytest.raises(ConfigError):
             svr.predict(model, np.zeros(3))
+
+    def test_every_model_predicts_the_reference_expansion(self, tmp_path):
+        # fitted, loaded and replaced models; a single vector, and calls of
+        # 0, 1, _BLOCK and _BLOCK + 1 rows
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-2.0, 2.0, (120, 3))
+        scaler = dataset.Scaler(x.mean(axis=0), x.std(axis=0))
+        fitted = svr.fit(scaler.transform(x), np.sin(x).sum(axis=1), svr.SvrConfig(), scaler)
+        svr.save_model(fitted, tmp_path / "m.model")
+        loaded = svr.load_model(tmp_path / "m.model")
+        replaced = replace(fitted, intercept=0.25)
+        probe = rng.uniform(-2.5, 2.5, (svr._BLOCK + 1, 3))
+        for model in (fitted, loaded, replaced):
+            assert len(model.dual_coefs) > 10
+            assert_predicts_reference(model, probe[7])
+            for n in (0, 1, svr._BLOCK, svr._BLOCK + 1):
+                assert_predicts_reference(model, probe[:n])
+
+    def test_norms_are_the_support_vectors(self, tmp_path):
+        # sv_sq is (sv**2).sum(axis=1) bit for bit, with or without support
+        # vectors, however the model was built, and is not serialized
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((30, 2))
+        for y in (np.sin(x[:, 0]), np.full(30, 0.37)):
+            fitted = svr.fit(x, y)
+            svr.save_model(fitted, tmp_path / "m.model")
+            loaded = svr.load_model(tmp_path / "m.model")
+            for model in (fitted, loaded, replace(fitted, n_iter=1)):
+                want = (model.support_vectors**2).sum(axis=1)
+                assert model.sv_sq.shape == (len(model.dual_coefs),)
+                assert model.sv_sq.tobytes() == want.tobytes()
+        assert len(fitted.dual_coefs) == 0 and loaded.sv_sq.shape == (0,)
+        assert "sv_sq" not in (tmp_path / "m.model").read_text()
+        with pytest.raises(TypeError):
+            svr.SvrModel(x, np.zeros(30), 0.0, 1.0, dataset.Scaler.identity(2), sv_sq=np.zeros(30))
+
+    def test_in_place_write_raises(self):
+        x = np.random.default_rng(31).standard_normal((20, 2))
+        model = svr.fit(x, np.sin(x[:, 0]))
+        before = svr.predict(model, x)
+        for array in (model.support_vectors, model.dual_coefs, model.sv_sq):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        # the model copies what it is built from: a write into the caller's
+        # array leaves the model and its norms as they were
+        svs = model.support_vectors.copy()
+        built = replace(model, support_vectors=svs)
+        svs[0] = 7.0
+        assert np.array_equal(svr.predict(built, x), before)
+        assert built.sv_sq.tobytes() == model.sv_sq.tobytes()
+
+    def test_replaced_support_vectors_bring_their_norms(self):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((40, 3))
+        model = svr.fit(x, np.cos(x).sum(axis=1))
+        other = model.support_vectors[::-1] * 1.5 + 0.25
+        moved = replace(model, support_vectors=other)
+        assert moved.sv_sq.tobytes() == (other**2).sum(axis=1).tobytes()
+        assert model.sv_sq.tobytes() == (model.support_vectors**2).sum(axis=1).tobytes()
+        probe = rng.standard_normal((5, 3))
+        assert_predicts_reference(moved, probe)
+        assert_predicts_reference(moved, probe[0])
+        assert not np.array_equal(svr.predict(moved, probe), svr.predict(model, probe))
 
 
 class TestMae:
@@ -439,10 +523,24 @@ def test_model_round_trip_is_bit_exact(tmp_path_factory, d, m, data):
         data.draw(hnp.arrays(np.float64, d, elements=finite)),
         data.draw(hnp.arrays(np.float64, d, elements=pos)),
     )
-    model = svr.SvrModel(svs, coefs, data.draw(finite), data.draw(pos), scaler)
-    path = tmp_path_factory.mktemp("rt") / "model.txt"
-    svr.save_model(model, path)
-    back = svr.load_model(path)
+    # norms and kernels of such extremes overflow; warnings are not the point
+    with np.errstate(all="ignore"):
+        model = svr.SvrModel(svs, coefs, data.draw(finite), data.draw(pos), scaler)
+        path = tmp_path_factory.mktemp("rt") / "model.txt"
+        svr.save_model(model, path)
+        back = svr.load_model(path)
+        # every build of the model, a replaced one too, carries the norms of
+        # its own support vectors, read-only, and predicts the reference
+        # expansion bit for bit
+        other = data.draw(hnp.arrays(np.float64, svs.shape, elements=st.floats(-1e3, 1e3)))
+        probe = data.draw(hnp.arrays(np.float64, (3, d), elements=st.floats(-1e3, 1e3)))
+        for built in (model, back, replace(model, support_vectors=other)):
+            assert built.sv_sq.tobytes() == (built.support_vectors**2).sum(axis=1).tobytes()
+            if len(svs):
+                with pytest.raises(ValueError, match="read-only"):
+                    built.support_vectors[0, 0] = 0.0
+            assert_predicts_reference(built, probe)
+            assert_predicts_reference(built, probe[0])
     for got, want in [
         (back.support_vectors, svs),
         (back.dual_coefs, coefs),
